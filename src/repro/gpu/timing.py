@@ -39,7 +39,7 @@ import numpy as np
 from repro.config import DeviceConfig, SimConfig
 from repro.errors import DeviceError
 from repro.gpu.cache import L2Model
-from repro.gpu.coalescing import SECTOR_BYTES
+from repro.gpu.coalescing import SECTOR_BYTES, sorted_unique
 from repro.gpu.dram import DramModel
 from repro.gpu.occupancy import OccupancyResult, occupancy
 from repro.gpu.sm import schedule_blocks
@@ -208,7 +208,7 @@ class TimingModel:
         total_sectors = sum(t.total_sectors for t in traces)
         uniq_arrays = [t.unique_sectors for t in traces if t.unique_sectors is not None]
         if uniq_arrays:
-            unique_sectors = int(np.unique(np.concatenate(uniq_arrays)).size)
+            unique_sectors = int(sorted_unique(np.concatenate(uniq_arrays)).size)
         else:
             unique_sectors = total_sectors
         if self.sim.model_l2:

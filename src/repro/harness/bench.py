@@ -8,7 +8,9 @@ both execution backends at ``-O1`` and ``-O2`` and records:
   timing model off (``collect_timing=False``); this is the number the
   compiled backend exists to improve,
 * **simulated-cycles/sec** — simulation throughput with the timing model
-  armed (one timed run; informational),
+  armed (``collect_timing=True``),
+* **timed/untimed** — the timed run's wall time over the untimed run's:
+  what producing Figure 6's cycles costs on top of plain execution,
 * **smoke-campaign wall time** — the summed untimed wall time per
   backend, i.e. how long the Figure-6 smoke campaign takes end to end,
 * **checked vs unchecked** (schema v2) — per app at ``-O2``, the
@@ -18,9 +20,10 @@ both execution backends at ``-O1`` and ``-O2`` and records:
   is the escape hatch: every compiled launch runs fully guarded and the
   comparison is skipped.
 
-Wall times are the minimum over ``repeats`` *interleaved* interp/compiled
-pairs, so background load drifts hit both backends equally and the
-speedup ratio stays meaningful on a noisy machine.
+Wall times, timed and untimed alike, are the minimum over ``repeats``
+*interleaved* interp/compiled pairs after one warm-up run each, so
+background load drifts hit both backends equally and the ratios stay
+meaningful on a noisy machine.
 
 The regression gate (``check_regression``) is deliberately built on
 **machine-independent ratios**: absolute steps/sec swings wildly between
@@ -31,7 +34,9 @@ speedup on interleaved runs does not.  The gate fails when
   than ``tolerance`` (default 10%) below the committed baseline's
   speedup over the same apps, or
 * the compiled backend is outright slower than the interpreter on the
-  smoke campaign (aggregate speedup < 1.0).
+  smoke campaign (aggregate speedup < 1.0), or
+* the compiled backend's aggregate timed/untimed ratio exceeds
+  ``TIMED_OVER_UNTIMED_MAX`` (trace collection must stay cheap).
 
 Run as a module::
 
@@ -57,13 +62,19 @@ from repro.host.launch import LaunchSpec
 
 #: Schema version of the JSON report (bump on incompatible change).
 #: v2: per-app checked-vs-unchecked safety comparison (``safety`` section).
-SCHEMA = 2
+#: v3: timed wall is best-of-repeats like the untimed one; per-record
+#: ``timed_over_untimed``.
+SCHEMA = 3
 
 #: The Figure-6 smoke campaign: every figure-6 benchmark, 4 instances,
 #: the paper's t=32 panel.
 SMOKE_APPS = ("xsbench", "rsbench", "amgmk", "stencil", "pagerank")
 SMOKE_INSTANCES = 4
 SMOKE_THREAD_LIMIT = 32
+
+#: Gate on the compiled backend's summed timed wall over its summed
+#: untimed wall.
+TIMED_OVER_UNTIMED_MAX = 1.5
 
 #: Subset used by ``--quick`` (CI): one compute-bound and one
 #: memory-bound app keep the gate sensitive at a fraction of the runtime.
@@ -85,8 +96,9 @@ class BenchRecord:
     wall_s: float  #: best untimed wall time (min over interleaved repeats)
     steps_per_sec: float
     cycles: float  #: simulated cycles of the timed run
-    timed_wall_s: float
+    timed_wall_s: float  #: best timed wall time (same protocol as wall_s)
     cycles_per_sec: float
+    timed_over_untimed: float  #: timed_wall_s / wall_s
 
 
 @dataclass
@@ -115,6 +127,17 @@ class BenchReport:
             and (apps is None or r.app in apps)
         )
 
+    def timed_over_untimed(self, backend: str, apps=None) -> float:
+        """Summed timed wall over summed untimed wall for one backend
+        (every opt level), optionally restricted to ``apps``."""
+        rows = [
+            r
+            for r in self.records
+            if r.backend == backend and (apps is None or r.app in apps)
+        ]
+        untimed = sum(r.wall_s for r in rows)
+        return sum(r.timed_wall_s for r in rows) / untimed if untimed else 0.0
+
     def speedup(self, opt_level: int, apps=None) -> float:
         """Aggregate compiled/interp speedup at one opt level: the ratio
         of summed wall times, which weights each app by its runtime."""
@@ -131,6 +154,9 @@ class BenchReport:
                 for b in BACKENDS
             },
             "speedup": {f"O{o}": round(self.speedup(o), 3) for o in opts},
+            "timed_over_untimed": {
+                b: round(self.timed_over_untimed(b), 3) for b in BACKENDS
+            },
         }
         if self.compile_wall_s:
             summary["compile_wall_s"] = self.compile_wall_s
@@ -250,17 +276,32 @@ def run_bench(
                 )
                 for b in BACKENDS
             }
+            timed = {
+                b: LaunchSpec(
+                    lines,
+                    thread_limit=thread_limit,
+                    collect_timing=True,
+                    backend=b,
+                    safety_mode=safety_mode,
+                )
+                for b in BACKENDS
+            }
             # warm caches (lowering, compiled programs) off the clock
-            steps = {}
+            steps, cycles = {}, {}
             for b in BACKENDS:
                 _, run = _timed_once(loaders[b], untimed[b])
                 steps[b] = run.launch.interpreter_steps
+                _, run = _timed_once(loaders[b], timed[b])
+                cycles[b] = run.cycles or 0.0
             # interleaved repeats: one interp run, one compiled run, ...
             best = {b: float("inf") for b in BACKENDS}
+            best_timed = dict(best)
             for _ in range(repeats):
                 for b in BACKENDS:
                     wall, _ = _timed_once(loaders[b], untimed[b])
                     best[b] = min(best[b], wall)
+                    wall, _ = _timed_once(loaders[b], timed[b])
+                    best_timed[b] = min(best_timed[b], wall)
             if opt == 2 and safety_mode == "unchecked":
                 checked_spec = LaunchSpec(
                     lines,
@@ -284,15 +325,6 @@ def run_bench(
                     "unchecked_speedup": round(best_ck / best_un, 3),
                 }
             for b in BACKENDS:
-                timed_spec = LaunchSpec(
-                    lines,
-                    thread_limit=thread_limit,
-                    collect_timing=True,
-                    backend=b,
-                    safety_mode=safety_mode,
-                )
-                timed_wall, timed_run = _timed_once(loaders[b], timed_spec)
-                cycles = timed_run.cycles or 0.0
                 report.records.append(
                     BenchRecord(
                         app=app,
@@ -303,9 +335,10 @@ def run_bench(
                         steps=steps[b],
                         wall_s=round(best[b], 6),
                         steps_per_sec=round(steps[b] / best[b], 1),
-                        cycles=cycles,
-                        timed_wall_s=round(timed_wall, 6),
-                        cycles_per_sec=round(cycles / timed_wall, 1),
+                        cycles=cycles[b],
+                        timed_wall_s=round(best_timed[b], 6),
+                        cycles_per_sec=round(cycles[b] / best_timed[b], 1),
+                        timed_over_untimed=round(best_timed[b] / best[b], 3),
                     )
                 )
             if progress:
@@ -368,6 +401,13 @@ def check_regression(
                 f"{cur:.2f}x < {base:.2f}x - {tolerance:.0%} "
                 f"(over {', '.join(apps)})"
             )
+    ratio = current.timed_over_untimed("compiled")
+    if ratio > TIMED_OVER_UNTIMED_MAX:
+        problems.append(
+            f"compiled backend timed runs take {ratio:.2f}x the untimed wall "
+            f"time (gate: <= {TIMED_OVER_UNTIMED_MAX}x) — trace collection "
+            "is no longer cheap"
+        )
     cw = current.compile_wall_s
     if cw.get("cold"):
         ratio = cw["warm"] / cw["cold"]

@@ -23,14 +23,16 @@ overhead for straight-line code:
   parallel-region machinery, and trap behavior are inherited, not
   reimplemented.  Trace aggregates are preserved exactly: a block
   contributes the same cycle/instruction totals via
-  :meth:`~repro.runtime.trace.TraceCollector.note_uniform_block` that
-  per-instruction ``note_uniform`` calls would, and memory events fire
-  in the same order with the same lane/address sets.
+  :meth:`~repro.runtime.trace.TraceCollector.note_uniform_block` (or,
+  for a divergent group, ``note_divergent_block``) that per-instruction
+  ``note_uniform``/``on_instr`` calls would, and memory events fire in
+  the same order with the same lane/address sets.
 
-The only observable difference is step-budget granularity: the
-``max_steps`` livelock guard is checked per block rather than per
-instruction, so a trap may be raised up to one basic block later than the
-interpreter would (whether a launch traps at all is unchanged — see
+The only observable difference is block granularity: the ``max_steps``
+livelock guard is checked per block rather than per instruction, so a
+trap may be raised up to one basic block later than the interpreter
+would, and a team that traps mid-block has the whole block's issue
+cycles noted (whether a launch traps at all is unchanged — see
 docs/backends.md).
 
 Compiled artifacts are cached on
@@ -175,22 +177,19 @@ def _emit_memop(
     """Append the LOAD/STORE tail (``_adr`` already assigned) for one
     instruction; ``sel`` is ``""`` (full row) or ``"[mask]"``.
 
-    Untimed runs take an inline gather/scatter: the null-guard and
+    Every site takes an inline gather/scatter: the null-guard and
     alignment checks collapse to two reductions on literal constants, the
     element view is pre-bound per site (``_mv{pc}``), and numpy's cast-on-
     assignment replaces the explicit ``astype``.  Check failures re-run the
     access through :meth:`GlobalMemory._indices` so fault messages are
-    byte-identical to the interpreter's.  Timed runs keep the full
-    gather/scatter call so ``on_mem`` sees exactly what the interpreter's
-    handlers report.
+    byte-identical to the interpreter's.  Timed runs then hand the lanes
+    and addresses to ``on_mem``, exactly as the interpreter's handlers do.
 
     With a :class:`~repro.analysis.safety.SiteProof` and
-    ``mode="unchecked"``, PROVEN null+alignment drops the guard entirely
-    (straight-line view access on both the timed and untimed paths —
-    ``on_mem`` still fires so traces are unchanged), and PROVEN bounds
-    additionally drops the end-of-heap backstop.  ``mode="assert"`` keeps
-    every guard but reports a firing at a PROVEN site as a certificate
-    violation.
+    ``mode="unchecked"``, PROVEN null+alignment drops the guard entirely,
+    and PROVEN bounds additionally drops the end-of-heap backstop.
+    ``mode="assert"`` keeps every guard but reports a firing at a PROVEN
+    site as a certificate violation.
     """
     size = li.mty.size
     idx = f"_adr >> {size.bit_length() - 1}" if size > 1 else "_adr"
@@ -204,12 +203,12 @@ def _emit_memop(
         and proof.align is Verdict.PROVEN
     )
     bounds_proven = proven and proof.bounds is Verdict.PROVEN
+    access = (
+        f"{d}{sel or '[:]'} = _mv{pc}[{idx}]"
+        if store_src is None
+        else f"_mv{pc}[{idx}] = {store_src}{sel}"
+    )
     if mode == "unchecked" and proven:
-        access = (
-            f"{d}{sel or '[:]'} = _mv{pc}[{idx}]"
-            if store_src is None
-            else f"_mv{pc}[{idx}] = {store_src}{sel}"
-        )
         if bounds_proven:
             out.append(access)
         else:
@@ -217,43 +216,30 @@ def _emit_memop(
             out.append(f"    {access}")
             out.append("except IndexError:")
             out.append("    _trap(str(_mem._beyond_end(_adr)), mask)")
-        out.append("if _C is not None:")
-        out.append(f"    _C.on_mem({lids}, _adr, {size})")
-        return
-    # checked / assert: the guarded emission.  In assert mode a guard
-    # firing where the certificate says it cannot is an analyzer bug;
-    # surface it as such instead of an ordinary memory fault.
-    g_pfx = (
-        "'safety certificate violated: ' + "
-        if mode == "assert" and proven
-        else ""
-    )
-    b_pfx = (
-        "'safety certificate violated: ' + "
-        if mode == "assert" and bounds_proven
-        else ""
-    )
-    out.append("if _C is None:")
-    out.append(f"    if int(_adr.min()) < {NULL_GUARD}{align}:")
-    out.append("        try:")
-    out.append(f"            _mem._indices(_adr, _mty{pc})")
-    out.append("        except _MF as _exc:")
-    out.append(f"            _trap({g_pfx}str(_exc), mask)")
-    out.append("    try:")
-    if store_src is None:
-        out.append(f"        {d}{sel or '[:]'} = _mv{pc}[{idx}]")
     else:
-        out.append(f"        _mv{pc}[{idx}] = {store_src}{sel}")
-    out.append("    except IndexError:")
-    out.append(f"        _trap({b_pfx}str(_mem._beyond_end(_adr)), mask)")
-    out.append("else:")
-    out.append("    try:")
-    if store_src is None:
-        out.append(f"        {d}{sel or '[:]'} = _mem.gather(_adr, _mty{pc})")
-    else:
-        out.append(f"        _mem.scatter(_adr, {store_src}{sel}, _mty{pc})")
-    out.append("    except _MF as _exc:")
-    out.append(f"        _trap({g_pfx}str(_exc), mask)")
+        # checked / assert: the guarded emission.  In assert mode a guard
+        # firing where the certificate says it cannot is an analyzer bug;
+        # surface it as such instead of an ordinary memory fault.
+        g_pfx = (
+            "'safety certificate violated: ' + "
+            if mode == "assert" and proven
+            else ""
+        )
+        b_pfx = (
+            "'safety certificate violated: ' + "
+            if mode == "assert" and bounds_proven
+            else ""
+        )
+        out.append(f"if int(_adr.min()) < {NULL_GUARD}{align}:")
+        out.append("    try:")
+        out.append(f"        _mem._indices(_adr, _mty{pc})")
+        out.append("    except _MF as _exc:")
+        out.append(f"        _trap({g_pfx}str(_exc), mask)")
+        out.append("try:")
+        out.append(f"    {access}")
+        out.append("except IndexError:")
+        out.append(f"    _trap({b_pfx}str(_mem._beyond_end(_adr)), mask)")
+    out.append("if _C is not None:")
     out.append(f"    _C.on_mem({lids}, _adr, {size})")
 
 
@@ -647,9 +633,9 @@ def _static_tables(kernel: LoweredKernel):
 class CompiledBlockExecutor(BlockExecutor):
     """Runs one thread block through compiled basic-block closures.
 
-    Divergent stretches, control instructions, and synchronization fall
-    back to the inherited interpreter machinery; only uniform
-    straight-line runs take the compiled path.
+    Control instructions, synchronization, and divergent stretches that
+    do not chain through whole blocks fall back to the inherited
+    interpreter machinery; straight-line runs take the compiled path.
     """
 
     def __init__(self, kernel: LoweredKernel, ctx: BlockContext):
@@ -734,8 +720,10 @@ class CompiledBlockExecutor(BlockExecutor):
         uniform PC sits on a block leader, the whole straight-line body
         executes as one compiled call (its trace contribution batched via
         ``note_uniform_block``) and control resumes at the terminator.
-        Mid-block uniform entry (lanes reconverging at a non-leader PC)
-        and divergence use the inherited per-instruction machinery.
+        A divergent min-PC group on a leader chains through whole blocks
+        the same way (``note_divergent_block``).  Mid-block entry and
+        the remaining divergent steps use the inherited per-instruction
+        machinery.
         """
         pc = self.pc
         status = self.status
@@ -781,10 +769,10 @@ class CompiledBlockExecutor(BlockExecutor):
                         # below every other runnable lane's PC, so min-PC
                         # scheduling would run it to the terminator without
                         # interleaving another group.  One masked call
-                        # replaces count handler dispatches.  Timing-on
-                        # runs skip this (per-instruction on_instr notes
-                        # must fire exactly as the interpreter's).
-                        if collector is None and blocks_get(cur) is not None:
+                        # replaces count handler dispatches; timed runs
+                        # note each block and folded branch once, with
+                        # the aggregates of per-instruction on_instr.
+                        if blocks_get(cur) is not None:
                             # All other runnable lanes sit at or above
                             # othermin, so min-PC scheduling keeps this
                             # group running while its PC stays below it.
@@ -795,11 +783,15 @@ class CompiledBlockExecutor(BlockExecutor):
                             othermin = int(sub[sub != cur].min())
                             cur_g = cur
                             ran = False
+                            if collector is not None:
+                                warp_mask = mask.reshape(
+                                    self.num_warps, ws
+                                ).any(axis=1)
                             while True:
                                 blk = blocks_get(cur_g)
                                 if blk is None:
                                     break
-                                fn, end, count, _cyc = blk
+                                fn, end, count, cycles = blk
                                 if end > othermin:
                                     # another group's PC falls inside (or
                                     # at the end of) the body: stop before
@@ -814,6 +806,10 @@ class CompiledBlockExecutor(BlockExecutor):
                                         "interpreter steps (livelock?)",
                                         team=self.ctx.team_id,
                                     )
+                                if collector is not None:
+                                    collector.note_divergent_block(
+                                        warp_mask, cycles, count
+                                    )
                                 fn(mask, False)
                                 ran = True
                                 if end == othermin:
@@ -822,25 +818,26 @@ class CompiledBlockExecutor(BlockExecutor):
                                     cur_g = end
                                     break
                                 bt = br_target[end]
-                                if bt >= 0:  # folded unconditional branch
-                                    steps += 1
+                                info = cbr_info[end]
+                                if bt < 0 and info is None:
+                                    cur_g = end  # control op: slow path next
+                                    break
+                                steps += 1  # folded BR/CBR
+                                if collector is not None:
+                                    collector.note_divergent_block(
+                                        warp_mask, cpi_list[end], 1
+                                    )
+                                if bt >= 0:
                                     cur_g = bt
                                     continue
-                                info = cbr_info[end]
-                                if info is not None:  # folded CBR
-                                    steps += 1
-                                    row, t_then, t_else = info
-                                    vals = row[mask]
-                                    first = vals[0]
-                                    if (vals == first).all():
-                                        cur_g = t_then if first else t_else
-                                        continue
-                                    pc[mask] = np.where(
-                                        vals != 0, t_then, t_else
-                                    )
-                                    cur_g = -1  # pc written per-lane
-                                    break
-                                cur_g = end  # control op: slow path next
+                                row, t_then, t_else = info
+                                vals = row[mask]
+                                first = vals[0]
+                                if (vals == first).all():
+                                    cur_g = t_then if first else t_else
+                                    continue
+                                pc[mask] = np.where(vals != 0, t_then, t_else)
+                                cur_g = -1  # pc written per-lane
                                 break
                             if ran:
                                 if cur_g >= 0:

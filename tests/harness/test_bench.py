@@ -26,12 +26,14 @@ TINY = {
 }
 
 
-def record(app, backend, opt, wall, steps=1000):
+def record(app, backend, opt, wall, steps=1000, timed_wall=None):
+    timed_wall = wall if timed_wall is None else timed_wall
     return BenchRecord(
         app=app, backend=backend, opt_level=opt, instances=2,
         thread_limit=32, steps=steps, wall_s=wall,
-        steps_per_sec=steps / wall, cycles=500.0, timed_wall_s=wall,
-        cycles_per_sec=500.0 / wall,
+        steps_per_sec=steps / wall, cycles=500.0, timed_wall_s=timed_wall,
+        cycles_per_sec=500.0 / timed_wall,
+        timed_over_untimed=timed_wall / wall,
     )
 
 
@@ -145,6 +147,23 @@ class TestRegressionGate:
         assert check_regression(cur, base) == []
 
 
+    def test_timed_over_untimed_gate_on_compiled_aggregate(self):
+        base = report_with({("a", 2): (2.0, 1.0)})
+        cur = BenchReport(schema=3, config={})
+        cur.records = [
+            record("a", "interp", 2, 2.0, timed_wall=8.0),  # not gated
+            record("a", "compiled", 2, 1.0, timed_wall=1.4),
+            record("b", "interp", 2, 2.0),
+            record("b", "compiled", 2, 1.0, timed_wall=1.5),
+        ]
+        assert cur.timed_over_untimed("compiled") == pytest.approx(1.45)
+        assert cur.summary()["timed_over_untimed"]["interp"] == 2.5
+        assert check_regression(cur, base) == []
+        cur.records[1] = record("a", "compiled", 2, 1.0, timed_wall=1.7)
+        problems = check_regression(cur, base)
+        assert any("timed runs take 1.60x" in p for p in problems)
+
+
 class TestRealRun:
     def test_tiny_bench_produces_both_backends(self):
         rep = run_bench(
@@ -157,6 +176,10 @@ class TestRealRun:
         for r in rep.records:
             assert r.steps > 0 and r.wall_s > 0 and r.steps_per_sec > 0
             assert r.cycles > 0 and r.cycles_per_sec > 0
+            assert r.timed_wall_s > 0
+            assert r.timed_over_untimed == pytest.approx(
+                r.timed_wall_s / r.wall_s, abs=2e-3
+            )
         interp, compiled = rep.records
         assert interp.steps == compiled.steps  # same retired stream
         assert rep.speedup(2) > 0

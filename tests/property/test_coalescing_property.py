@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.coalescing import (
+    batch_sector_keys,
+    sorted_unique,
     transactions_per_warp,
     uncoalesced_keys,
     warp_sector_keys,
@@ -61,3 +63,31 @@ def test_per_warp_counts_sum_to_total(access):
     keys = warp_sector_keys(lanes, addrs, 8)
     per_warp = transactions_per_warp(keys)
     assert sum(per_warp.values()) == keys.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(warp_access(), max_size=6), st.booleans())
+def test_batch_keys_concatenate_per_instruction_keys(accesses, coalesce):
+    per_instr = warp_sector_keys if coalesce else (
+        lambda lanes, addrs, size: uncoalesced_keys(lanes, addrs)
+    )
+    want = [per_instr(lanes, addrs, 8) for lanes, addrs in accesses]
+    access = np.repeat(
+        np.arange(len(accesses)), [lanes.size for lanes, _ in accesses]
+    )
+    lanes = np.concatenate([a for a, _ in accesses] or [np.empty(0, np.int64)])
+    addrs = np.concatenate([b for _, b in accesses] or [np.empty(0, np.int64)])
+    got = batch_sector_keys(access, lanes, addrs, coalesce=coalesce)
+    np.testing.assert_array_equal(
+        got, np.concatenate(want or [np.empty(0, np.int64)])
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1 << 40)))
+def test_sorted_unique_is_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    want = np.unique(values)
+    got = sorted_unique(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)

@@ -70,3 +70,32 @@ def run_kernel(
         collect_timing=collect_timing,
     )
     return dev, result
+
+
+def trace_fields(trace) -> tuple:
+    """Every field of a :class:`~repro.gpu.timing.BlockTrace` as a plain
+    tuple (floats in hex, the sector set as raw bytes): two traces give
+    equal tuples exactly when they are bitwise identical."""
+    us = trace.unique_sectors
+    return (
+        trace.block_id,
+        trace.row_transitions,
+        trace.row_hits,
+        trace.dynamic_instructions,
+        trace.divergent_instructions,
+        tuple(
+            (
+                p.parallel,
+                p.active_warps,
+                p.mem_warps,
+                float(p.issue_cycles_total).hex(),
+                float(p.issue_cycles_max_warp).hex(),
+                p.sectors,
+                p.lane_accesses,
+                p.shared_accesses,
+            )
+            for p in trace.phases
+        ),
+        us.dtype.str,
+        us.tobytes(),
+    )
