@@ -95,9 +95,11 @@ chaos:
 		CHAOS_SEED=$$seed $(PYTHON) -m pytest tests/faults/ -q -x || exit 1; \
 	done
 
-# End-to-end campaign over a two-device pool (docs/scheduler.md).
+# End-to-end campaigns: a two-device pool, then one device past its
+# memory wall (docs/scheduler.md).
 sched-demo:
 	$(PYTHON) examples/multi_device_campaign.py 2
+	$(PYTHON) examples/batched_campaign.py
 
 # Natural driver loop -> analyzed, traced, launched as one ensemble,
 # replayed, and differenced against sequential (docs/autoensemble.md).

@@ -90,11 +90,6 @@ KINDS: dict[str, FaultKind] = {
         extras=frozenset({"byte"}),
         doc="byte `byte` of the integer RPC reply is bit-flipped",
     ),
-    "device_loss": FaultKind(
-        point="batch.launch",
-        selectors=frozenset({"device", "job"}),
-        doc="the device disappears mid-batch (batched runner)",
-    ),
     "worker_death": FaultKind(
         point="sched.dispatch",
         selectors=frozenset({"device", "job"}),

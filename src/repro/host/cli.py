@@ -7,11 +7,11 @@
 loader's options from §3.2.  ``--script`` treats the file as an argument
 *script* (§3.2 future work) and expands it first.
 
-Beyond the paper: ``--max-batch`` runs the campaign through the batched
-runner (OOM bisection past the memory wall), and ``--devices K`` with
-``K > 1`` shards it across a K-GPU :class:`~repro.sched.DevicePool` via
-:class:`~repro.sched.Scheduler`, with ``--retries`` bounding transient-
-fault retries and ``--max-steps`` capping interpreter steps per launch.
+Beyond the paper: ``--devices K`` with ``K > 1``, or ``--max-batch``,
+runs the campaign through :class:`~repro.sched.Scheduler` over a K-GPU
+:class:`~repro.sched.DevicePool` (sharding, OOM bisection past the memory
+wall), with ``--retries`` bounding transient-fault retries and
+``--max-steps`` capping interpreter steps per launch.
 
 ``--auto SCRIPT[:FUNC]`` replaces the argument file with a natural
 Python driver loop: the script's driver function is proven
@@ -30,7 +30,6 @@ from repro.errors import DeviceOutOfMemory, ReproError
 from repro.faults import FaultPlan, FaultPlanError
 from repro.gpu.device import GPUDevice
 from repro.host.argscript import expand_argument_script
-from repro.host.batch import BatchedEnsembleRunner
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import DEFAULT_MAX_STEPS, LaunchSpec
 from repro.runtime.backend import DEFAULT_BACKEND, available_backends
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="B",
-        help="cap instances per launch and run as a batched campaign "
+        help="cap instances per launch and run as a scheduled campaign "
         "(OOM-bisected) instead of one monolithic ensemble",
     )
     parser.add_argument(
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-static-packing",
         action="store_true",
         help="disable seeding batch sizes from the static footprint "
-        "(multi-device runs fall back to pure OOM bisection)",
+        "(scheduled runs fall back to pure OOM bisection)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -424,7 +423,7 @@ def _run(parser, args, app, obs: Observability) -> int:
 
             cache = ExecutableCache(args.cache_dir, metrics=obs.metrics)
 
-        if args.devices > 1:
+        if args.devices > 1 or args.max_batch is not None:
             from repro.sched import DevicePool, Scheduler
 
             pool = DevicePool(args.devices, config=DEFAULT_DEVICE)
@@ -461,24 +460,6 @@ def _run(parser, args, app, obs: Observability) -> int:
         loader = EnsembleLoader(
             app.build_program(), device, cache=cache, **loader_opts
         )
-        if args.max_batch is not None:
-            runner = BatchedEnsembleRunner(
-                loader,
-                max_batch=args.max_batch,
-                static_packing=not args.no_static_packing,
-                obs=obs,
-            )
-            result = runner.run(spec)
-            _print_instances(result, args.quiet)
-            print(
-                f"campaign: {report(result, format='summary')} "
-                f"({len(result.batches)} batches, "
-                f"{result.oom_retries} oom retries)"
-            )
-            if args.inject:
-                _print_fault_lines(result, device.faults, obs.metrics)
-            return 0 if result.all_succeeded else 1
-
         result = loader.run_ensemble(spec)
     except DeviceOutOfMemory as exc:
         print(f"error: {exc}", file=sys.stderr)

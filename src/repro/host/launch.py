@@ -2,7 +2,7 @@
 
 Historically each entry point grew its own argument shape: ``Loader.run``
 took an argv tail, ``EnsembleLoader.run_ensemble`` a path/text/token-list
-union plus four keyword options, ``BatchedEnsembleRunner.run`` only
+union plus four keyword options, the batched campaign runner only
 pre-parsed token lists, and the CLI yet another flag spelling.
 :class:`LaunchSpec` collapses all of that: it names *what* to run (the
 argument source and instance count) and *how* (thread limit, step cap,
@@ -10,7 +10,6 @@ timing collection), and is accepted uniformly by
 
 * :meth:`repro.host.loader.Loader.run`,
 * :meth:`repro.host.ensemble_loader.EnsembleLoader.run_ensemble`,
-* :meth:`repro.host.batch.BatchedEnsembleRunner.run`,
 * :meth:`repro.sched.Scheduler.submit`.
 
 Since v2.0 the spec is the only accepted shape (the v1 raw-source call
@@ -100,7 +99,7 @@ class LaunchSpec:
     def with_instances(self, instances: list[list[str]]) -> "LaunchSpec":
         """A copy of this spec over an explicit, already-resolved workload.
 
-        Used by the batch runner and the scheduler to re-launch subsets
+        Used by the scheduler to re-launch subsets
         (batches, shards, retries) under the original limits.
         """
         return replace(self, arg_source=instances, num_instances=None)

@@ -1,12 +1,11 @@
 """The common result protocol shared by every launch entry point.
 
-A single ensemble launch (:class:`~repro.host.ensemble_loader.EnsembleResult`),
-a batched campaign (:class:`~repro.host.batch.CampaignResult`), and a
-scheduler job (:class:`~repro.sched.jobs.JobResult`) all answer the same
+A single ensemble launch (:class:`~repro.host.ensemble_loader.EnsembleResult`)
+and a scheduler job (:class:`~repro.sched.jobs.JobResult`) answer the same
 questions: which instances ran, with which exit codes, did everything
 succeed, what did instance *i* print, and how much simulated time was
 spent.  :class:`EnsembleOutcome` names that contract so harness and report
-code can consume any of the three without isinstance ladders, and
+code can consume either without isinstance ladders, and
 :class:`OutcomeMixin` derives the boilerplate from ``instances`` for
 concrete result classes.
 """

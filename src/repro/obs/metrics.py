@@ -1,8 +1,7 @@
 """Typed metrics: counters, gauges, and histograms in one registry.
 
 Every layer of the stack publishes into a :class:`MetricsRegistry` —
-the scheduler its job/retry/steal counters, the batch runner its OOM
-bisections, the RPC host its per-service call counts, the pass pipeline
+the scheduler its job/retry/steal/OOM-split counters, the RPC host its per-service call counts, the pass pipeline
 per-pass timings, the interpreter its step counts.  The legacy stats
 surfaces (:class:`~repro.sched.stats.SchedulerStats`,
 :class:`~repro.harness.profile.KernelProfile`) are *views* over this

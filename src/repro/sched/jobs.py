@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SchedulerError
 from repro.faults.report import FaultReport
-from repro.host.batch import BatchRecord
 from repro.host.ensemble_loader import InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.host.results import OutcomeMixin
@@ -37,6 +36,42 @@ class JobState(enum.Enum):
     @property
     def terminal(self) -> bool:
         return self in (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED)
+
+
+@dataclass
+class BatchRecord:
+    """One successful launch within a job: where it started, how many
+    instances it ran, and its simulated cycles (``None`` when untimed)."""
+
+    first_instance: int
+    size: int
+    cycles: float | None
+
+    # -- wire shape (docs/serve.md) -----------------------------------------
+    def to_wire(self) -> dict:
+        """Versioned wire document (see :mod:`repro.wire`)."""
+        from repro import wire
+
+        data = wire.envelope("BatchRecord")
+        data.update(
+            first_instance=self.first_instance,
+            size=self.size,
+            cycles=self.cycles,
+        )
+        return data
+
+    @classmethod
+    def from_wire(cls, data) -> "BatchRecord":
+        from repro import wire
+
+        wire.check_envelope(data, "BatchRecord")
+        kind = "BatchRecord"
+        cycles = wire.get_field(data, "cycles", (int, float), None, kind=kind)
+        return cls(
+            first_instance=wire.get_field(data, "first_instance", int, kind=kind),
+            size=wire.get_field(data, "size", int, kind=kind),
+            cycles=None if cycles is None else float(cycles),
+        )
 
 
 @dataclass
@@ -295,4 +330,4 @@ class JobFuture:
         )
 
 
-__all__ = ["Job", "JobFuture", "JobResult", "JobState", "JobTicket"]
+__all__ = ["BatchRecord", "Job", "JobFuture", "JobResult", "JobState", "JobTicket"]

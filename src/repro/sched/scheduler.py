@@ -14,13 +14,15 @@ Mechanics:
 * **Sharding** — a submitted job's instances are cut into contiguous
   chunks (roughly ``2×`` the pool size, so every device gets work and
   fast devices can take more) and spread round-robin across per-worker
-  queues.
+  queues.  A one-device pool has nobody to steal from, so it gets the
+  whole job as one shard: the enhanced loader's single launch, bisected
+  only if it does not fit.
 * **Work stealing** — a worker whose queue is empty steals the oldest
   chunk from the longest queue.
 * **Batch coalescing + OOM bisection** — chunk sizes are capped by a
-  per-worker-per-job :class:`~repro.host.batch.BisectionPolicy`: the same
-  halving schedule :class:`~repro.host.batch.BatchedEnsembleRunner` uses,
-  so a size that OOMed on a device is never tried there again.
+  per-worker-per-job :class:`_BisectionPolicy` that halves on every OOM
+  and never grows back, so a size that OOMed on a device is never tried
+  there again (the heap is reset identically between launches).
   :class:`~repro.errors.DeviceOutOfMemory` at batch size one is terminal.
 * **Retries** — a chunk that dies to a device fault (trap, RPC failure)
   is requeued with exponential backoff, at most ``retries`` times per
@@ -67,16 +69,68 @@ from repro.faults.injector import (
     NullFaultInjector,
 )
 from repro.faults.report import FAULT_EXIT, FaultReport
-from repro.host.batch import BatchRecord, BisectionPolicy, launch_chunk
-from repro.host.ensemble_loader import InstanceOutcome
+from repro.host.ensemble_loader import (
+    EnsembleLoader,
+    EnsembleResult,
+    InstanceOutcome,
+)
 from repro.host.launch import LaunchSpec
 from repro.obs import Observability
-from repro.sched.jobs import Job, JobFuture, JobResult, JobState, JobTicket
+from repro.sched.jobs import (
+    BatchRecord,
+    Job,
+    JobFuture,
+    JobResult,
+    JobState,
+    JobTicket,
+)
 from repro.sched.pool import DevicePool, PoolWorker
 from repro.sched.stats import SchedulerStats
 
 #: Track name the scheduler's own (wall-clock) events are recorded on.
 SCHED_TRACK = "scheduler"
+
+
+@dataclass
+class _BisectionPolicy:
+    """The OOM-halving batch-size ceiling of one (device, job) pair.
+
+    Only an OOM moves the ceiling: a short remainder chunk launching fine
+    says nothing about larger sizes, so success never lowers it.
+    """
+
+    max_batch: int | None = None
+    current: int | None = None
+
+    def next_size(self, remaining: int) -> int:
+        """Batch size to try for ``remaining`` outstanding instances."""
+        size = remaining if self.current is None else min(self.current, remaining)
+        if self.max_batch is not None:
+            size = min(size, self.max_batch)
+        return max(1, size)
+
+    def record_oom(self, failed_size: int) -> None:
+        """Halve the ceiling after ``failed_size`` (> 1) OOMed."""
+        self.current = failed_size // 2
+
+
+def _launch_chunk(
+    loader: EnsembleLoader,
+    spec: LaunchSpec,
+    chunk: list[list[str]],
+    first_index: int,
+) -> tuple[EnsembleResult, list[InstanceOutcome]]:
+    """Launch a contiguous slice of a job under ``spec``'s limits.
+
+    Returns the raw launch result plus outcomes re-tagged with job-global
+    instance indices (``first_index`` onward), so slices run on any
+    device in any order merge into one result.
+    """
+    run = loader.run_ensemble(spec.with_instances(chunk))
+    outcomes = [
+        replace(o, index=first_index + o.index) for o in run.instances
+    ]
+    return run, outcomes
 
 
 @dataclass
@@ -182,7 +236,7 @@ class Scheduler:
         self._queues: list[deque[_Chunk]] = [deque() for _ in pool.workers]
         #: per-(worker, job) bisection state: a size that OOMed on a device
         #: is never retried on that device.
-        self._policies: dict[tuple[int, int], BisectionPolicy] = {}
+        self._policies: dict[tuple[int, int], _BisectionPolicy] = {}
         #: per-(worker, job) statically derived batch cap (None = dynamic).
         self._static_caps: dict[tuple[int, int], int | None] = {}
         #: Every submitted job, keyed by id; futures and tickets resolve
@@ -341,8 +395,10 @@ class Scheduler:
         size = self.chunk_size
         if size is None:
             # ~2 chunks per device: every device gets work, faster devices
-            # (or luckier shards) pick up the surplus via stealing.
-            size = -(-n // (2 * len(self.pool)))
+            # (or luckier shards) pick up the surplus via stealing.  One
+            # device has nobody to steal from: try the whole job at once.
+            devices = len(self.pool)
+            size = n if devices == 1 else -(-n // (2 * devices))
         if self.max_batch is not None:
             size = min(size, self.max_batch)
         size = max(1, size)
@@ -453,7 +509,7 @@ class Scheduler:
         key = (worker.index, job.job_id)
         policy = self._policies.get(key)
         if policy is None:
-            policy = BisectionPolicy(max_batch=self.max_batch)
+            policy = _BisectionPolicy(max_batch=self.max_batch)
             static_cap = self._seed_static_cap(worker, job, loader, policy)
             self._policies[key] = policy
             self._static_caps[key] = static_cap
@@ -536,11 +592,11 @@ class Scheduler:
                         job=job.job_id,
                         device=worker.label,
                     ):
-                        run, outcomes = launch_chunk(
+                        run, outcomes = _launch_chunk(
                             loader, spec, chunk.instances, chunk.start
                         )
                 else:
-                    run, outcomes = launch_chunk(
+                    run, outcomes = _launch_chunk(
                         loader, spec, chunk.instances, chunk.start
                     )
             except DeviceOutOfMemory as exc:
@@ -595,7 +651,6 @@ class Scheduler:
                 self._fail_job(job, exc)  # loader misuse etc.: not transient
                 return
 
-        policy.record_success(len(chunk.instances))
         worker.fault_streak = 0
         for kind in chunk.pending_faults:
             self.metrics.counter("faults.recovered", kind=kind).inc()
@@ -657,7 +712,7 @@ class Scheduler:
         self._maybe_complete(job)
 
     def _seed_static_cap(
-        self, worker: PoolWorker, job: Job, loader, policy: BisectionPolicy
+        self, worker: PoolWorker, job: Job, loader, policy: _BisectionPolicy
     ) -> int | None:
         """Seed a fresh bisection policy from the compiled module's
         :class:`~repro.analysis.footprint.StaticFootprint`.

@@ -1,110 +1,103 @@
-"""Chaos: batch-runner injection point (``batch.launch``).
+"""Chaos: batched campaigns on a one-device Scheduler.
 
-Contract under test: a mid-batch device loss retries the batch cleanly
-(the device heap resets per launch); a persistent loss isolates that
-batch's instances after :data:`~repro.host.batch.FAULT_RETRY_LIMIT`
-attempts and the campaign keeps going — it never dies wholesale.
+Contract under test: a device lost at dispatch (``worker_death``) retries
+the chunk cleanly; a persistent loss isolates the chunk's instances once
+the job's ``retries`` are spent, and the campaign completes degraded.
 """
 
 from repro.faults import FAULT_EXIT
 from repro.gpu.device import GPUDevice
-from repro.host.batch import FAULT_RETRY_LIMIT, BatchedEnsembleRunner
-from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
 from repro.obs import Observability
+from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
 
 LINES = [[str(i)] for i in range(6)]
 
 
-def make_runner(prog, **kw):
-    loader = EnsembleLoader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    return BatchedEnsembleRunner(loader, **kw), loader
+def make_sched(**kw):
+    return Scheduler(DevicePool([GPUDevice(SMALL_DEVICE)]), **kw)
 
 
-def spec(plan=None):
-    return LaunchSpec(
-        LINES, thread_limit=32, collect_timing=False, fault_plan=plan
-    )
+def run(sched, prog, plan=None):
+    spec = LaunchSpec(LINES, thread_limit=32, collect_timing=False, fault_plan=plan)
+    return sched.run_campaign(prog, spec, loader_opts={"heap_bytes": 1 << 20})
 
 
 class TestRecoveredLoss:
     def test_single_loss_retries_and_recovers(self, echo_prog):
         obs = Observability()
-        runner, loader = make_runner(echo_prog, obs=obs)
-        result = runner.run(spec("device_loss:times=1"))
-        assert [o.exit_code for o in result.outcomes] == list(range(6))
-        assert result.fault_retries == 1
+        sched = make_sched(obs=obs)
+        result = run(sched, echo_prog, "worker_death:times=1")
+        assert [o.exit_code for o in result.instances] == list(range(6))
+        assert result.retries == 1
         assert not result.fault_reports
         recovered = obs.metrics.series("faults.recovered")
         assert sum(c.value for c in recovered) == 1
-        loader.close()
+        assert any(("kind", "worker_death") in c.labels for c in recovered)
 
     def test_outputs_match_unfaulted_run(self, echo_prog):
-        runner, loader = make_runner(echo_prog)
-        base = runner.run(spec())
-        hit = runner.run(spec("device_loss:times=2"))
-        assert [o.exit_code for o in hit.outcomes] == [
-            o.exit_code for o in base.outcomes
+        base = run(make_sched(), echo_prog)
+        hit = run(make_sched(), echo_prog, "worker_death:times=2")
+        assert hit.retries == 2
+        assert [o.exit_code for o in hit.instances] == [
+            o.exit_code for o in base.instances
         ]
-        assert [o.stdout for o in hit.outcomes] == [
-            o.stdout for o in base.outcomes
+        assert [o.stdout for o in hit.instances] == [
+            o.stdout for o in base.instances
         ]
-        loader.close()
 
 
 class TestInjectedOOM:
     def test_spec_carried_oom_bisects_and_recovers(self, echo_prog):
-        # Regression: the per-batch launches forward the campaign spec, and
-        # re-arming its plan each batch restarted the ``times=1`` schedule —
-        # the OOM refired on every bisected size down to 1, which is fatal.
-        # One campaign-scoped injector must serve every batch.
+        # The per-chunk launches forward the campaign spec; re-arming its
+        # plan on each launch would restart the ``times=1`` schedule and
+        # refire the OOM on every bisected size.  One campaign-scoped
+        # injector must serve every batch.
         obs = Observability()
-        runner, loader = make_runner(echo_prog, max_batch=2, obs=obs)
-        result = runner.run(spec("oom:times=1"))
-        codes = [o.exit_code for o in sorted(result.outcomes, key=lambda o: o.index)]
-        assert codes == list(range(6))
-        assert result.oom_retries == 1
-        assert len(loader.device.faults.events) == 1
+        sched = make_sched(max_batch=2, obs=obs)
+        result = run(sched, echo_prog, "oom:times=1")
+        assert [o.exit_code for o in result.instances] == list(range(6))
+        assert result.oom_splits == 1
+        assert len(sched.faults.events) == 1
         recovered = obs.metrics.series("faults.recovered")
         assert sum(c.value for c in recovered) == 1
         assert any(("kind", "oom") in c.labels for c in recovered)
-        loader.close()
 
     def test_next_run_rearms_a_fresh_plan(self, echo_prog):
-        # ...while a *new* run() of the same runner re-arms the spec plan,
-        # so its schedule counters start over per campaign.
-        runner, loader = make_runner(echo_prog, max_batch=2)
-        first = runner.run(spec("oom:times=1"))
-        second = runner.run(spec("oom:times=1"))
-        assert first.oom_retries == 1
-        assert second.oom_retries == 1
-        assert [o.exit_code for o in second.outcomes] == list(range(6))
-        loader.close()
+        # ...while with job-scoped faults each submitted job arms its own
+        # injector from its spec, so schedule counters start over per job.
+        sched = make_sched(max_batch=2, job_scoped_faults=True)
+        first = run(sched, echo_prog, "oom:times=1")
+        second = run(sched, echo_prog, "oom:times=1")
+        assert first.oom_splits == 1
+        assert second.oom_splits == 1
+        assert [o.exit_code for o in second.instances] == list(range(6))
 
 
 class TestPersistentLoss:
     def test_stuck_batch_is_isolated_not_fatal(self, echo_prog):
+        # A device that dies on every dispatch: each chunk is retried
+        # ``retries`` times, then its instances are isolated into
+        # FaultReports — the job completes degraded instead of failing.
         obs = Observability()
-        runner, loader = make_runner(echo_prog, max_batch=2, obs=obs)
-        # The device dies FAULT_RETRY_LIMIT times at the first batch
-        # cursor: those two instances are isolated, the rest run normally.
-        result = runner.run(spec(f"device_loss:times={FAULT_RETRY_LIMIT}"))
-        codes = [o.exit_code for o in sorted(result.outcomes, key=lambda o: o.index)]
-        assert codes == [FAULT_EXIT, FAULT_EXIT, 2, 3, 4, 5]
-        assert result.fault_retries == FAULT_RETRY_LIMIT
-        assert len(result.fault_reports) == 2
+        sched = make_sched(max_batch=2, obs=obs)
+        result = run(sched, echo_prog, "worker_death")
+        assert [o.exit_code for o in result.instances] == [FAULT_EXIT] * 6
+        assert len(result.fault_reports) == 3  # one per 2-instance chunk
         for report in result.fault_reports:
-            assert report.kind == "device_loss"
-            assert report.attempts == FAULT_RETRY_LIMIT
+            assert report.kind == "worker_death"
+            assert report.attempts == sched.default_retries + 1
         isolated = obs.metrics.series("faults.isolated")
-        assert sum(c.value for c in isolated) == 2
-        loader.close()
+        assert sum(c.value for c in isolated) == 6
+        assert sched.stats.summary()["jobs_completed"] == 1
 
     def test_degraded_campaign_is_not_all_succeeded(self, echo_prog):
-        runner, loader = make_runner(echo_prog, max_batch=3)
-        result = runner.run(spec(f"device_loss:times={FAULT_RETRY_LIMIT}"))
+        # With no retries the first chunk is isolated on its one loss;
+        # the rest of the campaign runs normally.
+        sched = make_sched(max_batch=3, default_retries=0)
+        result = run(sched, echo_prog, "worker_death:times=1")
+        assert result.degraded
         assert not result.all_succeeded
-        survivors = [o for o in result.outcomes if o.fault is None]
-        assert len(survivors) == 3
-        loader.close()
+        codes = [o.exit_code for o in result.instances]
+        assert codes == [FAULT_EXIT] * 3 + [3, 4, 5]

@@ -8,6 +8,7 @@ from repro.errors import AutoEnsembleError
 from repro.faults import FaultPlan
 from repro.frontend.autoensemble import (
     AutoRunResult,
+    EnsembleBackend,
     analyze,
     auto_launch,
     ensemble,
@@ -273,6 +274,15 @@ class TestDeviceDifferential:
         )
         assert auto.value == sequential_oracle.value
         assert fingerprint(auto) == fingerprint(sequential_oracle)
+
+    def test_one_device_campaign_is_one_launch(self):
+        backend = EnsembleBackend(
+            "stencil", thread_limit=32, collect_timing=False,
+            loader_opts={"heap_bytes": 1 << 22},
+        )
+        backend([("-n", "256", "-i", "1", "-s", str(s)) for s in range(1, 9)])
+        batches = backend.last_result.batches
+        assert [(b.first_instance, b.size) for b in batches] == [(0, 8)]
 
     def test_stdout_matches_reference_checksums(self, sequential_oracle):
         import re

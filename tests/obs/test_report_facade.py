@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from repro.host.batch import CampaignResult
 from repro.host.ensemble_loader import InstanceOutcome
 from repro.obs import MetricsRegistry, report
+from repro.sched.jobs import JobResult
 from repro.sched.stats import DeviceStats, SchedulerStats
 
 
@@ -21,14 +21,14 @@ def outcomes():
 class TestReportDispatch:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
-            report(CampaignResult(outcomes=outcomes()), format="yaml")
+            report(JobResult(job_id=0, instances=outcomes()), format="yaml")
 
     def test_rejects_unknown_value(self):
         with pytest.raises(TypeError, match="render"):
             report(object())
 
     def test_outcome_summary_text_json(self):
-        res = CampaignResult(outcomes=outcomes(), total_cycles=1234.5)
+        res = JobResult(job_id=0, instances=outcomes(), total_cycles=1234.5)
         summary = report(res, format="summary")
         assert "2 instances" in summary and "1 failed" in summary
         text = report(res, format="text")
@@ -42,7 +42,7 @@ class TestReportDispatch:
         }
 
     def test_untimed_outcome_renders_untimed(self):
-        res = CampaignResult(outcomes=outcomes(), total_cycles=None)
+        res = JobResult(job_id=0, instances=outcomes(), total_cycles=None)
         assert "untimed" in report(res, format="summary")
 
     def test_scheduler_stats_formats(self):

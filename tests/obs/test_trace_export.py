@@ -172,10 +172,10 @@ class TestMetricsDumps:
     def test_line_protocol_shape(self):
         obs = Observability()
         obs.metrics.counter("rpc.calls", service="printf").inc(3)
-        obs.metrics.histogram("batch.size").observe(4)
+        obs.metrics.histogram("chunk.size").observe(4)
         text = metrics_lines(obs.metrics)
         assert "rpc.calls,service=printf value=3.0" in text
-        assert "batch.size count=1,sum=4.0,min=4.0,max=4.0" in text
+        assert "chunk.size count=1,sum=4.0,min=4.0,max=4.0" in text
 
     def test_write_metrics_formats(self, tmp_path):
         obs = Observability()

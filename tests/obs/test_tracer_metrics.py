@@ -112,7 +112,7 @@ class TestMetricsRegistry:
 
     def test_histogram_summary(self):
         reg = MetricsRegistry()
-        h = reg.histogram("batch.size")
+        h = reg.histogram("chunk.size")
         for v in (4, 2, 8):
             h.observe(v)
         assert h.count == 3

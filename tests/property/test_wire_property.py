@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from repro import wire
 from repro.faults.plan import KINDS, FaultPlan, FaultSpec
 from repro.faults.report import FAULT_EXIT, FaultReport
-from repro.host.batch import BatchRecord
 from repro.host.ensemble_loader import InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.runtime.backend import available_backends
-from repro.sched.jobs import JobResult, JobState, JobTicket
+from repro.sched.jobs import BatchRecord, JobResult, JobState, JobTicket
 from repro.serve.protocol import Submission
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def fault_reports(draw):
         kind=draw(st.sampled_from(sorted(KINDS))),
         point=draw(
             st.sampled_from(
-                ["sched.dispatch", "device.alloc", "rpc.reply", "batch.launch"]
+                ["sched.dispatch", "device.alloc", "rpc.reply", "device.launch"]
             )
         ),
         message=draw(st.text(max_size=40)),

@@ -216,6 +216,7 @@ class TestRetries:
             factory=scripted_factory(script),
             backoff_base=0.5,
             sleep=naps.append,
+            chunk_size=2,
         )
         fut = sched.submit(
             program, spec(lines(4)), loader_opts={"heap_bytes": HEAP}, retries=1
