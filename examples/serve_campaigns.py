@@ -17,6 +17,7 @@ Exits non-zero if the served results diverge from the one-shot path.
 from repro import LaunchSpec
 from repro.apps import pagerank
 from repro.config import DEFAULT_DEVICE
+from repro.host.results import Observables
 from repro.sched import DevicePool, Scheduler
 from repro.serve.client import Client
 from repro.serve.harness import ServerThread
@@ -31,10 +32,6 @@ HEAP_BYTES = 1536 * 1024
 
 def spec_for(instances) -> LaunchSpec:
     return LaunchSpec([list(a) for a in instances], thread_limit=32)
-
-
-def fingerprint(result):
-    return [(o.index, o.args, o.exit_code, o.stdout) for o in result.instances]
 
 
 def one_shot(instances):
@@ -70,7 +67,7 @@ def run() -> int:
     for tenant, instances in CAMPAIGNS.items():
         result = served[tenant]
         baseline = one_shot(instances)
-        same = fingerprint(result) == fingerprint(baseline)
+        same = Observables.of(result) == Observables.of(baseline)
         divergent += 0 if same else 1
         print(
             f"{tenant}: {len(result.instances)} instances, "

@@ -25,8 +25,7 @@ from __future__ import annotations
 import hashlib
 import textwrap
 
-from repro.frontend import dsl, dtypes
-from repro.frontend.dsl import Program, SourceFunction
+from repro.frontend.dsl import Program
 
 #: Genome grammar: a genome is ``"x"``, an int leaf, or a tuple
 #: ``(op, left, right)`` with ``op`` in :data:`OPS`.
@@ -152,36 +151,12 @@ def reference_total(genome, points: int = DEFAULT_POINTS) -> int:
     return sum(ev(genome, x) for x in range(points))
 
 
-class _TextSource(SourceFunction):
-    """SourceFunction over generated text (exec'd functions have no file
-    for ``inspect.getsource``)."""
-
-    def __init__(self, pyfunc, source: str):
-        self.pyfunc = pyfunc
-        self.name = "main"
-        self.is_main = True
-        self._source = source
-
-    @property
-    def source(self) -> str:  # type: ignore[override]
-        return self._source
-
-
 def build_genome_program(genome, points: int = DEFAULT_POINTS) -> Program:
     """Compile-ready :class:`Program` evaluating ``genome`` at ``points``
     sample points."""
-    src = genome_source(genome, points)
-    ns = {
-        "i64": dtypes.i64,
-        "ptr_ptr": dtypes.ptr_ptr,
-        "dgpu": dsl.dgpu,
-        "malloc_i64": lambda n: None,
-        "printf": lambda *a: None,
-    }
-    exec(src, ns)  # noqa: S102 - deterministic generated source
-    prog = Program("gp-variant")
-    prog.functions["main"] = _TextSource(ns["main"], src)
-    return prog
+    return Program.from_source(
+        genome_source(genome, points), name="gp-variant"
+    )
 
 
 __all__ = [

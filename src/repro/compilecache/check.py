@@ -9,8 +9,8 @@ One self-contained pass/fail check of the executable cache, run by
    a process restart) looks the same key up twice: the first lookup must
    come from the disk tier, the second from memory, so the warm cache's
    hit rate must reach ``--min-hit-rate``;
-3. **parity** — the warm executable's observables (exit code, stdout,
-   interpreter steps) must be bitwise identical to the cold run's;
+3. **parity** — the warm run's :class:`~repro.host.results.Observables`
+   must be bitwise identical to the cold run's;
 4. **speed** — the warm lookup must be faster than the cold compile.
 
 Exits 0 when every gate holds, 1 otherwise, printing one JSON report
@@ -30,6 +30,7 @@ from repro.compilecache.cache import ExecutableCache
 from repro.config import DeviceConfig
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
+from repro.host.results import Observables
 
 #: Warm-cache hit-rate floor (2 lookups, both must hit: disk then memory).
 DEFAULT_MIN_HIT_RATE = 0.99
@@ -38,8 +39,8 @@ DEFAULT_MIN_HIT_RATE = 0.99
 CHECK_DEVICE = DeviceConfig(global_mem_bytes=64 * 1024 * 1024)
 
 
-def _observe(module, heap_bytes: int, thread_limit: int, args: list[str]):
-    """Run ``module`` on a fresh device; the bitwise-comparable triple."""
+def _run_fresh(module, heap_bytes: int, thread_limit: int, args) -> Observables:
+    """Run ``module`` on a fresh device."""
     loader = Loader(module, GPUDevice(CHECK_DEVICE), heap_bytes=heap_bytes)
     try:
         res = loader.run(
@@ -47,7 +48,7 @@ def _observe(module, heap_bytes: int, thread_limit: int, args: list[str]):
         )
     finally:
         loader.close()
-    return (res.exit_code, res.stdout, res.launch.interpreter_steps)
+    return Observables.of(res)
 
 
 def run_check(
@@ -70,7 +71,7 @@ def run_check(
         app.build_program(), opt_level=opt_level
     )
     cold_wall = time.perf_counter() - t0
-    cold_obs = _observe(cold_entry.module, heap, thread_limit, args)
+    cold_obs = _run_fresh(cold_entry.module, heap, thread_limit, args)
     disk_stored = cold_cache.stats()["stores_disk"] == 1
 
     # A fresh cache over the same directory: restart simulation.  Both
@@ -83,7 +84,7 @@ def run_check(
     warm_wall = time.perf_counter() - t0
     second = warm_cache.get_or_build(app.build_program(), opt_level=opt_level)
     stats = warm_cache.stats()
-    warm_obs = _observe(warm_entry.module, heap, thread_limit, args)
+    warm_obs = _run_fresh(warm_entry.module, heap, thread_limit, args)
 
     hit_rate = stats["hit_rate"] or 0.0
     report = {

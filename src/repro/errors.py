@@ -96,6 +96,7 @@ class DeviceTrap(DeviceError):
     """The device program executed a trap (assertion failure, bad memory...)."""
 
     def __init__(self, message: str, *, team: int | None = None, thread: int | None = None):
+        self.message = message
         self.team = team
         self.thread = thread
         where = ""

@@ -38,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import FrontendError, LinkError
+from repro.frontend import dtypes
 from repro.frontend.dtypes import DType, DT_F64, DT_I64
 from repro.ir.module import GlobalVar, Module
 from repro.ir.types import MemType
@@ -99,11 +100,15 @@ class SourceFunction:
     pyfunc: Callable
     name: str
     is_main: bool = False
+    #: Source of a function built by :meth:`Program.from_source`.
+    text: str | None = None
 
     @property
     def source(self) -> str:
         import inspect
 
+        if self.text is not None:
+            return self.text
         return textwrap.dedent(inspect.getsource(self.pyfunc))
 
 
@@ -127,6 +132,23 @@ class Program:
         self.functions: dict[str, SourceFunction] = {}
         self.globals: dict[str, GlobalVar] = {}
         self.extern_host: set[str] = set()
+
+    @classmethod
+    def from_source(
+        cls, text: str, *, name: str = "program", link_libc: bool = True
+    ) -> "Program":
+        """A program whose ``main`` is the device function in ``text``
+        (generated code, which has no file for :func:`inspect.getsource`);
+        ``text`` sees the frontend's type names and ``dgpu``."""
+        text = textwrap.dedent(text)
+        ns = {k: v for k, v in vars(dtypes).items() if isinstance(v, DType)}
+        ns["dgpu"] = dgpu
+        exec(text, ns)  # noqa: S102 - program text supplied by the caller
+        prog = cls(name, link_libc=link_libc)
+        prog.functions["main"] = SourceFunction(
+            ns["main"], "main", is_main=True, text=text
+        )
+        return prog
 
     # ------------------------------------------------------------------
     # registration decorators

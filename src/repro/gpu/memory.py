@@ -68,7 +68,7 @@ class GlobalMemory:
         if addrs.min() < NULL_GUARD:
             bad = int(addrs.min())
             raise MemoryFault(
-                f"access at 0x{bad:x} inside the null guard page ({mty.label})"
+                f"access at {bad:#x} inside the null guard page ({mty.label})"
             )
         if size == 1:
             return addrs
@@ -77,13 +77,13 @@ class GlobalMemory:
         # elementwise mask + any() pass.
         if int(np.bitwise_or.reduce(addrs)) & (size - 1):
             bad = int(addrs[addrs % size != 0][0])
-            raise MemoryFault(f"misaligned {mty.label} access at 0x{bad:x}")
+            raise MemoryFault(f"misaligned {mty.label} access at {bad:#x}")
         return addrs >> (size.bit_length() - 1)
 
     def _beyond_end(self, addrs: np.ndarray) -> MemoryFault:
         hi = int(addrs.max())
         return MemoryFault(
-            f"access at 0x{hi:x} beyond device memory end 0x{self.capacity:x}"
+            f"access at {hi:#x} beyond device memory end {self.capacity:#x}"
         )
 
     def gather(self, addrs: np.ndarray, mty: MemType) -> np.ndarray:
@@ -165,7 +165,7 @@ class GlobalMemory:
     def _host_check(self, addr: int, nbytes: int) -> None:
         if addr < NULL_GUARD or addr + nbytes > self.capacity:
             raise MemoryFault(
-                f"host access [0x{addr:x}, 0x{addr + nbytes:x}) out of range"
+                f"host access [{addr:#x}, {addr + nbytes:#x}) out of range"
             )
 
     def write_bytes(self, addr: int, data: bytes) -> None:
@@ -204,7 +204,7 @@ class GlobalMemory:
         chunk = self._buf[addr:end]
         nul = np.flatnonzero(chunk == 0)
         if nul.size == 0:
-            raise MemoryFault(f"unterminated string at 0x{addr:x}")
+            raise MemoryFault(f"unterminated string at {addr:#x}")
         return chunk[: nul[0]].tobytes().decode(errors="replace")
 
     def zero(self, addr: int, nbytes: int) -> None:

@@ -29,8 +29,9 @@ quantities only**:
   jump means the serve layer itself got slower.  The doubled tolerance
   absorbs socket-latency jitter on loaded CI boxes.
 
-Both runs also cross-check bitwise: every served result must fingerprint
-identically to its direct twin, or the bench aborts — a throughput
+Both runs also cross-check bitwise: every served result's
+:class:`~repro.host.results.Observables` must equal its direct twin's,
+or the bench aborts — a throughput
 number for a wrong answer is worse than useless.
 
 Run as a module::
@@ -48,6 +49,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.config import DEFAULT_DEVICE
+from repro.host.results import Observables
 from repro.sched import DevicePool, Scheduler
 
 #: Schema version of the JSON report (bump on incompatible change).
@@ -169,12 +171,6 @@ def _specs(campaigns: int):
     ]
 
 
-def _fingerprint(result):
-    return [
-        (o.index, o.args, o.exit_code, o.stdout) for o in result.instances
-    ]
-
-
 def _run_direct(campaigns: int):
     """The in-process baseline: same scheduler configuration the server
     builds (job-scoped faults, default retries), no serve layer."""
@@ -199,7 +195,7 @@ def _run_direct(campaigns: int):
         occupancy = dict(sched.stats.utilization())
     finally:
         pool.close()
-    return wall, occupancy, [_fingerprint(r) for r in results]
+    return wall, occupancy, [Observables.of(r) for r in results]
 
 
 def _run_served(campaigns: int):
@@ -222,7 +218,7 @@ def _run_served(campaigns: int):
             results = [j.result() for j in jobs]
             wall = time.perf_counter() - t0
         occupancy = dict(server.server.scheduler.stats.utilization())
-    return wall, occupancy, [_fingerprint(r) for r in results]
+    return wall, occupancy, [Observables.of(r) for r in results]
 
 
 _RUNNERS = {"direct": _run_direct, "served": _run_served}

@@ -16,8 +16,8 @@ What the campaign measures (and the acceptance suite asserts):
   time (sampled on real generation-1 genomes) times the total request
   count, over the wall time ``compile_many`` actually spent;
 * **bitwise twins** — every unique cached executable is also compiled
-  cold (no cache) and both run on fresh devices; exit code, stdout and
-  interpreter step count must match exactly.
+  cold (no cache) and both run on fresh devices; their
+  :class:`~repro.host.results.Observables` must match exactly.
 
 ``devices > 1`` evaluates through a :class:`~repro.sched.Scheduler`
 pool instead of direct loaders, optionally under a fault plan — the
@@ -48,6 +48,7 @@ from repro.compilecache import (
     compile_many,
 )
 from repro.config import DeviceConfig
+from repro.host.results import Observables
 
 #: The evolutionary target: ``x*x + 2*x + 1`` — reachable by the genome
 #: grammar, so fitness actually improves across generations.
@@ -164,31 +165,23 @@ class _Evaluator:
                 job_scoped_faults=False,
             )
 
-    def run(self, module):
-        """One observable triple ``(exit_code, stdout, steps)``."""
+    def run(self, module) -> Observables:
+        """The observables of one run of ``module``."""
         cfg = self.config
-        if self.sched is not None:
-            from repro.host.launch import LaunchSpec
+        if self.sched is None:
+            return _run_direct(module, cfg)
+        from repro.host.launch import LaunchSpec
 
-            result = self.sched.run_campaign(
-                module,
-                LaunchSpec(
-                    [[]],
-                    thread_limit=cfg.thread_limit,
-                    collect_timing=False,
-                ),
-                loader_opts={"heap_bytes": cfg.heap_bytes},
-            )
-            out = result.instances[0]
-            return (out.exit_code, out.stdout, None)
-        return _run_direct(module, cfg)
+        spec = LaunchSpec([[]], thread_limit=cfg.thread_limit, collect_timing=False)
+        opts = {"heap_bytes": cfg.heap_bytes}
+        return Observables.of(self.sched.run_campaign(module, spec, loader_opts=opts))
 
     def close(self) -> None:
         if self.pool is not None:
             self.pool.close()
 
 
-def _run_direct(module, cfg: GPConfig):
+def _run_direct(module, cfg: GPConfig) -> Observables:
     """Fresh-device single run — the bitwise-comparison baseline."""
     from repro.gpu.device import GPUDevice
     from repro.host.loader import Loader
@@ -203,7 +196,14 @@ def _run_direct(module, cfg: GPConfig):
         )
     finally:
         loader.close()
-    return (res.exit_code, res.stdout, res.launch.interpreter_steps)
+    return Observables.of(res)
+
+
+def _as_list(obs: Observables) -> list:
+    """A one-instance run in :class:`GPReport` JSON form:
+    ``[exit_code, stdout, steps]``."""
+    ((_, _, exit_code, stdout, _),) = obs.instances
+    return [exit_code, stdout, obs.steps]
 
 
 def _source_hash(genome, points: int) -> str:
@@ -273,9 +273,9 @@ def run_campaign(config: GPConfig | None = None) -> GPReport:
                 if key in fitness:
                     continue
                 obs = evaluator.run(entry.module)
-                total = _parse_total(obs[1])
-                fitness[key] = abs(total - target_total)
-                observables[key] = (obs[0], obs[1])
+                ((_, _, exit_code, stdout, _),) = obs.instances
+                fitness[key] = abs(_parse_total(stdout) - target_total)
+                observables[key] = (exit_code, stdout)
                 evaluated += 1
                 if cfg.verify_bitwise and key not in verified:
                     # In direct mode the evaluation run *is* the cached
@@ -366,7 +366,7 @@ def _verify_twin(
     cold_obs = _run_direct(cold_module, cfg)
     if cached_obs != cold_obs:
         report.twin_mismatches.append(
-            {"key": key, "cached": list(cached_obs), "cold": list(cold_obs)}
+            {"key": key, "cached": _as_list(cached_obs), "cold": _as_list(cold_obs)}
         )
 
 

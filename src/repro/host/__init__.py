@@ -24,7 +24,7 @@ from repro.host.argfile import (
     resolve_arg_source,
 )
 from repro.host.argscript import expand_argument_script
-from repro.host.results import EnsembleOutcome, OutcomeMixin
+from repro.host.results import EnsembleOutcome, Observables, OutcomeMixin
 from repro.host.rpc_host import RPCHost
 from repro.host.mapping import (
     MappingStrategy,
@@ -44,6 +44,7 @@ __all__ = [
     "resolve_arg_source",
     "expand_argument_script",
     "EnsembleOutcome",
+    "Observables",
     "OutcomeMixin",
     "RPCHost",
     "MappingStrategy",

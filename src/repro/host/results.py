@@ -7,11 +7,12 @@ succeed, what did instance *i* print, and how much simulated time was
 spent.  :class:`EnsembleOutcome` names that contract so harness and report
 code can consume either without isinstance ladders, and
 :class:`OutcomeMixin` derives the boilerplate from ``instances`` for
-concrete result classes.
+concrete result classes.  :class:`Observables` is what any run produced.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -57,4 +58,59 @@ class OutcomeMixin:
         return self.instances[index].stdout
 
 
-__all__ = ["EnsembleOutcome", "OutcomeMixin"]
+@dataclass(frozen=True)
+class Observables:
+    """What a run observably produced, in bitwise-comparable form: the
+    value every equivalence check compares (which fields each axis keeps
+    is the differential test oracle's table).  A run ended by a
+    :class:`~repro.errors.DeviceTrap` is ``Observables(trap=str(exc))``.
+    """
+
+    #: ``(index, args, exit_code, stdout, fault_kind)`` per instance.
+    instances: tuple = ()
+    steps: int | None = None  #: retired interpreter steps
+    cycles: float | None = None  #: simulated cycles (None when untimed)
+    trap: str | None = None
+
+    @classmethod
+    def of(cls, result) -> "Observables":
+        """From a :class:`~repro.host.loader.RunResult` (one instance:
+        index 0, no args), an
+        :class:`~repro.host.ensemble_loader.EnsembleResult`, a
+        :class:`~repro.sched.jobs.JobResult` (local or served) or an
+        :class:`~repro.frontend.autoensemble.AutoEnsembleOutcome`, which
+        exposes only its instances (no fault kind, steps or cycles).
+        Any other type raises :class:`TypeError`."""
+        from repro.frontend.autoensemble import AutoEnsembleOutcome
+        from repro.host.ensemble_loader import EnsembleResult
+        from repro.host.loader import RunResult
+        from repro.sched.jobs import JobResult
+
+        if isinstance(result, RunResult):
+            one = (0, (), result.exit_code, result.stdout, None)
+            return cls((one,), result.launch.interpreter_steps, result.cycles)
+        if isinstance(result, AutoEnsembleOutcome):
+            return cls(
+                tuple(
+                    (r.index, tuple(r.args), r.exit_code, r.stdout, None)
+                    for r in result.instances
+                )
+            )
+        if isinstance(result, EnsembleResult):
+            steps = result.launch.interpreter_steps
+        elif isinstance(result, JobResult):
+            steps = result.steps_used
+        else:
+            raise TypeError(f"no observables for {type(result).__name__}")
+        return cls(
+            tuple(
+                (o.index, tuple(o.args), o.exit_code, o.stdout,
+                 None if o.fault is None else o.fault.kind)
+                for o in result.instances
+            ),
+            steps,
+            result.total_cycles,
+        )
+
+
+__all__ = ["EnsembleOutcome", "Observables", "OutcomeMixin"]

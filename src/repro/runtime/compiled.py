@@ -215,30 +215,22 @@ def _emit_memop(
             out.append("try:")
             out.append(f"    {access}")
             out.append("except IndexError:")
-            out.append("    _trap(str(_mem._beyond_end(_adr)), mask)")
+            out.append("    _trap(_mem._beyond_end(_adr).message, mask)")
     else:
         # checked / assert: the guarded emission.  In assert mode a guard
         # firing where the certificate says it cannot is an analyzer bug;
         # surface it as such instead of an ordinary memory fault.
-        g_pfx = (
-            "'safety certificate violated: ' + "
-            if mode == "assert" and proven
-            else ""
-        )
-        b_pfx = (
-            "'safety certificate violated: ' + "
-            if mode == "assert" and bounds_proven
-            else ""
-        )
+        g_pfx = _VIOLATED if mode == "assert" and proven else ""
+        b_pfx = _VIOLATED if mode == "assert" and bounds_proven else ""
         out.append(f"if int(_adr.min()) < {NULL_GUARD}{align}:")
         out.append("    try:")
         out.append(f"        _mem._indices(_adr, _mty{pc})")
         out.append("    except _MF as _exc:")
-        out.append(f"        _trap({g_pfx}str(_exc), mask)")
+        out.append(f"        _trap({g_pfx}_exc.message, mask)")
         out.append("try:")
         out.append(f"    {access}")
         out.append("except IndexError:")
-        out.append(f"    _trap({b_pfx}str(_mem._beyond_end(_adr)), mask)")
+        out.append(f"    _trap({b_pfx}_mem._beyond_end(_adr).message, mask)")
     out.append("if _C is not None:")
     out.append(f"    _C.on_mem({lids}, _adr, {size})")
 
@@ -251,9 +243,14 @@ def _trap_elidable(proof, mode: str) -> bool:
     )
 
 
+#: Trap-message prefix (as emitted source) for a guard that fired at a
+#: site its certificate PROVEs safe (assert mode).
+_VIOLATED = "'safety certificate violated: ' + "
+
+
 def _trap_prefix(proof, mode: str) -> str:
     if mode == "assert" and proof is not None and proof.trap is Verdict.PROVEN:
-        return "'safety certificate violated: ' + "
+        return _VIOLATED
     return ""
 
 

@@ -491,7 +491,7 @@ class BlockExecutor:
                 try:
                     d[mask] = mem.gather(addrs, mty)
                 except MemoryFault as exc:
-                    self._trap(str(exc), mask)
+                    self._trap(exc.message, mask)
                 if collector is not None:
                     collector.on_mem(self.lane_ids[mask], addrs, mty.size)
                 return False
@@ -511,7 +511,7 @@ class BlockExecutor:
                 try:
                     mem.scatter(addrs, v[mask], mty)
                 except MemoryFault as exc:
-                    self._trap(str(exc), mask)
+                    self._trap(exc.message, mask)
                 if collector is not None:
                     collector.on_mem(self.lane_ids[mask], addrs, mty.size)
                 return False
@@ -535,7 +535,7 @@ class BlockExecutor:
                     else:
                         d[mask] = mem.fetch_max(addrs, v[mask], mty)
                 except MemoryFault as exc:
-                    self._trap(str(exc), mask)
+                    self._trap(exc.message, mask)
                 if collector is not None:
                     collector.on_mem(self.lane_ids[mask], addrs, mty.size)
                 return False

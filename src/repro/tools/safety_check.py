@@ -78,44 +78,20 @@ def check_registry(opt_level: int, min_coverage: float) -> bool:
     return ok
 
 
-def _text_program(src: str):
-    """Build a Program from literal source text (the fixtures above have
-    no file for ``inspect.getsource`` to find)."""
-    import textwrap
-
-    from repro.frontend import dsl, dtypes
-    from repro.frontend.dsl import Program, SourceFunction
-
-    text = textwrap.dedent(src)
-    ns = {
-        "i64": dtypes.i64,
-        "ptr_ptr": dtypes.ptr_ptr,
-        "dgpu": dsl.dgpu,
-        "malloc_i64": lambda n: None,
-    }
-    exec(text, ns)  # noqa: S102 - fixed fixture text above
-
-    class _Text(SourceFunction):
-        @property
-        def source(self):
-            return text
-
-    prog = Program("fixture")
-    prog.functions["main"] = _Text(ns["main"], "main", is_main=True)
-    return prog
-
-
 def check_broken_fixtures() -> bool:
     """Negative control: deliberately broken programs must be DISPROVEN
     and flagged by the static-oob / static-trap lint checkers."""
     from repro.analysis import Severity, analyze_module
     from repro.analysis.safety import certify_module
     from repro.compilecache.build import build_executable
+    from repro.frontend.dsl import Program
 
     ok = True
     print("== broken fixtures (must be DISPROVEN and flagged)")
     for name, (src, checker) in BROKEN.items():
-        module = build_executable(_text_program(src).compile(), opt_level=2)
+        module = build_executable(
+            Program.from_source(src, name="fixture").compile(), opt_level=2
+        )
         disproven = sum(
             len(c.disproven()) for c in certify_module(module).values()
         )

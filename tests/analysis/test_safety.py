@@ -13,9 +13,11 @@ from repro.analysis.safety import (
 )
 from repro.compilecache.build import build_executable
 from repro.errors import DeviceTrap, LoaderError
+from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
-from tests.property.test_opt_equivalence import build_program
+from repro.tools.safety_check import BROKEN
+from tests.oracle import Config, check, source_input
 from tests.util import SMALL_DEVICE
 
 SAFE = """
@@ -30,28 +32,16 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
     return total[0] & 127
 """
 
-OOB = """
-def main(argc: i64, argv: ptr_ptr) -> i64:
-    p = malloc_i64(4)
-    return p[0 - 999999]
-"""
-
-DIV0 = """
-def main(argc: i64, argv: ptr_ptr) -> i64:
-    buf = malloc_i64(8)
-    for i in dgpu.parallel_range(8):
-        buf[i] = 7 // (i - i)
-    return 0
-"""
+OOB, DIV0 = BROKEN["oob"][0], BROKEN["div0"][0]
 
 
 def _module(src, opt_level=2):
-    return build_executable(build_program(src).compile(), opt_level=opt_level)
+    return build_executable(Program.from_source(src).compile(), opt_level=opt_level)
 
 
 def _loader(src, **kw):
     return Loader(
-        build_program(src), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, **kw
+        Program.from_source(src), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, **kw
     )
 
 
@@ -136,17 +126,8 @@ class TestLaunchGate:
 class TestSafetyModes:
     @pytest.mark.parametrize("backend", ["interp", "compiled"])
     def test_all_modes_agree(self, backend):
-        results = set()
-        for mode in ("checked", "unchecked", "assert"):
-            res = _loader(SAFE).run(
-                [],
-                thread_limit=32,
-                collect_timing=False,
-                backend=backend,
-                safety_mode=mode,
-            )
-            results.add((res.exit_code, res.stdout))
-        assert len(results) == 1
+        modes = ("checked", "unchecked", "assert")
+        check(source_input(SAFE), [Config(backend, safety_mode=m) for m in modes])
 
     def test_unknown_mode_rejected(self):
         from repro.errors import LaunchError

@@ -21,8 +21,8 @@ import repro.analysis.safety as safety
 from repro.analysis.safety import ANALYZER_VERSION, SafetyCertificate
 from repro.compilecache import ExecutableCache
 from repro.compilecache.cache import DISK_MAGIC
+from repro.frontend.dsl import Program
 from repro.passes.pipeline import pipeline_fingerprint
-from tests.property.test_opt_equivalence import build_program
 
 source_hashes = st.text(
     alphabet="0123456789abcdef", min_size=8, max_size=32
@@ -84,7 +84,7 @@ def _rewrite_entry(path, mutate):
 class TestDiskCertificates:
     def _build(self, cache_dir):
         cache = ExecutableCache(cache_dir)
-        entry = cache.get_or_build(build_program(SRC), opt_level=2)
+        entry = cache.get_or_build(Program.from_source(SRC), opt_level=2)
         certs = entry.safety  # fill the analysis box
         assert certs and all(
             isinstance(c, SafetyCertificate) for c in certs.values()
@@ -96,7 +96,7 @@ class TestDiskCertificates:
         with tempfile.TemporaryDirectory() as d:
             _, built = self._build(d)
             loaded = ExecutableCache(d).get_or_build(
-                build_program(SRC), opt_level=2
+                Program.from_source(SRC), opt_level=2
             )
             assert loaded.tier == "disk"
             assert loaded.box.safety is not None
@@ -118,7 +118,7 @@ class TestDiskCertificates:
 
             _rewrite_entry(cache._path(entry.digest), clobber)
             loaded = ExecutableCache(d).get_or_build(
-                build_program(SRC), opt_level=2
+                Program.from_source(SRC), opt_level=2
             )
             assert loaded.tier == "disk"
             assert loaded.box.safety is None  # the stale copy was dropped
@@ -136,7 +136,7 @@ class TestDiskCertificates:
                 lambda data: data.update(safety={"k": "not a certificate"}),
             )
             loaded = ExecutableCache(d).get_or_build(
-                build_program(SRC), opt_level=2
+                Program.from_source(SRC), opt_level=2
             )
             assert loaded.box.safety is None
             assert all(

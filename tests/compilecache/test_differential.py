@@ -1,12 +1,10 @@
 """Differential suite: a cache-served executable is indistinguishable
 from a cold compile.
 
-Mirrors the backend-equivalence suite's contract but across the cache
-boundary: every registry app, both execution backends, -O1 and -O2 —
-exit code, stdout, interpreter steps, and cycle counts must be bitwise
-identical whether the module came out of :class:`ExecutableCache` or
-straight through the compile chain.  Trap text and campaigns under a
-recovered fault plan are held to the same bar.
+The backend-equivalence contract across the cache boundary, run through
+the differential oracle (:mod:`tests.oracle`): every registry app, both
+execution backends, -O1 and -O2, cycle counts, trap text, and a campaign
+under a recovered fault plan.  The cache axis keeps every field.
 """
 
 from __future__ import annotations
@@ -15,33 +13,10 @@ import pytest
 
 from repro.apps.registry import APPS
 from repro.compilecache import ExecutableCache
-from repro.errors import DeviceTrap
-from repro.frontend import Program, i64, ptr_ptr
-from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
-from repro.host.loader import Loader
 from repro.runtime.backend import available_backends
-from repro.sched import DevicePool, Scheduler
-from tests.util import SMALL_DEVICE
-
-
-def observables(res):
-    return (res.exit_code, res.stdout, res.launch.interpreter_steps)
-
-
-def run_app(entry, backend: str, opt_level: int, cache, *, timing=False):
-    loader = Loader(
-        entry.build_program(),
-        GPUDevice(),
-        opt_level=opt_level,
-        cache=cache,
-    )
-    return loader.run(
-        entry.default_args(),
-        thread_limit=64,
-        collect_timing=timing,
-        backend=backend,
-    )
+from tests.faults.conftest import echo_program
+from tests.oracle import ORACLE, Config, Input, app_input, check, source_input
 
 
 @pytest.mark.parametrize("app", sorted(APPS))
@@ -49,12 +24,13 @@ def run_app(entry, backend: str, opt_level: int, cache, *, timing=False):
 def test_cached_matches_cold_all_backends(app, opt_level):
     """Cold twin vs cache-served executable, every backend: the cache
     must never change a single observable."""
-    entry = APPS[app]
     cache = ExecutableCache()  # memory tier only; both backends share it
-    for backend in available_backends():
-        cold = run_app(entry, backend, opt_level, cache=None)
-        warm = run_app(entry, backend, opt_level, cache=cache)
-        assert observables(warm) == observables(cold), (app, opt_level, backend)
+    configs = [] if opt_level == 1 else [Config(opt_level=2)]
+    configs += [
+        Config(backend=b, opt_level=opt_level, safety_mode="unchecked", cache=True)
+        for b in available_backends()
+    ]
+    check(app_input(app), configs, cache=cache)
     stats = cache.stats()
     assert stats["misses"] == 1  # one compile serves every backend
     assert stats["hits_memory"] == len(available_backends()) - 1
@@ -64,81 +40,39 @@ def test_cached_matches_cold_all_backends(app, opt_level):
 def test_cached_cycles_match_cold(app):
     """With the timing collector armed the cycle count must survive the
     cache round-trip exactly."""
-    entry = APPS[app]
-    cache = ExecutableCache()
-    cold = run_app(entry, "interp", 2, cache=None, timing=True)
-    warm = run_app(entry, "interp", 2, cache=cache, timing=True)
-    assert observables(warm) == observables(cold)
-    assert warm.launch.timing.cycles == cold.launch.timing.cycles
+    runs = check(
+        app_input(app, timed=True),
+        [Config(opt_level=2), Config(opt_level=2, cache=True)],
+    )
+    assert runs[Config(opt_level=2, cache=True)].obs.cycles
 
 
-def _trap_program() -> Program:
-    prog = Program("cache_trap")
-
-    @prog.main
-    def main(argc: i64, argv: ptr_ptr) -> i64:
-        assert argc > 99, "cache trap twin"
-        return 0
-
-    return prog
+TRAP = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    assert argc > 99, "cache trap twin"
+    return 0
+"""
 
 
 def test_cached_trap_text_matches_cold():
-    """A trapping program traps identically out of the cache — same
-    exception type, same message."""
-    texts = []
-    for cache in (None, ExecutableCache()):
-        loader = Loader(
-            _trap_program(), GPUDevice(SMALL_DEVICE), opt_level=1, cache=cache
-        )
-        with pytest.raises(DeviceTrap) as exc:
-            loader.run([], thread_limit=8, collect_timing=False)
-        texts.append(str(exc.value))
-    assert texts[0] == texts[1]
-    assert "cache trap twin" in texts[0]
-
-
-def _echo_program() -> Program:
-    prog = Program("cache_echo")
-
-    @prog.main
-    def main(argc: i64, argv: ptr_ptr) -> i64:
-        me = atoi(argv[1])  # noqa: F821
-        printf("instance %ld reporting\n", me)  # noqa: F821
-        return me
-
-    return prog
-
-
-def _campaign_fingerprint(cache, plan: str | None):
-    pool = DevicePool(2, config=SMALL_DEVICE)
-    sched = Scheduler(pool, faults=plan, default_retries=4, cache=cache)
-    spec = LaunchSpec(
-        [[str(i)] for i in range(4)], thread_limit=32, collect_timing=False
-    )
-    result = sched.submit(
-        _echo_program(), spec, loader_opts={"heap_bytes": 1 << 20}
-    ).result()
-    stats = sched.stats.summary()
-    pool.close()
-    fp = [(o.index, o.args, o.exit_code, o.stdout) for o in result.instances]
-    return fp, stats
+    """A trapping program traps identically out of the cache."""
+    runs = check(source_input(TRAP, thread_limit=8), [Config(cache=True)])
+    assert "cache trap twin" in runs[ORACLE].obs.trap
 
 
 def test_cached_campaign_survives_recovered_fault_plan():
     """A worker death recovered by retry, served from a warm cache, is
     bitwise identical to the cold fault-free campaign."""
-    baseline, base_stats = _campaign_fingerprint(None, None)
-    assert base_stats["faults_injected"] == 0
-
+    spec = LaunchSpec(
+        [[str(i)] for i in range(4)], thread_limit=32, collect_timing=False
+    )
     cache = ExecutableCache()
-    # Warm the cache with a fault-free cached campaign first...
-    warm, _ = _campaign_fingerprint(cache, None)
-    assert warm == baseline
-    assert cache.stats()["misses"] == 1
-    # ...then serve the faulted campaign entirely from cache.
-    faulted, stats = _campaign_fingerprint(cache, "worker_death:times=1:seed=0")
-    assert faulted == baseline
-    assert stats["faults_injected"] == 1
-    assert stats["faults_recovered"] == 1
+    warm = Config(cache=True, devices=2)
+    faulted = Config(cache=True, devices=2, plan="worker_death:times=1:seed=0")
+    # A fault-free cached campaign warms the cache; the faulted campaign
+    # is then served entirely from it.
+    runs = check(Input(echo_program(), spec=spec), [warm, faulted], cache=cache)
+    assert runs[ORACLE].stats["faults_injected"] == 0
+    assert runs[faulted].stats["faults_injected"] == 1
+    assert runs[faulted].stats["faults_recovered"] == 1
     assert cache.stats()["misses"] == 1  # no recompiles, fault or not

@@ -3,10 +3,11 @@ state survives drain/restart through the disk tier."""
 
 from __future__ import annotations
 
+from repro.host.results import Observables
 from repro.serve.client import Client
 from repro.serve.harness import ServerThread
 
-from tests.serve.conftest import LOADER_OPTS, fingerprint, small_spec
+from tests.serve.conftest import LOADER_OPTS, small_spec
 
 
 def _cache_section(client):
@@ -38,8 +39,7 @@ class TestCrossTenantSharing:
                 after = _cache_section(client)
                 assert after["misses"] == 1  # bob never compiled
                 assert after["hits_memory"] == 1
-                assert fingerprint(second) == fingerprint(first)
-                assert second.total_cycles == first.total_cycles
+                assert Observables.of(second) == Observables.of(first)
 
     def test_metrics_mirror_cache_counters(self):
         with ServerThread(devices=1) as st:
@@ -85,5 +85,4 @@ class TestRestartSurvival:
                 stats = _cache_section(client)
                 assert stats["misses"] == 0
                 assert stats["hits_disk"] == 1
-                assert fingerprint(second) == fingerprint(first)
-                assert second.total_cycles == first.total_cycles
+                assert Observables.of(second) == Observables.of(first)

@@ -12,6 +12,7 @@ from repro.faults import NO_FAULTS, FaultInjector, InjectedOOM
 from repro.gpu.device import GPUDevice
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
+from repro.host.results import Observables
 from tests.util import SMALL_DEVICE
 
 LINES = [[str(i)] for i in range(4)]
@@ -74,10 +75,7 @@ class TestSlowTeam:
         base = loader.run_ensemble(spec())
         slow = loader.run_ensemble(spec("slow_team:team=0:factor=10"))
         assert slow.cycles > base.cycles
-        assert slow.return_codes == base.return_codes
-        assert [o.stdout for o in slow.instances] == [
-            o.stdout for o in base.instances
-        ]
+        assert Observables.of(slow).instances == Observables.of(base).instances
         loader.close()
 
     def test_stall_off_critical_path_is_bounded(self, echo_prog):

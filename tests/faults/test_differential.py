@@ -1,41 +1,21 @@
 """Differential chaos: a run under :data:`~repro.faults.NO_FAULTS` and a
 run under a *recovered* fault plan must produce bitwise-identical
-per-instance outputs and exit codes.
+per-instance outputs, exit codes and fault kinds.
 
 Recovery machinery (retry, redistribution, bisection) exists precisely so
-faults do not change results; these tests pin that equivalence for three
-plans whose faults are all recoverable, across the chaos seeds ``make
-chaos`` sweeps.
+faults do not change results; these tests pin that equivalence through
+the differential oracle (:mod:`tests.oracle`) for three plans whose
+faults are all recoverable, across the chaos seeds ``make chaos`` sweeps.
 """
 
 import pytest
 
 from repro.host.launch import LaunchSpec
-from repro.sched import DevicePool, Scheduler
-from tests.util import SMALL_DEVICE
+from tests.oracle import ORACLE, Config, Input, check
 
-LINES = [[str(i)] for i in range(8)]
-
-
-def run(prog, plan, seed):
-    pool = DevicePool(2, config=SMALL_DEVICE)
-    plan_txt = plan.format(seed=seed) if plan else None
-    sched = Scheduler(pool, faults=plan_txt, default_retries=4)
-    spec = LaunchSpec(LINES, thread_limit=32, collect_timing=False)
-    result = sched.submit(
-        prog, spec, loader_opts={"heap_bytes": 1 << 20}
-    ).result()
-    stats = sched.stats.summary()
-    pool.close()
-    return result, stats
-
-
-def fingerprint(result):
-    """Everything an ensemble run observably produces, per instance."""
-    return [
-        (o.index, o.args, o.exit_code, o.stdout) for o in result.instances
-    ]
-
+SPEC = LaunchSpec(
+    [[str(i)] for i in range(8)], thread_limit=32, collect_timing=False
+)
 
 #: Plans whose faults the stack fully recovers from: a transient worker
 #: death, injected allocation pressure (bisected away), and a dropped RPC
@@ -47,26 +27,28 @@ RECOVERED_PLANS = [
 ]
 
 
+def check_plan(prog, plan: str) -> dict:
+    """The recovered run's scheduler stats, once the oracle agrees."""
+    cfg = Config(plan=plan, devices=2)
+    runs = check(Input(prog, spec=SPEC), [cfg])
+    assert runs[ORACLE].stats["faults_injected"] == 0
+    return runs[cfg].stats
+
+
 @pytest.mark.parametrize("plan", RECOVERED_PLANS)
 def test_recovered_fault_runs_are_bitwise_identical(
     plan, echo_prog, chaos_seed
 ):
-    baseline, base_stats = run(echo_prog, None, chaos_seed)
-    assert base_stats["faults_injected"] == 0
-    faulted, stats = run(echo_prog, plan, chaos_seed)
-    assert fingerprint(faulted) == fingerprint(baseline)
+    stats = check_plan(echo_prog, plan.format(seed=chaos_seed))
     # The fault genuinely fired and was genuinely recovered — this was a
     # differential test, not two identical no-op runs.
     assert stats["faults_injected"] == 1
     assert stats["faults_recovered"] == 1
     assert stats["faults_isolated"] == 0
-    assert not faulted.degraded
 
 
 def test_all_three_plans_in_one_campaign(echo_prog, chaos_seed):
-    baseline, _ = run(echo_prog, None, chaos_seed)
-    combined = ";".join(RECOVERED_PLANS)
-    faulted, stats = run(echo_prog, combined, chaos_seed)
-    assert fingerprint(faulted) == fingerprint(baseline)
+    combined = ";".join(p.format(seed=chaos_seed) for p in RECOVERED_PLANS)
+    stats = check_plan(echo_prog, combined)
     assert stats["faults_injected"] == 3
     assert stats["faults_recovered"] == 3

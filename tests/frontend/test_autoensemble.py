@@ -13,6 +13,7 @@ from repro.frontend.autoensemble import (
     auto_launch,
     ensemble,
 )
+from repro.host.results import Observables
 
 # ---------------------------------------------------------------------------
 # Fakes: deterministic result synthesis, no device
@@ -231,12 +232,6 @@ def stencil_driver(run):
     return checksums, failures
 
 
-def fingerprint(outcome):
-    return [
-        (r.index, r.args, r.exit_code, r.stdout) for r in outcome.instances
-    ]
-
-
 @pytest.fixture(scope="module")
 def sequential_oracle():
     return auto_launch(
@@ -253,7 +248,7 @@ class TestDeviceDifferential:
         )
         assert auto.mode == "ensemble"
         assert auto.value == sequential_oracle.value
-        assert fingerprint(auto) == fingerprint(sequential_oracle)
+        assert Observables.of(auto) == Observables.of(sequential_oracle)
         assert auto.all_succeeded
         assert auto.spec is not None
         assert auto.campaign is not None
@@ -265,7 +260,7 @@ class TestDeviceDifferential:
             thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
         )
         assert faulted.value == sequential_oracle.value
-        assert fingerprint(faulted) == fingerprint(sequential_oracle)
+        assert Observables.of(faulted) == Observables.of(sequential_oracle)
 
     def test_multi_device_identical(self, sequential_oracle):
         auto = auto_launch(
@@ -273,7 +268,7 @@ class TestDeviceDifferential:
             thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
         )
         assert auto.value == sequential_oracle.value
-        assert fingerprint(auto) == fingerprint(sequential_oracle)
+        assert Observables.of(auto) == Observables.of(sequential_oracle)
 
     def test_one_device_campaign_is_one_launch(self):
         backend = EnsembleBackend(

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.host.launch import LaunchSpec
+from repro.host.results import Observables
 from repro.obs import (
     Observability,
     Tracer,
@@ -124,8 +125,7 @@ class TestNullTracerIsInvisible:
         obs = Observability()  # inert: null tracer
         sched, result = run_campaign(program, obs)
         assert obs.tracer.events == []
-        assert result.return_codes == traced_result.return_codes
-        assert result.total_cycles == traced_result.total_cycles
+        assert Observables.of(result) == Observables.of(traced_result)
 
     def test_metrics_still_collected_without_tracing(self, program):
         obs = Observability()

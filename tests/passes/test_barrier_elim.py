@@ -5,28 +5,13 @@ program through the interpreter at -O1 and -O2 and checks that -O2 both
 removes at least one barrier and preserves the observable output bitwise.
 """
 
-import textwrap
-
-from repro.frontend import dsl, dtypes
-from repro.frontend.dsl import Program
-from repro.gpu.device import GPUDevice
-from repro.host.loader import Loader
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Opcode
 from repro.ir.module import Function, GlobalVar, Module
 from repro.ir.types import MemType, ScalarType
 from repro.passes.barrier_elim import redundant_barrier_elim_pass
-from tests.property.test_frontend_property import _TextSource
-from tests.util import SMALL_DEVICE
-
-
-def count_barriers(module):
-    return sum(
-        1
-        for fn in module.functions.values()
-        for i in fn.iter_instrs()
-        if i.op is Opcode.BARRIER
-    )
+from tests.oracle import ORACLE, Config, check, source_input
+from tests.util import count_barriers
 
 
 def kernel_module(body):
@@ -167,34 +152,14 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
 """
 
 
-def representative_program():
-    ns = {
-        "i64": dtypes.i64,
-        "ptr_ptr": dtypes.ptr_ptr,
-        "dgpu": dsl.dgpu,
-        "malloc_f64": lambda n: None,
-        "printf": lambda *a: None,
-    }
-    exec(textwrap.dedent(SRC), ns)
-    prog = Program("barrier_rep")
-    prog.functions["main"] = _TextSource(ns["main"], textwrap.dedent(SRC))
-    return prog
-
-
 def test_acceptance_o2_removes_barrier_and_preserves_output():
     """-O2 strips at least one barrier from the representative example and
     the interpreter-observed behavior is bitwise identical to -O1."""
-    l1 = Loader(
-        representative_program(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, opt_level=1
-    )
-    r1 = l1.run([])
-    l2 = Loader(
-        representative_program(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, opt_level=2
-    )
-    r2 = l2.run([])
-
-    assert count_barriers(l1.module) >= 1
-    assert count_barriers(l2.module) < count_barriers(l1.module)
-    assert r1.exit_code == r2.exit_code == 0
-    assert r1.stdout == r2.stdout == "total 2016\n"
-    assert l2.module.metadata.get("opt_level") == 2
+    inp = source_input(SRC, thread_limit=1024, timed=True)
+    o2 = Config(opt_level=2)
+    runs = check(inp, [o2])
+    m1, m2 = runs[ORACLE].module, runs[o2].module
+    assert count_barriers(m1) >= 1
+    assert count_barriers(m2) < count_barriers(m1)
+    assert runs[o2].obs.instances == ((0, (), 0, "total 2016\n", None),)
+    assert m2.metadata.get("opt_level") == 2

@@ -10,13 +10,11 @@ wraparound and C division/shift semantics.
 
 from __future__ import annotations
 
-import textwrap
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.dsl import Program, SourceFunction
+from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
@@ -46,21 +44,6 @@ node = st.tuples(
 
 seeds = st.lists(st.integers(-(2**31), 2**31), min_size=2, max_size=4)
 programs = st.tuples(seeds, st.lists(node, min_size=1, max_size=25))
-
-
-class _TextSource(SourceFunction):
-    """SourceFunction whose source is the generated text (exec'd functions
-    have no file for inspect.getsource)."""
-
-    def __init__(self, pyfunc, source: str):
-        self.pyfunc = pyfunc
-        self.name = "main"
-        self.is_main = True
-        self._source = source
-
-    @property
-    def source(self) -> str:  # type: ignore[override]
-        return self._source
 
 
 def render_program(seed_vals, ops) -> tuple[str, int]:
@@ -117,12 +100,7 @@ def test_random_loop_programs_match_c_model(spec):
     seed_vals, trips, body = spec
     src, expected = render_loop_program(seed_vals, trips, body)
 
-    from repro.frontend import dtypes
-
-    namespace = {"i64": dtypes.i64, "ptr_ptr": dtypes.ptr_ptr}
-    exec(textwrap.dedent(src), namespace)  # noqa: S102 - generated test input
-    prog = Program("randloop", link_libc=False)
-    prog.functions["main"] = _TextSource(namespace["main"], textwrap.dedent(src))
+    prog = Program.from_source(src, name="randloop", link_libc=False)
     loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
     res = loader.run([], thread_limit=32, collect_timing=False)
     assert res.exit_code == expected, f"\n{src}\nexpected {expected}, got {res.exit_code}"
@@ -134,12 +112,7 @@ def test_random_arithmetic_matches_c_model(spec):
     seed_vals, ops = spec
     src, expected = render_program(seed_vals, ops)
 
-    from repro.frontend import dtypes
-
-    namespace = {"i64": dtypes.i64, "ptr_ptr": dtypes.ptr_ptr}
-    exec(textwrap.dedent(src), namespace)  # noqa: S102 - generated test input
-    prog = Program("randprog", link_libc=False)
-    prog.functions["main"] = _TextSource(namespace["main"], textwrap.dedent(src))
+    prog = Program.from_source(src, name="randprog", link_libc=False)
     loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
     res = loader.run([], thread_limit=32, collect_timing=False)
     assert res.exit_code == expected, f"\n{src}\nexpected {expected}, got {res.exit_code}"

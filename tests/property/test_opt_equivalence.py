@@ -1,116 +1,31 @@
 """Property: the -O2 interprocedural stage preserves observable behavior.
 
-Hypothesis generates random DSL programs in the shape the stage was built
-for — heap buffers filled by worksharing loops, explicit barriers,
-private scratch writes, sequential reductions — and runs each through the
-interpreter at -O1 and -O2.  Exit code and stdout must match bitwise,
-with and without a deterministic fault plan armed.
+Hypothesis-generated programs (:mod:`tests.oracle`) run through the
+interpreter at -O1 and -O2, with and without a deterministic fault plan
+armed; the oracle holds -O2 to the instances and trap text, and -O2
+never adds a barrier.
 """
 
 from __future__ import annotations
 
-import textwrap
-
+import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.faults import FaultInjector
-from repro.frontend import dsl, dtypes
-from repro.frontend.dsl import Program
+from repro.faults.injector import InjectedRPCFailure
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
-from repro.ir.instructions import Opcode
-from tests.property.test_frontend_property import _TextSource
-from tests.util import SMALL_DEVICE
+from tests.oracle import ORACLE, Config, check, program_specs, render, source_input
+from tests.util import SMALL_DEVICE, count_barriers
 
-program_specs = st.tuples(
-    st.integers(8, 48),  # buffer length
-    st.integers(1, 9),  # fill multiplier
-    st.integers(0, 7),  # fill offset
-    st.booleans(),  # explicit barrier after the parallel fill
-    st.booleans(),  # write (but never read) a private scratch buffer
-    st.booleans(),  # second worksharing pass doubling the buffer
-    st.booleans(),  # print the result over RPC
-)
-
-
-def render(spec) -> str:
-    n, mul, off, barrier, scratch, second_pass, do_print = spec
-    lines = [
-        "def main(argc: i64, argv: ptr_ptr) -> i64:",
-        f"    buf = malloc_i64({n})",
-        f"    for i in dgpu.parallel_range({n}):",
-        f"        buf[i] = i * {mul} + {off}",
-    ]
-    if barrier:
-        lines.append("    dgpu.barrier()")
-    if scratch:
-        lines += [
-            f"    scratch = malloc_i64({n})",
-            f"    for i in dgpu.parallel_range({n}):",
-            f"        scratch[i] = buf[i] * 3",
-        ]
-    if second_pass:
-        if barrier:
-            lines.append("    dgpu.barrier()")
-        lines += [
-            f"    for i in dgpu.parallel_range({n}):",
-            "        buf[i] = buf[i] + buf[i]",
-        ]
-    lines += [
-        "    total = malloc_i64(1)",
-        "    total[0] = 0",
-        f"    for j in range({n}):",
-        "        total[0] = total[0] + buf[j]",
-    ]
-    if do_print:
-        lines.append('    printf("sum %d\\n", total[0])')
-    lines.append("    return total[0] & 255")
-    return "\n".join(lines)
-
-
-def build_program(src: str) -> Program:
-    ns = {
-        "i64": dtypes.i64,
-        "ptr_ptr": dtypes.ptr_ptr,
-        "dgpu": dsl.dgpu,
-        "malloc_i64": lambda n: None,
-        "printf": lambda *a: None,
-    }
-    exec(textwrap.dedent(src), ns)  # noqa: S102 - generated test input
-    prog = Program("equiv")
-    prog.functions["main"] = _TextSource(ns["main"], textwrap.dedent(src))
-    return prog
-
-
-def run_at(src: str, opt_level: int, fault_plan: str | None = None):
-    loader = Loader(
-        build_program(src),
-        GPUDevice(SMALL_DEVICE),
-        heap_bytes=1 << 20,
-        opt_level=opt_level,
-    )
-    if fault_plan is not None:
-        loader.device.faults = FaultInjector(fault_plan)
-    res = loader.run([], thread_limit=32, collect_timing=fault_plan is not None)
-    barriers = sum(
-        1
-        for fn in loader.module.functions.values()
-        for i in fn.iter_instrs()
-        if i.op is Opcode.BARRIER
-    )
-    return res, barriers
+O2 = Config(opt_level=2)
 
 
 @settings(max_examples=20, deadline=None)
 @given(program_specs)
 def test_o2_matches_o1_bitwise(spec):
-    src = render(spec)
-    r1, b1 = run_at(src, 1)
-    r2, b2 = run_at(src, 2)
-    assert r2.exit_code == r1.exit_code, f"\n{src}"
-    assert r2.stdout == r1.stdout, f"\n{src}"
-    assert b2 <= b1  # -O2 never adds synchronization
+    runs = check(source_input(render(spec)), [O2])
+    assert count_barriers(runs[O2].module) <= count_barriers(runs[ORACLE].module)
 
 
 @settings(max_examples=6, deadline=None)
@@ -118,39 +33,35 @@ def test_o2_matches_o1_bitwise(spec):
 def test_o2_matches_o1_under_fault_plan(spec):
     """Equivalence must also hold with the chaos injector armed: a
     deterministic timing fault perturbs the schedule, not the answer."""
-    src = render(spec)
     plan = "slow_team:team=0:factor=3"
-    r1, _ = run_at(src, 1, fault_plan=plan)
-    r2, _ = run_at(src, 2, fault_plan=plan)
-    assert r2.exit_code == r1.exit_code, f"\n{src}"
-    assert r2.stdout == r1.stdout, f"\n{src}"
+    check(
+        source_input(render(spec), timed=True),
+        [Config(plan=plan), Config(opt_level=2, plan=plan)],
+    )
 
 
 def test_barrier_heavy_example_loses_barriers_but_not_output():
     """Deterministic anchor for the property: a program with provably
     redundant barriers must actually lose at least one at -O2."""
-    spec = (32, 3, 1, True, True, True, True)
-    src = render(spec)
-    r1, b1 = run_at(src, 1)
-    r2, b2 = run_at(src, 2)
+    runs = check(source_input(render((32, 3, 1, True, True, True, True))), [O2])
+    b1, b2 = (count_barriers(runs[c].module) for c in (ORACLE, O2))
     assert b1 >= 1 and b2 < b1
-    assert (r1.exit_code, r1.stdout) == (r2.exit_code, r2.stdout)
 
 
 def test_rpc_fault_plan_equivalent_across_opt_levels():
     """An injected RPC drop hits the same (preserved) printf at both
     levels, so the degraded behavior — a transient launch failure — is
     also identical."""
-    import pytest
-
-    from repro.faults.injector import InjectedRPCFailure
-
-    spec = (16, 2, 0, True, False, False, True)
-    src = render(spec)
-    plan = "rpc_drop:times=1"
-    with pytest.raises(InjectedRPCFailure) as e1:
-        run_at(src, 1, fault_plan=plan)
-    with pytest.raises(InjectedRPCFailure) as e2:
-        run_at(src, 2, fault_plan=plan)
+    inp = source_input(render((16, 2, 0, True, False, False, True)))
+    texts = []
+    for opt_level in (1, 2):
+        loader = Loader(
+            inp.program, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20,
+            opt_level=opt_level,
+        )
+        loader.device.faults = FaultInjector("rpc_drop:times=1")
+        with pytest.raises(InjectedRPCFailure) as exc:
+            loader.run([], thread_limit=32, collect_timing=True)
+        texts.append(str(exc.value))
     # same service, same instance: the RPC sequence was preserved by -O2
-    assert str(e1.value) == str(e2.value)
+    assert texts[0] == texts[1]

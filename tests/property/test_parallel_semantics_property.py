@@ -8,8 +8,6 @@ differently must never change integer results.
 
 from __future__ import annotations
 
-import textwrap
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +15,6 @@ from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
-from tests.property.test_frontend_property import _TextSource
 
 body_terms = st.lists(
     st.tuples(
@@ -59,18 +56,7 @@ def test_worksharing_matches_sequential_model_across_thread_limits(spec):
     trips, terms = spec
     src, expected = render(trips, terms)
 
-    from repro.frontend import dsl, dtypes
-
-    namespace = {
-        "i64": dtypes.i64,
-        "ptr_ptr": dtypes.ptr_ptr,
-        "dgpu": dsl.dgpu,
-        "malloc_i64": lambda n: None,  # placeholder; resolved as libc on device
-    }
-    exec(textwrap.dedent(src), namespace)  # noqa: S102 - generated test input
-    prog = Program("parprop")
-    prog.functions["main"] = _TextSource(namespace["main"], textwrap.dedent(src))
-    loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
+    loader = Loader(Program.from_source(src, name="parprop"), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
     results = {
         t: loader.run([], thread_limit=t, collect_timing=False).exit_code
         for t in (32, 64, 256)

@@ -4,6 +4,7 @@ backend-selection API, and trap parity with the interpreter."""
 import pytest
 
 from repro.errors import DeviceTrap, LaunchError
+from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
@@ -30,13 +31,14 @@ def _compiled_entry(kernel):
         return entry
     program = kernel.backend_cache.get(CACHE_KEY)
     return (None, program) if program is not None else None
-from tests.property.test_opt_equivalence import build_program
+from repro.tools.safety_check import BROKEN
+from tests.oracle import ORACLE, Config, check, source_input
 from tests.util import SMALL_DEVICE
 
 
 def _loader(src, **kw):
     return Loader(
-        build_program(src), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, **kw
+        Program.from_source(src), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20, **kw
     )
 
 
@@ -133,36 +135,18 @@ class TestCompilation:
 class TestTrapParity:
     """Faults must raise the same DeviceTrap text on both backends."""
 
-    def _trap_text(self, src, backend):
+    def _same_trap(self, src):
         # allow_unsafe: these programs are statically DISPROVEN on purpose;
         # the point is that the *dynamic* guard's trap text matches.
-        loader = _loader(src, allow_unsafe=True)
-        with pytest.raises(DeviceTrap) as exc:
-            loader.run([], thread_limit=32, collect_timing=False,
-                       backend=backend)
-        return str(exc.value)
-
-    NULL_DEREF = """
-def main(argc: i64, argv: ptr_ptr) -> i64:
-    p = malloc_i64(4)
-    return p[0 - 999999]
-"""
-
-    DIV0 = """
-def main(argc: i64, argv: ptr_ptr) -> i64:
-    buf = malloc_i64(8)
-    for i in dgpu.parallel_range(8):
-        buf[i] = 7 // (i - i)
-    return 0
-"""
+        inp = source_input(src, allow_unsafe=True)
+        runs = check(inp, [Config("compiled", safety_mode="unchecked")])
+        assert runs[ORACLE].obs.trap is not None
 
     def test_null_guard_trap_matches(self):
-        assert self._trap_text(self.NULL_DEREF, "compiled") == \
-            self._trap_text(self.NULL_DEREF, "interp")
+        self._same_trap(BROKEN["oob"][0])
 
     def test_division_by_zero_trap_matches(self):
-        assert self._trap_text(self.DIV0, "compiled") == \
-            self._trap_text(self.DIV0, "interp")
+        self._same_trap(BROKEN["div0"][0])
 
     def test_livelock_trap_fires_on_compiled(self):
         loader = _loader(SIMPLE)
@@ -173,13 +157,7 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
 
 class TestEndToEnd:
     def test_simple_program_same_answer(self):
-        results = {}
-        for backend in available_backends():
-            res = _loader(SIMPLE).run(
-                [], thread_limit=32, collect_timing=False, backend=backend
-            )
-            results[backend] = (res.exit_code, res.stdout)
-        assert results["compiled"] == results["interp"]
+        check(source_input(SIMPLE), [Config("compiled", safety_mode="unchecked")])
 
     def test_unknown_backend_fails_at_launch(self):
         with pytest.raises(LaunchError, match="unknown backend"):

@@ -4,19 +4,14 @@ device in the pool does nonzero work."""
 
 import pytest
 
-from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
-from repro.sched import DevicePool, Scheduler
+from tests.oracle import Config, Input, check
 from tests.util import SMALL_DEVICE
 
 HEAP = 1536 * 1024
 CAMPAIGN = [
     ["-n", "512", "-d", "8", "-i", "1", "-s", str(s)] for s in range(1, 33)
 ]
-
-
-def outcome_key(o):
-    return (o.index, tuple(o.args), o.exit_code, o.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -28,40 +23,28 @@ def program():
 
 class TestSchedulerParity:
     def test_four_device_campaign_matches_single_device(self, program):
-        pool = DevicePool(4, config=SMALL_DEVICE)
-        sched = Scheduler(pool)
-        sched_result = sched.run_campaign(
+        four = Config(devices=4)
+        inp = Input(
             program,
-            LaunchSpec(CAMPAIGN, thread_limit=32),
-            loader_opts={"heap_bytes": HEAP},
+            spec=LaunchSpec(CAMPAIGN, thread_limit=32),
+            device=SMALL_DEVICE,
+            heap_bytes=HEAP,
         )
-
-        single = Scheduler(
-            DevicePool([GPUDevice(SMALL_DEVICE)])
-        ).run_campaign(
-            program,
-            LaunchSpec(CAMPAIGN, thread_limit=32),
-            loader_opts={"heap_bytes": HEAP},
-        )
-
-        assert len(sched_result.instances) == 32
-        assert sorted(map(outcome_key, sched_result.instances)) == sorted(
-            map(outcome_key, single.instances)
-        )
-        assert sched_result.all_succeeded and single.all_succeeded
+        runs = check(inp, [four])
+        assert len(runs[four].obs.instances) == 32
+        assert all(o[2] == 0 for o in runs[four].obs.instances)
 
         # every device did real work, and the stats say so
-        stats = sched.stats
-        assert set(stats.per_device) == set(pool.labels)
-        assert len(stats.per_device) == 4
-        for dev in stats.per_device.values():
-            assert dev.instances > 0
-            assert dev.batches > 0
-            assert dev.busy_cycles > 0
-        assert stats.instances_completed == 32
-        util = stats.utilization()
-        assert all(0.0 < u <= 1.0 for u in util.values())
-        assert stats.makespan_cycles <= stats.total_busy_cycles
-        summary = stats.summary()
+        summary = runs[four].stats
+        labels = set(runs[four].labels)
+        assert len(labels) == 4
+        assert set(summary["devices"]) == labels
+        devices = summary["devices"].values()
+        for dev in devices:
+            assert dev["instances"] > 0
+            assert dev["batches"] > 0
+            assert dev["busy_cycles"] > 0
+            assert 0.0 < dev["utilization"] <= 1.0
+        assert summary["instances_completed"] == 32
+        assert summary["makespan_cycles"] <= sum(d["busy_cycles"] for d in devices)
         assert summary["jobs_completed"] == 1
-        assert set(summary["devices"]) == set(pool.labels)

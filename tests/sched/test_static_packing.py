@@ -8,6 +8,7 @@ from repro.errors import DeviceOutOfMemory, JobFailed
 from repro.frontend.dsl import Program, dgpu
 from repro.frontend.dtypes import i64, ptr_ptr
 from repro.host.launch import LaunchSpec
+from repro.host.results import Observables
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
 
@@ -74,10 +75,7 @@ class TestAcceptance:
         heap = 1 << 20
         _, off = run_campaign(program, heap, 8, static_packing=False)
         _, on = run_campaign(program, heap, 8, static_packing=True)
-        assert [o.exit_code for o in on.instances] == [
-            o.exit_code for o in off.instances
-        ]
-        assert [o.stdout for o in on.instances] == [o.stdout for o in off.instances]
+        assert Observables.of(on).instances == Observables.of(off).instances
 
 
 class TestSeeding:

@@ -26,13 +26,6 @@ def small_spec(n: int = 4, **kw) -> LaunchSpec:
     return LaunchSpec([list(SMALL) for _ in range(n)], **kw)
 
 
-def fingerprint(outcome):
-    """The differential-testing identity of an ensemble outcome."""
-    return [
-        (o.index, o.args, o.exit_code, o.stdout) for o in outcome.instances
-    ]
-
-
 @pytest.fixture
 def server():
     with ServerThread(devices=2) as st:

@@ -11,11 +11,12 @@ import pytest
 
 from repro import wire
 from repro.errors import ServeError
+from repro.host.results import Observables
 from repro.sched import JobState
 from repro.serve.client import Client, RemoteJob
 from repro.serve.protocol import Submission
 
-from tests.serve.conftest import LOADER_OPTS, fingerprint, small_spec
+from tests.serve.conftest import LOADER_OPTS, small_spec
 
 
 class TestSubmitMirror:
@@ -61,14 +62,14 @@ class TestEventPlumbing:
         # while b streams, then replayed for a.
         result_b = b.result()
         result_a = a.result()
-        assert fingerprint(result_a) == fingerprint(result_b)
+        assert Observables.of(result_a) == Observables.of(result_b)
         assert a.ticket.state is JobState.COMPLETED
 
     def test_result_is_idempotent(self, client):
         job = client.submit("pagerank", small_spec(2), loader_opts=LOADER_OPTS)
         first = job.result()
         second = job.result()
-        assert fingerprint(first) == fingerprint(second)
+        assert Observables.of(first) == Observables.of(second)
 
     def test_stream_after_result_replays_terminal(self, client):
         job = client.submit("pagerank", small_spec(2), loader_opts=LOADER_OPTS)

@@ -18,12 +18,14 @@ from repro.apps.registry import get_app
 from repro.config import DEFAULT_DEVICE
 from repro.errors import ServeError
 from repro.faults import FaultPlan
+from repro.host.results import Observables
 from repro.sched import DevicePool, JobState, Scheduler
 from repro.serve.client import Client
 from repro.serve.harness import ServerThread
 from repro.serve.server import CampaignServer, ServeConfig
 
-from tests.serve.conftest import LOADER_OPTS, fingerprint, small_spec
+from tests.oracle import Config, Input, check
+from tests.serve.conftest import LOADER_OPTS, small_spec
 
 
 def one_shot(spec, *, loader_opts=LOADER_OPTS):
@@ -39,15 +41,17 @@ def one_shot(spec, *, loader_opts=LOADER_OPTS):
 
 
 class TestSingleCampaign:
-    def test_served_result_bitwise_matches_one_shot(self, client):
-        spec = small_spec(4)
-        served = client.submit(
-            "pagerank", spec, loader_opts=LOADER_OPTS
-        ).result()
-        direct = one_shot(spec)
-        assert fingerprint(served) == fingerprint(direct)
-        assert served.total_cycles == direct.total_cycles
-        assert served.all_succeeded
+    def test_served_result_bitwise_matches_one_shot(self):
+        """Through the oracle: served vs the direct scheduler."""
+        inp = Input(
+            get_app("pagerank").build_program(),
+            spec=small_spec(4),
+            device=DEFAULT_DEVICE,
+            heap_bytes=LOADER_OPTS["heap_bytes"],
+        )
+        served = Config(served=True)
+        runs = check(inp, [served])
+        assert all(o[2] == 0 for o in runs[served].obs.instances)
 
     def test_stream_yields_states_then_one_terminal(self, client):
         job = client.submit("pagerank", small_spec(4), loader_opts=LOADER_OPTS)
@@ -84,8 +88,7 @@ class TestFaultIsolation:
             "pagerank", spec, tenant="chaotic", loader_opts=LOADER_OPTS
         ).result()
         direct = one_shot(spec)
-        assert fingerprint(served) == fingerprint(direct)
-        assert served.total_cycles == direct.total_cycles
+        assert Observables.of(served) == Observables.of(direct)
         assert served.retries == direct.retries >= 1
         assert not served.degraded
 
@@ -107,7 +110,8 @@ class TestFaultIsolation:
         assert chaotic_result.degraded
         assert clean_result.all_succeeded
         assert not clean_result.fault_reports
-        assert fingerprint(clean_result) == fingerprint(one_shot(small_spec(2)))
+        direct = one_shot(small_spec(2))
+        assert Observables.of(clean_result) == Observables.of(direct)
 
 
 class TestMultiTenant:
@@ -115,7 +119,7 @@ class TestMultiTenant:
         """Three concurrent tenants, two devices: every tenant's result is
         bitwise the one-shot result, twice over (run-to-run determinism)."""
         spec = small_spec(4)
-        direct = fingerprint(one_shot(spec))
+        direct = Observables.of(one_shot(spec))
         runs = []
         for _ in range(2):
             with ServerThread(devices=2) as st:
@@ -134,7 +138,7 @@ class TestMultiTenant:
                 finally:
                     for c in clients:
                         c.close()
-            assert all(fingerprint(r) == direct for r in results)
+            assert all(Observables.of(r) == direct for r in results)
             runs.append([(r.job_id, r.total_cycles) for r in results])
         assert runs[0] == runs[1]
 
@@ -360,7 +364,7 @@ class TestWatch:
         with Client(server.address) as b:
             watched = b.watch(job.job_id)
             replay = watched.result()
-            assert fingerprint(replay) == fingerprint(result)
+            assert Observables.of(replay) == Observables.of(result)
 
     def test_second_connection_watches_live_job(self, server):
         with Client(server.address) as a, Client(server.address) as b:
@@ -368,4 +372,4 @@ class TestWatch:
             watcher = b.watch(job.ticket)
             ours = job.result()
             theirs = watcher.result()
-            assert fingerprint(ours) == fingerprint(theirs)
+            assert Observables.of(ours) == Observables.of(theirs)

@@ -100,3 +100,17 @@ class TestRepoDocuments:
                 if token.endswith(".py") and "/" not in token:
                     if "examples" in line:
                         assert (examples / token).exists(), token
+
+    def test_equivalence_contract_table_matches_the_oracle(self):
+        """docs/internals.md's contract table lists exactly the oracle's
+        axes, each with the fields ``tests.oracle.PRESERVES`` gives it."""
+        from tests.oracle import PRESERVES
+
+        text = (self.docs_dir() / "docs" / "internals.md").read_text()
+        section = text.split("## 9. Equivalence contract", 1)[1]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = tuple(cells[1].replace("`", "").split())
+        assert rows == {axis: tuple(f) for axis, f in PRESERVES.items()}

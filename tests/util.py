@@ -7,6 +7,7 @@ from typing import Callable
 from repro.config import DEFAULT_SIM, DeviceConfig, SimConfig
 from repro.gpu.device import GPUDevice, LaunchResult
 from repro.ir.builder import IRBuilder
+from repro.ir.instructions import Opcode
 from repro.ir.module import Function, Module
 from repro.ir.types import ScalarType
 from repro.ir.verifier import verify_module
@@ -70,6 +71,16 @@ def run_kernel(
         collect_timing=collect_timing,
     )
     return dev, result
+
+
+def count_barriers(module: Module) -> int:
+    """BARRIER instructions across every function of ``module``."""
+    return sum(
+        1
+        for fn in module.functions.values()
+        for i in fn.iter_instrs()
+        if i.op is Opcode.BARRIER
+    )
 
 
 def trace_fields(trace) -> tuple:
