@@ -69,7 +69,8 @@ cache-check:
 # Static-safety gate (docs/safety.md): every registry app must certify
 # with zero DISPROVEN sites and >= 60% guard-free memory-site coverage;
 # known-broken fixtures must be DISPROVEN and flagged by the
-# static-oob/static-trap checkers.
+# static-oob/static-trap checkers; a per-app mutant with one loop bound
+# raised by one must not be bounds-PROVEN.
 safety-check:
 	$(PYTHON) -m repro.tools.safety_check
 

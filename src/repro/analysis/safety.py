@@ -261,6 +261,8 @@ class _Expr:
         return tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, _Expr)
             and self.const == other.const
@@ -347,6 +349,24 @@ def _mentions(form: tuple, key) -> bool:
     return any(k == key for k, _ in form)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _is_origin(e: _Expr, key) -> bool:
+    """``e`` is exactly the origin ``key``."""
+    return not e.const and len(e.terms) == 1 and e.terms.get(key) == 1
+
+
+def _mentions_leader(e: _Expr, leader: int) -> bool:
+    """``e`` mentions a merge origin of ``leader``'s join."""
+    for k in e.terms:
+        if k[0] == "m" and k[1] == leader:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # the analyzer
 # ---------------------------------------------------------------------------
@@ -392,6 +412,7 @@ class _KernelAnalyzer:
         self._rpo_index = {pc: i for i, pc in enumerate(self._leaders)}
         self._live_i: dict[int, int] = {}
         self._live_f: dict[int, int] = {}
+        self._live_fregs: dict[int, list[int]] = {}
         self._liveness()
 
     # -- cfg ------------------------------------------------------------
@@ -473,6 +494,7 @@ class _KernelAnalyzer:
         for bi, leader in enumerate(self._leaders):
             self._live_i[leader] = live_i[bi]
             self._live_f[leader] = live_f[bi]
+            self._live_fregs[leader] = _bits(live_f[bi])
 
     # -- origins --------------------------------------------------------
     def _ensure(self, key, **attrs) -> object:
@@ -750,7 +772,8 @@ class _KernelAnalyzer:
             a = self._expr_of(st, li.args[0])
             self._set_ireg(st, li, a.scale(-1).add_const(-1))
         elif op in (Opcode.SDIV, Opcode.SREM):
-            self._trap_site(st, pc, li, record)
+            if record is not None:
+                self._trap_site(st, pc, li, record)
             a = self._eval_wf(self._expr_of(st, li.args[0]), st.facts)
             b = self._eval_wf(self._expr_of(st, li.args[1]), st.facts)
             iv = Interval()
@@ -899,9 +922,11 @@ class _KernelAnalyzer:
         elif op is Opcode.LOAD:
             self._load(st, pc, li, record)
         elif op is Opcode.STORE:
-            self._mem_site(st, pc, li, "store", record)
+            if record is not None:
+                self._mem_site(st, pc, li, "store", record)
         elif op is Opcode.ATOMIC_ADD:
-            self._mem_site(st, pc, li, "atomic", record)
+            if record is not None:
+                self._mem_site(st, pc, li, "atomic", record)
             addr = self._expr_of(st, li.args[0])
             if (
                 addr.const == 0
@@ -923,10 +948,12 @@ class _KernelAnalyzer:
             else:
                 self._opaque(st, li, pc, Interval())
         elif op is Opcode.ATOMIC_MAX:
-            self._mem_site(st, pc, li, "atomic", record)
+            if record is not None:
+                self._mem_site(st, pc, li, "atomic", record)
             self._opaque(st, li, pc, Interval())
         elif op is Opcode.FPTOSI:
-            self._trap_site(st, pc, li, record)
+            if record is not None:
+                self._trap_site(st, pc, li, record)
             lo, hi = self._frange_of(st, li.args[0])
             iv = Interval()
             if (
@@ -1050,9 +1077,7 @@ class _KernelAnalyzer:
 
     # -- memory / trap sites --------------------------------------------
     def _load(self, st: _State, pc: int, li, record) -> None:
-        nullv, alignv, boundsv, src = self._mem_site(
-            st, pc, li, "load", record
-        )
+        boundsv, src = self._mem_site(st, pc, li, "load", record)
         if li.dest_f:
             self._set_freg(st, li, _UNK_F)
             return
@@ -1104,32 +1129,11 @@ class _KernelAnalyzer:
         self._opaque(st, li, pc, Interval())
 
     def _mem_site(self, st: _State, pc: int, li, kind: str, record):
+        """Bounds-check one memory site; returns ``(bounds verdict, base
+        origin key)``.  The null and alignment verdicts feed only the
+        certificate, so they are computed only when ``record`` is set."""
         size = li.mty.size if li.mty is not None else 1
         addr = self._expr_of(st, li.args[0]).add_const(li.offset)
-        iv = self._eval_wf(addr, st.facts)
-
-        if iv.lo is not None and iv.lo >= NULL_GUARD:
-            nullv = Verdict.PROVEN
-        elif iv.hi is not None and iv.hi < NULL_GUARD:
-            nullv = Verdict.DISPROVEN
-        else:
-            nullv = Verdict.UNPROVEN
-
-        if size == 1:
-            alignv = Verdict.PROVEN
-        else:
-            g = 0
-            for key, coeff in addr.terms.items():
-                org = self.origins.get(key)
-                g = math.gcd(g, abs(coeff) * (org.align if org else 1))
-            if not addr.terms or g % size == 0:
-                alignv = (
-                    Verdict.PROVEN
-                    if addr.const % size == 0
-                    else Verdict.DISPROVEN
-                )
-            else:
-                alignv = Verdict.UNPROVEN
 
         boundsv = Verdict.UNPROVEN
         src = None
@@ -1159,23 +1163,48 @@ class _KernelAnalyzer:
                     rem.hi is not None and rem.hi < 0
                 ):
                     boundsv = Verdict.DISPROVEN
+        if record is None or pc in record:
+            return boundsv, src
 
-        if record is not None and pc not in record:
-            src_org = self.origins.get(src) if src is not None else None
-            witness = f"addr={iv!r}"
-            if src_org is not None and src_org.space is not None:
-                witness += f" base={src_org.space[0]}:{src_org.name}"
-            record[pc] = SiteProof(
-                pc=pc,
-                kind=kind,
-                size=size,
-                null=nullv,
-                align=alignv,
-                bounds=boundsv,
-                witness=witness,
-                loc=li.loc,
-            )
-        return nullv, alignv, boundsv, src
+        iv = self._eval_wf(addr, st.facts)
+        if iv.lo is not None and iv.lo >= NULL_GUARD:
+            nullv = Verdict.PROVEN
+        elif iv.hi is not None and iv.hi < NULL_GUARD:
+            nullv = Verdict.DISPROVEN
+        else:
+            nullv = Verdict.UNPROVEN
+
+        if size == 1:
+            alignv = Verdict.PROVEN
+        else:
+            g = 0
+            for key, coeff in addr.terms.items():
+                org = self.origins.get(key)
+                g = math.gcd(g, abs(coeff) * (org.align if org else 1))
+            if not addr.terms or g % size == 0:
+                alignv = (
+                    Verdict.PROVEN
+                    if addr.const % size == 0
+                    else Verdict.DISPROVEN
+                )
+            else:
+                alignv = Verdict.UNPROVEN
+
+        src_org = self.origins.get(src) if src is not None else None
+        witness = f"addr={iv!r}"
+        if src_org is not None and src_org.space is not None:
+            witness += f" base={src_org.space[0]}:{src_org.name}"
+        record[pc] = SiteProof(
+            pc=pc,
+            kind=kind,
+            size=size,
+            null=nullv,
+            align=alignv,
+            bounds=boundsv,
+            witness=witness,
+            loc=li.loc,
+        )
+        return boundsv, src
 
     def _trap_site(self, st: _State, pc: int, li, record) -> None:
         op = li.op
@@ -1214,7 +1243,7 @@ class _KernelAnalyzer:
             else:
                 trapv = Verdict.UNPROVEN
             witness = f"operand=({lo}, {hi})"
-        if record is not None and pc not in record:
+        if pc not in record:
             record[pc] = SiteProof(
                 pc=pc,
                 kind=kind,
@@ -1300,39 +1329,46 @@ class _KernelAnalyzer:
         # edge expressions of each merge origin: mkey -> expr on that edge
         sub_cur: dict = {}
         sub_inc: dict = {}
+        # Registers dead at the join are never read again on any path.
+        # The walk keeps the union's set order: normalizing a register
+        # reads the phi identities already updated for earlier ones, so
+        # the order is part of the result.
         live = self._live_i.get(leader, -1)
-        for i in set(cur.ir) | set(inc.ir):
+        cir, iir = cur.ir, inc.ir
+        for i in set(cir) | set(iir):
             if not live >> i & 1:
-                continue  # dead at the join: never read again on any path
-            e1 = self._phi_norm(cur.ir.get(i, _ZERO))
-            e2 = self._phi_norm(inc.ir.get(i, _ZERO))
+                continue
+            a = cir.get(i, _ZERO)
+            b = iir.get(i, _ZERO)
+            e1 = self._phi_norm(a)
+            # equal edge expressions normalize to equal expressions
+            e2 = e1 if a == b else self._phi_norm(b)
             mkey = ("m", leader, i)
-            # phi-self simplification: an edge carrying exactly this
-            # join's own merge origin says "unchanged since the last
-            # join here", so the phi collapses to the other operand
-            # (loop-invariant registers keep their preheader identity
-            # instead of being widened by a one-sweep-stale back edge)
-            phi_self = _Expr.of(mkey)
-            if e1 == phi_self and e2 != phi_self and i not in folded:
-                merged.ir[i] = e2
-                self.phi_val[mkey] = e2
-                continue
-            if e2 == phi_self and e1 != phi_self and i not in folded:
-                merged.ir[i] = e1
-                self.phi_val[mkey] = e1
-                continue
             if e1 == e2:
-                dirty_self = any(
-                    k[0] == "m"
-                    and k[1] == leader
-                    and (k != mkey or e1.terms[k] != 1 or len(e1.terms) > 1 or e1.const != 0)
-                    for k in e1.terms
-                    if isinstance(k, tuple)
-                )
-                if not dirty_self:
+                if not _mentions_leader(e1, leader):
                     merged.ir[i] = e1
-                    if e1 != phi_self:
-                        self.phi_val[mkey] = e1
+                    self.phi_val[mkey] = e1
+                    continue
+                if _is_origin(e1, mkey):
+                    merged.ir[i] = e1
+                    continue
+                if e2 is e1 and a is not b:
+                    # a real merge keeps each edge's own term order: the
+                    # fact join picks its rewrite pivots in that order
+                    e2 = self._phi_norm(b)
+            elif i not in folded:
+                # phi-self simplification: an edge carrying exactly this
+                # join's own merge origin says "unchanged since the last
+                # join here", so the phi collapses to the other operand
+                # (loop-invariant registers keep their preheader identity
+                # instead of being widened by a one-sweep-stale back edge)
+                if _is_origin(e1, mkey):
+                    merged.ir[i] = e2
+                    self.phi_val[mkey] = e2
+                    continue
+                if _is_origin(e2, mkey):
+                    merged.ir[i] = e1
+                    self.phi_val[mkey] = e1
                     continue
             iv_in = self._eval(e1).join(self._eval(e2))
             al_in = math.gcd(self._value_align(e1), self._value_align(e2)) or 1
@@ -1353,12 +1389,12 @@ class _KernelAnalyzer:
             sub_cur[mkey] = e1
             sub_inc[mkey] = e2
 
-        live_f = self._live_f.get(leader, -1)
-        for i in set(cur.fr) | set(inc.fr):
-            if not live_f >> i & 1:
+        cfr, ifr = cur.fr, inc.fr
+        for i in self._live_fregs[leader]:
+            if i not in cfr and i not in ifr:
                 continue
-            v1 = cur.fr.get(i, (0.0, 0.0))
-            v2 = inc.fr.get(i, (0.0, 0.0))
+            v1 = cfr.get(i, (0.0, 0.0))
+            v2 = ifr.get(i, (0.0, 0.0))
             if v1 == v2:
                 merged.fr[i] = v1
             elif widen_floats:

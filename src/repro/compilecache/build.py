@@ -10,8 +10,10 @@ A finished module is stamped ``metadata["executable"] = True``; loaders
 recognize the stamp and skip straight to image loading, which is what
 lets one finalized module be shared across loaders, devices and tenants
 (loading is read-only: per-image state lives in
-:class:`~repro.gpu.device.DeviceImage`, and the compiled backend caches
-lowered kernels per image, not per module).
+:class:`~repro.gpu.device.DeviceImage`).  The lowered kernels, and the
+compiled programs cached on them, are kept per executable module and
+shared by every image of it, so a k-device pool lowers and generates
+code once per kernel, not k times.
 """
 
 from __future__ import annotations

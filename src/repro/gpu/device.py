@@ -12,6 +12,7 @@ run hundreds of launches against one device without leaking the arena.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -41,6 +42,11 @@ TRACE_TEAM_LIMIT = 64
 #: virtual-register count of our unallocated IR is not meaningful hardware
 #: pressure, so a fixed realistic figure is used).
 HW_REGS_PER_THREAD = 32
+
+
+#: Serializes first-launch lowering, which may fill a dict shared by
+#: devices on several threads.
+_LOWER_LOCK = threading.Lock()
 
 
 @dataclass
@@ -189,6 +195,15 @@ class GPUDevice:
         if reg_blob:
             self.memory.write_bytes(base, reg_blob)
         symbols = {name: base + off for name, off in reg_off.items()}
+        from repro.compilecache.build import is_executable
+
+        # An executable is read-only once built, and a lowered kernel
+        # resolves globals through its launch context, so neither it nor
+        # the compiled programs cached on it depend on the image: every
+        # image of an executable shares ``module.lowered``.  Other modules
+        # (hand-built kernels that may be edited between loads) lower
+        # once per image.
+        lowered = module.lowered if is_executable(module) else {}
         return DeviceImage(
             module=module,
             base=base,
@@ -198,6 +213,7 @@ class GPUDevice:
             team_local_offsets=tl_off,
             team_local_size=len(tl_blob),
             team_local_template=tl_blob,
+            lowered=lowered,
         )
 
     def reset_image(self, image: DeviceImage) -> None:
@@ -285,6 +301,18 @@ class GPUDevice:
     # ------------------------------------------------------------------
     # launching
     # ------------------------------------------------------------------
+    def _lower(self, image: DeviceImage, kernel_name: str) -> LoweredKernel:
+        fn = image.module.get_function(kernel_name)
+        kern = lower_kernel(fn, tracer=self.tracer, metrics=self.metrics)
+        # Attach the build-time safety certificate (if the module was
+        # stamped) so certificate-aware backends can elide guards.
+        certs = image.module.metadata.get(SAFETY_META)
+        if isinstance(certs, dict):
+            cert = certs.get(kernel_name)
+            if cert is not None:
+                kern.backend_cache[SAFETY_CERT_KEY] = cert
+        return kern
+
     def launch(
         self,
         image: DeviceImage,
@@ -326,16 +354,11 @@ class GPUDevice:
 
         kern = image.lowered.get(kernel_name)
         if kern is None:
-            fn = image.module.get_function(kernel_name)
-            kern = lower_kernel(fn, tracer=self.tracer, metrics=self.metrics)
-            image.lowered[kernel_name] = kern
-            # Attach the build-time safety certificate (if the module was
-            # stamped) so certificate-aware backends can elide guards.
-            certs = image.module.metadata.get(SAFETY_META)
-            if isinstance(certs, dict):
-                cert = certs.get(kernel_name)
-                if cert is not None:
-                    kern.backend_cache[SAFETY_CERT_KEY] = cert
+            with _LOWER_LOCK:
+                kern = image.lowered.get(kernel_name)
+                if kern is None:
+                    kern = self._lower(image, kernel_name)
+                    image.lowered[kernel_name] = kern
 
         if self.metrics is not None:
             cert = kern.backend_cache.get(SAFETY_CERT_KEY)

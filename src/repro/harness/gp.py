@@ -49,6 +49,7 @@ from repro.compilecache import (
 )
 from repro.config import DeviceConfig
 from repro.host.results import Observables
+from repro.runtime.backend import DEFAULT_BACKEND
 
 #: The evolutionary target: ``x*x + 2*x + 1`` — reachable by the genome
 #: grammar, so fitness actually improves across generations.
@@ -71,7 +72,7 @@ class GPConfig:
     mutation_prob: float = 0.25
     tournament: int = 3
     opt_level: int | None = 1
-    backend: str = "interp"
+    backend: str = DEFAULT_BACKEND
     thread_limit: int = 16
     heap_bytes: int = 1 << 20
     max_workers: int | None = None
@@ -405,7 +406,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--points", type=int, default=gp.DEFAULT_POINTS)
     parser.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=1)
-    parser.add_argument("--backend", default="interp")
+    parser.add_argument("--backend", default=DEFAULT_BACKEND)
     parser.add_argument("--devices", type=int, default=1)
     parser.add_argument("--inject", metavar="PLAN", default=None)
     parser.add_argument("--cache-dir", default=None)

@@ -128,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=DEFAULT_BACKEND,
         choices=available_backends(),
-        help="execution engine: 'interp' (reference SIMT interpreter) or "
-        "'compiled' (block-compiled threaded code; bitwise-identical "
-        "results, faster)",
+        help="execution engine: 'compiled' (the default: block-compiled "
+        "threaded code, bitwise-identical results, faster) or 'interp' "
+        "(the reference SIMT interpreter)",
     )
     parser.add_argument(
         "--allow-races",

@@ -14,10 +14,10 @@ timing collection), and is accepted uniformly by
 
 Since v2.0 the spec is the only accepted shape (the v1 raw-source call
 shapes raise ``TypeError`` with a migration hint).  The spec also names
-the :mod:`execution backend <repro.runtime.backend>` — the reference SIMT
-interpreter (``"interp"``) or the compiled block-table engine
-(``"compiled"``) — so a whole campaign switches engines by changing one
-field.
+the :mod:`execution backend <repro.runtime.backend>` — the compiled
+block-table engine (``"compiled"``, the default) or the reference SIMT
+interpreter (``"interp"``) — so a whole campaign switches engines by
+changing one field.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class LaunchSpec:
     max_steps: int = DEFAULT_MAX_STEPS
     collect_timing: bool = True
     #: Execution engine for every launch of this workload: a name from
-    #: :func:`repro.runtime.backend.available_backends` (``"interp"`` —
-    #: the reference SIMT interpreter — or ``"compiled"``, the block-table
-    #: engine).  Results are bitwise-identical across backends.
+    #: :func:`repro.runtime.backend.available_backends` (``"compiled"``,
+    #: the block-table engine and the default, or ``"interp"``, the
+    #: reference SIMT interpreter).  Results are bitwise-identical across
+    #: backends.
     backend: str = DEFAULT_BACKEND
     #: Optional chaos plan (a :class:`~repro.faults.plan.FaultPlan` or its
     #: spec-string form) carried with the workload; the entry surface that

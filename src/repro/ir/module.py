@@ -184,6 +184,19 @@ class Module:
         self.globals: dict[str, GlobalVar] = {}
         self.extern_host: set[str] = set()
         self.metadata: dict = {}
+        #: Lowered kernels by name, shared by every device image of a
+        #: finalized executable (see :meth:`repro.gpu.device.GPUDevice.
+        #: load_image`).  Run-time artifacts: never pickled.
+        self.lowered: dict = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("lowered", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lowered = {}
 
     def add_function(self, fn: Function) -> Function:
         if fn.name in self.functions:

@@ -14,8 +14,14 @@ Two engines ship with the simulator, both implementing the
   stretches.  Bitwise-identical results, same memory model, same
   trace/metrics hooks, same fault-injection points.
 
+``compiled`` is the default (:data:`DEFAULT_BACKEND`) for every entry
+point; ``interp`` stays the specification and the differential oracle.
+The one difference a user can see is the ``max_steps`` livelock guard,
+which the compiled engine checks per block: a livelock trap may retire
+up to one basic block more than the interpreter would.
+
 Selection is part of the launch description:
-``LaunchSpec(backend="compiled")`` threads through ``run_ensemble``,
+``LaunchSpec(backend="interp")`` threads through ``run_ensemble``,
 ``Scheduler.submit``, and the CLI's ``--backend`` down to
 :meth:`repro.gpu.device.GPUDevice.launch`.  Callers with custom engines
 may also pass any object implementing the protocol, or register one
@@ -32,8 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.interpreter import BlockContext
     from repro.runtime.machine import LoweredKernel
 
-#: Name of the default execution engine.
-DEFAULT_BACKEND = "interp"
+#: Name of the default execution engine (the interpreter is the oracle,
+#: not the default).
+DEFAULT_BACKEND = "compiled"
 
 
 @runtime_checkable

@@ -476,7 +476,9 @@ def compile_kernel(
 
     ``cert`` (a :class:`~repro.analysis.safety.SafetyCertificate`) plus
     ``safety_mode`` select guard emission per site; artifacts are cached
-    per (mode, certificate) so modes never share code objects.
+    per (mode, certificate) so modes never share code objects.  Two
+    threads missing the cache at once both generate the same source from
+    the same inputs, so whichever artifact is stored last is equivalent.
     """
     if safety_mode not in SAFETY_MODES:
         raise ValueError(

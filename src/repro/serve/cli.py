@@ -159,7 +159,11 @@ def build_submit_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND, choices=available_backends()
+        "--backend",
+        default=DEFAULT_BACKEND,
+        choices=available_backends(),
+        help=f"execution engine (default: {DEFAULT_BACKEND}; 'interp' is "
+        "the reference interpreter)",
     )
     parser.add_argument("--no-timing", action="store_true")
     parser.add_argument("--allow-races", action="store_true")

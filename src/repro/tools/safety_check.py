@@ -1,6 +1,6 @@
 """CI gate for the static safety analyzer (``make safety-check``).
 
-Two legs, both of which must hold for the gate to pass:
+Three legs, all of which must hold for the gate to pass:
 
 * **Registry coverage** — every ported application, compiled at ``-O2``,
   must certify with zero DISPROVEN sites and at least
@@ -9,13 +9,19 @@ Two legs, both of which must hold for the gate to pass:
 * **Broken fixtures** — known-unsafe programs (a constant out-of-bounds
   load, a guaranteed division by zero) must produce DISPROVEN sites and
   trip the ``static-oob`` / ``static-trap`` checkers at ERROR severity.
+* **Per-app mutants** — a negative control for every registry app: one
+  ``parallel_range`` whose bound is the extent of a buffer it indexes is
+  raised by one, and no access in the mutated loop may then be
+  bounds-PROVEN (:func:`check_mutants`).
 
-Exit status: ``0`` when both legs hold, ``1`` otherwise.
+Exit status: ``0`` when every leg holds, ``1`` otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 import sys
 
 #: Minimum guard-free fraction of memory sites per wrapper kernel.
@@ -110,8 +116,127 @@ def check_broken_fixtures() -> bool:
     return ok
 
 
+_LOOP = re.compile(r"^(\s*)for (\w+) in dgpu\.parallel_range\((.+)\):")
+_MALLOC = re.compile(r"(\w+) = malloc_\w+\((.+)\)")
+
+
+def bound_loops(source: str) -> list[tuple[int, str, list[int]]]:
+    """Every ``parallel_range`` of ``source`` whose bound is the extent
+    of a buffer its loop body indexes: ``(line, bound, body lines)``,
+    0-based.
+
+    Literal bounds are skipped: malloc rounds a request up to a 256-byte
+    block and bounds proofs are about the block (``docs/safety.md``), so
+    one element past a small constant extent can still be in bounds.
+    """
+    lines = source.splitlines()
+    extents: dict[str, set[str]] = {}
+    for ln in lines:
+        m = _MALLOC.search(ln)
+        if m:
+            extents.setdefault(m.group(2).strip(), set()).add(m.group(1))
+    loops = []
+    for idx, ln in enumerate(lines):
+        m = _LOOP.match(ln)
+        if not m:
+            continue
+        indent, var, bound = m.group(1), m.group(2), m.group(3).strip()
+        if bound not in extents or bound.isdigit():
+            continue
+        body = []
+        for j in range(idx + 1, len(lines)):
+            if lines[j].strip() and not lines[j].startswith(indent + " "):
+                break
+            body.append(j)
+        if any(f"{b}[{var}]" in lines[j] for j in body for b in extents[bound]):
+            loops.append((idx, bound, body))
+    return loops
+
+
+def build_with_bound(name: str, loop, raise_by: int, opt_level: int):
+    """The -O``opt_level`` executable of registry app ``name`` with the
+    bound of ``loop`` (from :func:`bound_loops`) raised by ``raise_by``.
+
+    The loop body's memory accesses get their source line negated, so
+    they stay recognizable through inlining and lowering (no real source
+    line is negative).  Returns ``(module, the loop's source line)``.
+    """
+    from repro.apps.registry import APPS
+    from repro.compilecache.build import build_executable
+    from repro.ir.instructions import Opcode
+
+    idx, bound, body = loop
+    program = APPS[name].build_program()
+    sf = program.functions["main"]
+    lines = sf.source.splitlines()
+    if raise_by:
+        lines[idx] = lines[idx].replace(
+            f"parallel_range({bound})", f"parallel_range({bound} + {raise_by})", 1
+        )
+    program.functions["main"] = dataclasses.replace(sf, text="\n".join(lines) + "\n")
+    module = program.compile()
+    base = sf.pyfunc.__code__.co_firstlineno
+    body_lines = {base + j for j in body}
+    for instr in module.get_function("main").iter_instrs():
+        loc = instr.meta.get("loc")
+        if instr.op in (Opcode.LOAD, Opcode.STORE) and loc and loc[0] in body_lines:
+            instr.meta["loc"] = (-loc[0], *loc[1:])
+    return build_executable(module, opt_level=opt_level), lines[idx].strip()
+
+
+def loop_verdicts(module) -> list:
+    """Bounds verdicts of the marked loop-body sites of ``module``."""
+    from repro.analysis.safety import certify_module
+
+    return [
+        p.bounds
+        for cert in certify_module(module).values()
+        for p in cert.mem_sites()
+        if p.loc and p.loc[0] < 0
+    ]
+
+
+def check_mutants(opt_level: int) -> bool:
+    """Negative control per registry app: raise one loop bound past its
+    buffer's extent; no access in the loop may then be bounds-PROVEN.
+
+    The loop is the first one whose accesses are all bounds-PROVEN as
+    written (the twin), so the mutant removes a proof the analyzer makes;
+    an app with no such loop mutates its first candidate and says so.
+    """
+    from repro.analysis.safety import Verdict
+    from repro.apps.registry import APPS
+
+    ok = True
+    print(f"== per-app mutants at -O{opt_level} (loop bound raised by one)")
+    for name in sorted(APPS):
+        loops = bound_loops(APPS[name].build_program().functions["main"].source)
+        if not loops:
+            print(f"  {name:10s} no parallel_range over a buffer extent  [FAIL]")
+            ok = False
+            continue
+        for loop in loops:
+            twin, _ = build_with_bound(name, loop, 0, opt_level)
+            twin_proven = all(v is Verdict.PROVEN for v in loop_verdicts(twin))
+            if twin_proven:
+                break
+        else:
+            loop = loops[0]
+        mutant, what = build_with_bound(name, loop, 1, opt_level)
+        verdicts = loop_verdicts(mutant)
+        proven = verdicts.count(Verdict.PROVEN)
+        good = bool(verdicts) and not proven
+        twin = "twin proven" if twin_proven else "twin UNPROVEN"
+        print(
+            f"  {name:10s} {len(verdicts):3d} mutated site(s), {proven} "
+            f"bounds-PROVEN, {twin}  [{'ok' if good else 'FAIL'}]  {what}"
+        )
+        ok &= good
+    return ok
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run both gates, exit 0 on pass, 1 on failure."""
+    """CLI entry point: run every leg, exit 0 on pass, 1 on failure."""
     parser = argparse.ArgumentParser(
         prog="repro-safety-check",
         description="Gate the static safety analyzer over the app registry.",
@@ -127,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = check_registry(args.opt_level, args.min_coverage)
     ok &= check_broken_fixtures()
+    ok &= check_mutants(args.opt_level)
     print("safety-check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

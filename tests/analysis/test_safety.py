@@ -11,12 +11,18 @@ from repro.analysis.safety import (
     certificates_for,
     certify_module,
 )
+from repro.apps.registry import APPS
 from repro.compilecache.build import build_executable
 from repro.errors import DeviceTrap, LoaderError
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
-from repro.tools.safety_check import BROKEN
+from repro.tools.safety_check import (
+    BROKEN,
+    bound_loops,
+    build_with_bound,
+    loop_verdicts,
+)
 from tests.oracle import Config, check, source_input
 from tests.util import SMALL_DEVICE
 
@@ -136,3 +142,30 @@ class TestSafetyModes:
             _loader(SAFE).run(
                 [], thread_limit=8, collect_timing=False, safety_mode="yolo"
             )
+
+
+class TestMutants:
+    """The per-app negative control of ``make safety-check``."""
+
+    def test_bound_loops_skip_literal_extents(self):
+        src = (
+            "def main(argc: i64, argv: ptr_ptr) -> i64:\n"
+            "    w = malloc_f64(5)\n"
+            "    a = malloc_f64(n)\n"
+            "    for k in dgpu.parallel_range(5):\n"
+            "        w[k] = 1.0\n"
+            "    for j in dgpu.parallel_range(n):\n"
+            "        a[j] = 2.0\n"
+            "    return 0\n"
+        )
+        assert bound_loops(src) == [(5, "n", [6])]
+
+    def test_raised_bound_loses_the_proof_its_twin_has(self):
+        src = APPS["stream"].build_program().functions["main"].source
+        loop = bound_loops(src)[0]
+        verdicts = {}
+        for raise_by in (0, 1):
+            module, _ = build_with_bound("stream", loop, raise_by, 2)
+            verdicts[raise_by] = set(loop_verdicts(module))
+        assert verdicts[0] == {Verdict.PROVEN}
+        assert Verdict.PROVEN not in verdicts[1] and verdicts[1]

@@ -200,9 +200,9 @@ class TestBackendFlag:
         )
         assert args.backend == "compiled"
 
-    def test_backend_defaults_to_interp(self):
+    def test_backend_defaults_to_compiled(self):
         args = build_parser().parse_args(["--app", "rsbench", "-f", "a.txt"])
-        assert args.backend == "interp"
+        assert args.backend == "compiled"
 
     def test_unknown_backend_rejected_by_argparse(self, argfile):
         with pytest.raises(SystemExit):

@@ -9,9 +9,12 @@ differ.  A new axis is a ``PRESERVES`` row, not a new fingerprint
 helper; ``docs/internals.md`` ("Equivalence contract") mirrors the table
 and ``tests/test_documentation.py`` keeps the two in step.
 
-Programs come from the registry apps (:func:`app_input`) and from the
+Programs come from the registry apps (:func:`app_input`), from the
 Hypothesis generator (:data:`program_specs`, :func:`render`), which can
-plant an argc-dependent trap site (:data:`TRAP_SITES`).
+plant an argc-dependent trap site (:data:`TRAP_SITES`), and from the
+soundness probes (:data:`BOUNDS_PROBES`, :data:`ALIGN_PROBES`): sites
+whose ground truth is known by construction, each next to a twin the
+safety analyzer must keep proving.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
+from repro.analysis.safety import certificates_for
 from repro.apps.registry import APPS
 from repro.compilecache import ExecutableCache
 from repro.config import DEFAULT_DEVICE, DeviceConfig
@@ -31,6 +35,8 @@ from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.host.results import Observables
+from repro.ir.instructions import Opcode
+from repro.runtime.compiled import SAFETY_MODES
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE, trace_fields
 
@@ -64,7 +70,15 @@ class Config:
         return f"Config({axes})"
 
 
-ORACLE = Config()
+#: Pinned to the interpreter, which is the specification: the oracle
+#: does not follow :data:`repro.runtime.backend.DEFAULT_BACKEND`.
+ORACLE = Config(backend="interp")
+
+#: The compiled backend in every safety mode at -O1 and -O2 (one shared
+#: executable per level through the cache), plus the interpreter at -O2.
+SAFETY_MATRIX = [Config(opt_level=2)] + [
+    Config("compiled", o, m, cache=True) for o in (1, 2) for m in SAFETY_MODES
+]
 
 #: The fields each axis keeps.  -O2 legitimately moves steps and cycles;
 #: a campaign result carries no traces; the device count and a recovered
@@ -299,3 +313,121 @@ def render(spec, trap: str | None = None) -> str:
         lines.append('    printf("sum %d\\n", total[0])')
     lines.append("    return total[0] & 255")
     return "\n".join(lines)
+
+
+#: Soundness probes for the bounds proofs: name -> (out-of-range, twin),
+#: each a ``(loop, access)`` pair rendered by :func:`render_probe`.  The
+#: out-of-range load reads one element past either end of an
+#: ``n``-element buffer; its twin stays inside.  ``n`` is
+#: :data:`PROBE_N`, so ``8 * n`` bytes fill whole 256-byte malloc blocks
+#: and one element past the request is also past the block, the extent
+#: the analyzer checks against.
+BOUNDS_PROBES = {
+    "index+1": (
+        ("dgpu.parallel_range({n})", "buf[i + 1]"),
+        ("dgpu.parallel_range({n})", "buf[i]"),
+    ),
+    "index-1": (
+        ("dgpu.parallel_range({n})", "buf[i - 1]"),
+        ("dgpu.parallel_range({n})", "buf[{n} - 1 - i]"),
+    ),
+    "parallel_range n+1": (
+        ("dgpu.parallel_range({n} + 1)", "buf[i]"),
+        ("dgpu.parallel_range({n})", "buf[i]"),
+    ),
+    "range n+1": (
+        ("range({n} + 1)", "buf[i]"),
+        ("range({n})", "buf[i]"),
+    ),
+}
+
+#: Soundness probes for the alignment proofs: name -> (probe line, the
+#: value it adds to ``out``).  The line's i64 access ``buf[1]`` moves at
+#: the IR level (the DSL has no byte-offset pointer cast) by
+#: :data:`MISALIGNED_BY` bytes, or for the twin by 8 (one element),
+#: which stays aligned and in bounds.
+ALIGN_PROBES = {
+    "load": ("v = buf[1]", "v"),
+    "store": ("buf[1] = 7", "1"),
+}
+MISALIGNED_BY = 4
+
+#: A multiple of 32, so an ``i64`` buffer of this length is whole malloc
+#: blocks.
+PROBE_N = 32
+
+_PROBE = """\
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64({n})
+    out = malloc_i64({n})
+    for i in dgpu.parallel_range({n}):
+        buf[i] = i * 3 + 1
+        out[i] = 0
+    dgpu.barrier()
+    for i in {loop}:
+        {line}  # probe
+        out[i % {n}] = out[i % {n}] + {value}
+    dgpu.barrier()
+    total = malloc_i64(1)
+    total[0] = 0
+    for j in range({n}):
+        total[0] = total[0] + out[j] * (j + 1)
+    return total[0] & 255
+"""
+
+#: The probe line's 1-based line number, which source locations carry.
+PROBE_LINE = 1 + _PROBE.splitlines().index("        {line}  # probe")
+
+
+class ShiftedProgram(Program):
+    """A program whose probe-line memory access moves by ``shift`` bytes
+    when compiled."""
+
+    shift = 0
+
+    def compile(self):
+        module = super().compile()
+        access = (Opcode.LOAD, Opcode.STORE)
+        for instr in module.get_function("main").iter_instrs():
+            loc = instr.meta.get("loc")
+            if instr.op in access and loc and loc[0] == PROBE_LINE:
+                instr.offset += self.shift
+        return module
+
+
+def render_probe(loop: str, line: str, value: str = "v") -> str:
+    """DSL source with ``line`` on :data:`PROBE_LINE` inside ``loop``,
+    each iteration adding ``value`` to ``out``."""
+    n = PROBE_N
+    return _PROBE.format(
+        n=n, loop=loop.format(n=n), line=line.format(n=n), value=value
+    )
+
+
+def bounds_probe(name: str, twin: bool = False) -> Input:
+    """The out-of-range load of :data:`BOUNDS_PROBES` ``name``, or its
+    twin, as an oracle input."""
+    loop, access = BOUNDS_PROBES[name][twin]
+    return source_input(render_probe(loop, f"v = {access}"))
+
+
+def align_probe(name: str, twin: bool = False) -> Input:
+    """The misaligned access of :data:`ALIGN_PROBES` ``name``, or its
+    aligned twin, as an oracle input (``allow_unsafe``: a statically
+    misaligned site is DISPROVEN, which the loader otherwise refuses)."""
+    prog = ShiftedProgram.from_source(
+        render_probe("range(1)", *ALIGN_PROBES[name]), name="probe"
+    )
+    prog.shift = 8 if twin else MISALIGNED_BY
+    return Input(prog, allow_unsafe=True)
+
+
+def probe_sites(module) -> list:
+    """The :class:`~repro.analysis.safety.SiteProof` of every memory site
+    on :data:`PROBE_LINE`, over every kernel of a loaded module."""
+    return [
+        proof
+        for cert in certificates_for(module).values()
+        for proof in cert.mem_sites()
+        if proof.loc and proof.loc[0] == PROBE_LINE
+    ]

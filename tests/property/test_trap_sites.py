@@ -21,23 +21,17 @@ from hypothesis import strategies as st
 
 import repro.analysis.safety as safety
 from repro.analysis.safety import Verdict
-from repro.runtime.compiled import SAFETY_MODES
 from tests.oracle import (
     ORACLE,
+    SAFETY_MATRIX,
     TRAP_DEVICE,
     TRAP_SITES,
-    Config,
     check,
     program_specs,
     render,
     source_input,
 )
 
-#: backend × safety mode × -O level (the interpreter ignores the mode);
-#: the compiled runs share one executable per level through the cache.
-MATRIX = [Config(opt_level=2)] + [
-    Config("compiled", o, m, cache=True) for o in (1, 2) for m in SAFETY_MODES
-]
 SPEC = (16, 3, 2, True, True, True, True)
 
 
@@ -48,7 +42,7 @@ def trap_input(spec, site):
 @settings(max_examples=12, deadline=None)
 @given(program_specs, st.sampled_from(sorted(TRAP_SITES)))
 def test_trap_text_matches_the_interpreter(spec, site):
-    assert check(trap_input(spec, site), MATRIX)[ORACLE].obs.trap
+    assert check(trap_input(spec, site), SAFETY_MATRIX)[ORACLE].obs.trap
 
 
 #: What each site's trap says after the ``device trap:`` prefix.
@@ -63,7 +57,7 @@ TRAP_TEXT = {
 def test_trap_text_has_one_prefix(site):
     """Memory faults re-trap with their own message: one ``device trap:``
     prefix, negative addresses as ``-0x…``."""
-    trap = check(trap_input(SPEC, site), MATRIX)[ORACLE].obs.trap
+    trap = check(trap_input(SPEC, site), SAFETY_MATRIX)[ORACLE].obs.trap
     assert re.fullmatch(rf"device trap: {TRAP_TEXT[site]} \[team 0, .*\]", trap)
 
 
@@ -80,6 +74,6 @@ def test_forged_proofs_fail_the_oracle(monkeypatch, site):
         return dataclasses.replace(cert, sites=sites)
 
     monkeypatch.setattr(safety, "analyze_kernel", forged)
-    asserting = [c for c in MATRIX if c.safety_mode == "assert"]
+    asserting = [c for c in SAFETY_MATRIX if c.safety_mode == "assert"]
     with pytest.raises(AssertionError, match="safety certificate violated"):
         check(trap_input(SPEC, site), asserting)

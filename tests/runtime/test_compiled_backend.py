@@ -3,6 +3,7 @@ backend-selection API, and trap parity with the interpreter."""
 
 import pytest
 
+from repro.compilecache import ExecutableCache
 from repro.errors import DeviceTrap, LaunchError
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
@@ -17,6 +18,8 @@ from repro.runtime.backend import (
     get_backend,
 )
 from repro.runtime.compiled import CACHE_KEY, SAFETY_CERT_KEY, compile_kernel
+from repro.runtime.kernel import ENSEMBLE_KERNEL
+from repro.sched import DevicePool, Scheduler
 
 
 def _compiled_entry(kernel):
@@ -59,8 +62,12 @@ class TestBackendRegistry:
     def test_both_engines_registered(self):
         assert available_backends() == ["compiled", "interp"]
 
-    def test_default_is_the_interpreter(self):
-        assert DEFAULT_BACKEND == "interp"
+    def test_default_is_compiled(self):
+        assert DEFAULT_BACKEND == "compiled"
+
+    def test_oracle_stays_on_the_interpreter(self):
+        """The differential oracle is pinned, not the default."""
+        assert ORACLE.backend == "interp" != DEFAULT_BACKEND
 
     def test_get_backend_resolves_names(self):
         assert isinstance(get_backend("interp"), InterpreterBackend)
@@ -130,6 +137,53 @@ class TestCompilation:
         src = _compiled_entry(kernel)[1].source
         assert "def _blk0(mask, full" in src
         assert "if full:" in src
+
+
+    def test_pool_lowers_and_generates_once_per_kernel(self, monkeypatch):
+        """Two devices running one cached executable share its lowered
+        kernels and their generated code: one lowering per kernel, one
+        program per kernel and safety mode."""
+        import repro.gpu.device as device_mod
+        import repro.runtime.compiled as compiled_mod
+
+        lowered, generated = [], {}
+        real_lower, real_compile = device_mod.lower_kernel, compiled_mod.compile_kernel
+
+        def lower(fn, **kw):
+            lowered.append(fn.name)
+            return real_lower(fn, **kw)
+
+        def compile_(kernel, **kw):
+            program = real_compile(kernel, **kw)
+            key = (kernel.name, kw.get("safety_mode"))
+            generated.setdefault(key, set()).add(id(program))
+            return program
+
+        monkeypatch.setattr(device_mod, "lower_kernel", lower)
+        monkeypatch.setattr(compiled_mod, "compile_kernel", compile_)
+        pool = DevicePool(2, config=SMALL_DEVICE)
+        try:
+            sched = Scheduler(pool, cache=ExecutableCache())
+            program = Program.from_source(SIMPLE)
+            for mode in ("unchecked", "checked"):
+                spec = LaunchSpec(
+                    [[]], thread_limit=32, collect_timing=False, safety_mode=mode
+                )
+                jobs = [
+                    sched.submit(program, spec, loader_opts={"heap_bytes": 1 << 20})
+                    for _ in range(2)
+                ]
+                for job in jobs:
+                    assert job.result().instances[0].exit_code == 208
+            devices = sched.stats.summary()["devices"]
+        finally:
+            pool.close()
+        assert all(d["batches"] == 2 for d in devices.values()), devices
+        assert lowered == [ENSEMBLE_KERNEL]
+        assert {key: len(ids) for key, ids in generated.items()} == {
+            (ENSEMBLE_KERNEL, "unchecked"): 1,
+            (ENSEMBLE_KERNEL, "checked"): 1,
+        }
 
 
 class TestTrapParity:
