@@ -64,14 +64,14 @@ import math
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.ranges import Interval
+from repro.analysis.ranges import _LIMIT, TOP, Interval
 from repro.gpu.memory import NULL_GUARD
 from repro.ir.instructions import Opcode
 
 #: Bump on any change to the abstract domain, the contracts, or the
 #: verdict semantics: the compile cache folds this into its pipeline
 #: fingerprint, so stale certificates become structurally unreachable.
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: Module metadata key under which certificates are stamped
 #: (``dict[kernel_name, SafetyCertificate]``).
@@ -214,13 +214,17 @@ class SafetyCertificate:
 
 
 class _Expr:
-    """``const + sum(coeff * origin)`` with integer coefficients."""
+    """``const + sum(coeff * origin)`` with integer coefficients.
 
-    __slots__ = ("const", "terms")
+    Immutable once built: every operation returns a fresh expression, so
+    the merge-origin flag is computed at most once per object."""
+
+    __slots__ = ("const", "terms", "_merge")
 
     def __init__(self, const: int = 0, terms: dict | None = None):
         self.const = const
         self.terms = terms or {}
+        self._merge = None
 
     @staticmethod
     def of(key) -> "_Expr":
@@ -256,9 +260,21 @@ class _Expr:
     def is_const(self) -> bool:
         return not self.terms
 
-    def form(self) -> tuple:
-        """Canonical terms-only key (const stripped)."""
-        return tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
+    @property
+    def has_merge(self) -> bool:
+        """Mentions some join's merge origin (phi normalization only ever
+        rewrites those)."""
+        m = self._merge
+        if m is None:
+            m = self._merge = any(k[0] == "m" for k in self.terms)
+        return m
+
+    def form(self, rkeys: "_ReprKeys") -> tuple:
+        """Canonical terms-only key (const stripped), ordered by the
+        ``repr`` of each origin key."""
+        if len(self.terms) < 2:
+            return tuple(self.terms.items())
+        return tuple(sorted(self.terms.items(), key=lambda kv: rkeys[kv[0]]))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -269,13 +285,19 @@ class _Expr:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.const, self.form()))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"{c}*{o}" for o, c in self.terms.items()]
         parts.append(str(self.const))
         return " + ".join(parts)
+
+
+class _ReprKeys(dict):
+    """Memoized ``repr`` of origin keys, the sort key of canonical forms
+    (one table per analyzer run)."""
+
+    def __missing__(self, key) -> str:
+        r = self[key] = repr(key)
+        return r
 
 
 _ZERO = _Expr(0)
@@ -349,9 +371,19 @@ def _mentions(form: tuple, key) -> bool:
     return any(k == key for k, _ in form)
 
 
+def _has_merge(form: tuple) -> bool:
+    """``form`` mentions some join's merge origin."""
+    return any(k[0] == "m" for k, _ in form)
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _is_origin(e: _Expr, key) -> bool:
@@ -361,10 +393,11 @@ def _is_origin(e: _Expr, key) -> bool:
 
 def _mentions_leader(e: _Expr, leader: int) -> bool:
     """``e`` mentions a merge origin of ``leader``'s join."""
-    for k in e.terms:
-        if k[0] == "m" and k[1] == leader:
-            return True
-    return False
+    return e.has_merge and _form_mentions_leader(e.terms.items(), leader)
+
+
+def _form_mentions_leader(form, leader: int) -> bool:
+    return any(k[0] == "m" and k[1] == leader for k, _ in form)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +432,8 @@ class _KernelAnalyzer:
         self.wrapper = wrapper
         self.origins: dict = {}
         self.states: dict[int, _State] = {}
-        self.visits: dict[int, int] = {}
+        self.visits: dict[int, int] = {}  # pairwise joins per leader
+        self.sweeps = 0
         self._argc_at: dict = {}  # delta (form, const) -> argc origin key
         #: what each merge origin currently denotes: a concrete expr if
         #: the last join there collapsed the phi, absent if it is a real
@@ -407,11 +441,12 @@ class _KernelAnalyzer:
         #: so one-sweep-stale echoes of a phi key resolve to its current
         #: identity instead of ping-ponging between nested headers.
         self.phi_val: dict = {}
+        self._rkeys = _ReprKeys()
+        self._atoms: dict = {}
         self._dirty = False
         self._leaders = self._find_leaders()
         self._rpo_index = {pc: i for i, pc in enumerate(self._leaders)}
-        self._live_i: dict[int, int] = {}
-        self._live_f: dict[int, int] = {}
+        self._live_iregs: dict[int, list[int]] = {}
         self._live_fregs: dict[int, list[int]] = {}
         self._liveness()
 
@@ -492,8 +527,7 @@ class _KernelAnalyzer:
                     live_i[bi], live_f[bi] = ni, nf
                     changed = True
         for bi, leader in enumerate(self._leaders):
-            self._live_i[leader] = live_i[bi]
-            self._live_f[leader] = live_f[bi]
+            self._live_iregs[leader] = _bits(live_i[bi])
             self._live_fregs[leader] = _bits(live_f[bi])
 
     # -- origins --------------------------------------------------------
@@ -514,27 +548,55 @@ class _KernelAnalyzer:
         return key
 
     def _kill_origin(self, st: _State, key) -> None:
-        """Drop facts/comparisons that talk about a redefined origin."""
-        st.facts = {
-            f: iv for f, iv in st.facts.items() if not _mentions(f, key)
-        }
-        st.neqz = {fc for fc in st.neqz if not _mentions(fc[0], key)}
-        st.cmp = {
-            r: c
-            for r, c in st.cmp.items()
-            if r != key and key not in c[1].terms and key not in c[2].terms
-        }
+        """Drop facts/comparisons that talk about a redefined origin.
+        Each table is rebuilt only when something in it does (on the
+        registry apps, never: see the soundness notes up top)."""
+        if any(k == key for f in st.facts for k, _ in f):
+            st.facts = {f: iv for f, iv in st.facts.items() if not _mentions(f, key)}
+        if any(k == key for f, _ in st.neqz for k, _ in f):
+            st.neqz = {fc for fc in st.neqz if not _mentions(fc[0], key)}
+        cmp = st.cmp
+        if key in cmp or any(
+            key in a.terms or key in b.terms for _, a, b in cmp.values()
+        ):
+            st.cmp = {
+                r: c
+                for r, c in cmp.items()
+                if r != key and key not in c[1].terms and key not in c[2].terms
+            }
+
+    def _atom(self, x) -> _Expr:
+        """The one shared expression for origin key or int constant ``x``.
+
+        Expressions are immutable, so registers that hold the same atom
+        in every sweep hold the same object, and joins and the
+        convergence check compare them by identity."""
+        e = self._atoms.get(x)
+        if e is None:
+            e = self._atoms[x] = _Expr(x) if isinstance(x, int) else _Expr.of(x)
+        return e
 
     # -- evaluation -----------------------------------------------------
     def _eval(self, e: _Expr) -> Interval:
-        iv = Interval.const(e.const)
-        for key, coeff in e.terms.items():
+        """Interval of ``e`` from its origins' intervals: the fold of
+        ``_iscale`` and ``Interval.add`` over the terms, in plain ints
+        (each scaled term, then each partial sum, is clipped to
+        +-2**63 exactly as those two clip)."""
+        lo = hi = e.const
+        for key, k in e.terms.items():
             org = self.origins.get(key)
-            term = (
-                _iscale(org.iv, coeff) if org is not None else Interval()
-            )
-            iv = iv.add(term)
-        return iv
+            if org is None:
+                return TOP
+            a, b = (org.iv.hi, org.iv.lo) if k < 0 else (org.iv.lo, org.iv.hi)
+            if not k:
+                a = b = 0
+            if lo is not None:
+                t = None if a is None else a * k
+                lo = None if t is None or t < -_LIMIT or lo + t < -_LIMIT else lo + t
+            if hi is not None:
+                t = None if b is None else b * k
+                hi = None if t is None or t > _LIMIT or hi + t > _LIMIT else hi + t
+        return Interval(lo, hi)
 
     def _eval_wf(self, e: _Expr, facts: dict, depth: int = 2) -> Interval:
         """Evaluate with fact refinement: for each fact ``form in itv``
@@ -548,9 +610,15 @@ class _KernelAnalyzer:
                 if not c or c % fcoeff:
                     continue
                 lam = c // fcoeff
-                rest = e.sub(_Expr(0, dict(form)).scale(lam))
+                rest = dict(e.terms)  # e - lam * form
+                for k, fc in form:
+                    n = rest.get(k, 0) - fc * lam
+                    if n:
+                        rest[k] = n
+                    else:
+                        rest.pop(k, None)
                 cand = _iscale(fiv, lam).add(
-                    self._eval_wf(rest, facts, depth - 1)
+                    self._eval_wf(_Expr(e.const, rest), facts, depth - 1)
                 )
                 best = _meet(best, cand)
         return best
@@ -580,7 +648,7 @@ class _KernelAnalyzer:
 
     # -- facts ----------------------------------------------------------
     def _add_fact(self, st: _State, diff: _Expr, iv: Interval) -> None:
-        form = diff.form()
+        form = diff.form(self._rkeys)
         if not form:
             return
         shifted = iv.sub(Interval.const(diff.const))
@@ -627,10 +695,10 @@ class _KernelAnalyzer:
             if taken:
                 self._add_fact(st, diff, Interval.const(0))
             else:
-                st.neqz.add((diff.form(), diff.const))
+                st.neqz.add((diff.form(self._rkeys), diff.const))
         elif op is Opcode.ICMP_NE:
             if taken:
-                st.neqz.add((diff.form(), diff.const))
+                st.neqz.add((diff.form(self._rkeys), diff.const))
             else:
                 self._add_fact(st, diff, Interval.const(0))
         elif op is Opcode.ICMP_SLT:
@@ -674,7 +742,7 @@ class _KernelAnalyzer:
                 continue
             key = ("arg", i)
             self._ensure(key, name=f"arg{i}", iv=Interval())
-            st.ir[idx] = _Expr.of(key)
+            st.ir[idx] = self._atom(key)
         return st
 
     # -- transfer -------------------------------------------------------
@@ -709,7 +777,7 @@ class _KernelAnalyzer:
             extent=extent,
             argc_link=argc_link,
         )
-        self._set_ireg(st, li, _Expr.of(key))
+        self._set_ireg(st, li, self._atom(key))
         return key
 
     def _flow(self, leader: int, st: _State, record=None):
@@ -740,7 +808,7 @@ class _KernelAnalyzer:
         op = li.op
 
         if op is Opcode.MOVI:
-            self._set_ireg(st, li, _Expr(int(li.imm)))
+            self._set_ireg(st, li, self._atom(int(li.imm)))
         elif op is Opcode.MOV:
             if li.dest_f:
                 self._set_freg(st, li, self._frange_of(st, li.args[0]))
@@ -901,7 +969,7 @@ class _KernelAnalyzer:
                 space=("global", li.sym),
                 extent=None if nbytes is None else _Expr(nbytes),
             )
-            self._set_ireg(st, li, _Expr.of(key))
+            self._set_ireg(st, li, self._atom(key))
         elif op is Opcode.SALLOC:
             size = (int(li.imm) + 7) & ~7
             self._opaque(
@@ -918,7 +986,7 @@ class _KernelAnalyzer:
             key = ("param", int(li.imm))
             if key not in self.origins:
                 self._ensure(key, name=f"param{li.imm}", iv=Interval())
-            self._set_ireg(st, li, _Expr.of(key))
+            self._set_ireg(st, li, self._atom(key))
         elif op is Opcode.LOAD:
             self._load(st, pc, li, record)
         elif op is Opcode.STORE:
@@ -1064,12 +1132,12 @@ class _KernelAnalyzer:
                 if op in (Opcode.TID, Opcode.CTAID, Opcode.LANEID, Opcode.INSTANCE):
                     key = ("id", op.name)
                     self._ensure(key, name=op.name.lower(), iv=Interval(0, None))
-                    self._set_ireg(st, li, _Expr.of(key))
+                    self._set_ireg(st, li, self._atom(key))
                     return
                 if op in (Opcode.NTID, Opcode.NCTAID):
                     key = ("id", op.name)
                     self._ensure(key, name=op.name.lower(), iv=Interval(1, None))
-                    self._set_ireg(st, li, _Expr.of(key))
+                    self._set_ireg(st, li, self._atom(key))
                     return
                 self._opaque(st, li, pc, iv)
         # BARRIER / PAR_BEGIN / PAR_END / MEMCPY / MEMSET / RPC-void:
@@ -1091,11 +1159,11 @@ class _KernelAnalyzer:
         if org is not None and org.space == ("table", "argc"):
             delta = addr.drop(src)
             key = self._opaque(st, li, pc, Interval(0, None))
-            self._argc_at[(delta.form(), delta.const)] = key
+            self._argc_at[(delta.form(self._rkeys), delta.const)] = key
             return
         if org is not None and org.space == ("table", "argv"):
             delta = addr.drop(src)
-            argc_key = self._argc_at.get((delta.form(), delta.const))
+            argc_key = self._argc_at.get((delta.form(self._rkeys), delta.const))
             if argc_key is not None:
                 # NULL-terminated vector: argc + 1 pointer slots
                 self._opaque(
@@ -1216,7 +1284,7 @@ class _KernelAnalyzer:
                 iv.hi is not None and iv.hi <= -1
             ):
                 trapv = Verdict.PROVEN
-            elif (d.form(), d.const) in st.neqz:
+            elif (d.form(self._rkeys), d.const) in st.neqz:
                 trapv = Verdict.PROVEN
             elif iv.as_const == 0:
                 trapv = Verdict.DISPROVEN
@@ -1256,16 +1324,13 @@ class _KernelAnalyzer:
     # -- joins ----------------------------------------------------------
     def _phi_norm(self, e: _Expr) -> _Expr:
         """Resolve collapsed phi keys in ``e`` to their current identity."""
+        if not e.has_merge:
+            return e
         seen: set = set()
         for _ in range(4):
             sub = None
             for k in e.terms:
-                if (
-                    isinstance(k, tuple)
-                    and k[0] == "m"
-                    and k not in seen
-                    and k in self.phi_val
-                ):
+                if k[0] == "m" and k not in seen and k in self.phi_val:
                     pv = self.phi_val[k]
                     if k not in pv.terms:
                         sub = (k, pv)
@@ -1290,30 +1355,38 @@ class _KernelAnalyzer:
             return facts
         out: dict = {}
         for form, iv in facts.items():
-            e = self._phi_norm(_Expr(0, dict(form)))
-            f2 = e.form()
-            if not f2:
-                continue
-            iv2 = iv.sub(Interval.const(e.const)) if e.const else iv
-            prev = out.get(f2)
-            out[f2] = iv2 if prev is None else _meet(prev, iv2)
+            if _has_merge(form):
+                e = self._phi_norm(_Expr(0, dict(form)))
+                form = e.form(self._rkeys)
+                if not form:
+                    continue
+                if e.const:
+                    iv = iv.sub(Interval.const(e.const))
+            prev = out.get(form)
+            out[form] = iv if prev is None else _meet(prev, iv)
         return out
 
     def _norm_neqz(self, neqz: set) -> set:
         if not self.phi_val:
             return neqz
         out = set()
-        for form, const in neqz:
-            e = self._phi_norm(_Expr(const, dict(form)))
-            out.add((e.form(), e.const))
+        for fc in neqz:
+            if _has_merge(fc[0]):
+                e = self._phi_norm(_Expr(fc[1], dict(fc[0])))
+                fc = (e.form(self._rkeys), e.const)
+            out.add(fc)
         return out
 
     def _join_states(self, leader: int, ins: list) -> _State:
-        """Fold the sweep's incoming edge states for one leader."""
-        st = ins[0].copy()
-        live, live_f = self._live_i.get(leader, -1), self._live_f.get(leader, -1)
-        st.ir = {i: e for i, e in st.ir.items() if live >> i & 1}
-        st.fr = {i: v for i, v in st.fr.items() if live_f >> i & 1}
+        """Fold the sweep's incoming edge states for one leader.
+
+        Each edge state comes fresh from one ``_flow`` and feeds only
+        this leader, so the first one is pruned to the live registers in
+        place rather than copied."""
+        st = ins[0]
+        ir, fr = st.ir, st.fr
+        st.ir = {i: ir[i] for i in self._live_iregs[leader] if i in ir}
+        st.fr = {i: fr[i] for i in self._live_fregs[leader] if i in fr}
         folded: set = set()  # regs that became real merges in this fold
         for inc in ins[1:]:
             st = self._merge_pair(leader, st, inc, folded)
@@ -1329,25 +1402,35 @@ class _KernelAnalyzer:
         # edge expressions of each merge origin: mkey -> expr on that edge
         sub_cur: dict = {}
         sub_inc: dict = {}
-        # Registers dead at the join are never read again on any path.
-        # The walk keeps the union's set order: normalizing a register
-        # reads the phi identities already updated for earlier ones, so
-        # the order is part of the result.
-        live = self._live_i.get(leader, -1)
+        # Every register normalizes against the phi identities as they
+        # stood before this join; the join's own updates land after the
+        # walk, so the walk order cannot leak into the result.
+        phi_upd: dict = {}
+        phi_val = self.phi_val
         cir, iir = cur.ir, inc.ir
-        for i in set(cir) | set(iir):
-            if not live >> i & 1:
+        for i in self._live_iregs[leader]:
+            a = cir.get(i)
+            b = iir.get(i)
+            if a is None:
+                if b is None:
+                    continue
+                a = _ZERO
+            elif b is None:
+                b = _ZERO
+            equal = a is b or a == b
+            mkey = ("m", leader, i)
+            if equal and not a.has_merge:
+                # the common case: the phi collapses to the edges' value
+                merged.ir[i] = a
+                phi_upd[mkey] = a
                 continue
-            a = cir.get(i, _ZERO)
-            b = iir.get(i, _ZERO)
             e1 = self._phi_norm(a)
             # equal edge expressions normalize to equal expressions
-            e2 = e1 if a == b else self._phi_norm(b)
-            mkey = ("m", leader, i)
+            e2 = e1 if equal else self._phi_norm(b)
             if e1 == e2:
                 if not _mentions_leader(e1, leader):
                     merged.ir[i] = e1
-                    self.phi_val[mkey] = e1
+                    phi_upd[mkey] = e1
                     continue
                 if _is_origin(e1, mkey):
                     merged.ir[i] = e1
@@ -1364,11 +1447,11 @@ class _KernelAnalyzer:
                 # instead of being widened by a one-sweep-stale back edge)
                 if _is_origin(e1, mkey):
                     merged.ir[i] = e2
-                    self.phi_val[mkey] = e2
+                    phi_upd[mkey] = e2
                     continue
                 if _is_origin(e2, mkey):
                     merged.ir[i] = e1
-                    self.phi_val[mkey] = e1
+                    phi_upd[mkey] = e1
                     continue
             iv_in = self._eval(e1).join(self._eval(e2))
             al_in = math.gcd(self._value_align(e1), self._value_align(e2)) or 1
@@ -1383,11 +1466,17 @@ class _KernelAnalyzer:
                 if niv != org.iv or nal != org.align:
                     org.iv, org.align = niv, nal
                     self._dirty = True
-            merged.ir[i] = _Expr.of(mkey)
-            self.phi_val.pop(mkey, None)  # a real merge: phi denotes itself
+            merged.ir[i] = self._atom(mkey)
+            phi_upd[mkey] = None  # a real merge: phi denotes itself
             folded.add(i)
             sub_cur[mkey] = e1
             sub_inc[mkey] = e2
+
+        for mkey, e in phi_upd.items():
+            if e is None:
+                phi_val.pop(mkey, None)
+            else:
+                phi_val[mkey] = e
 
         cfr, ifr = cur.fr, inc.fr
         for i in self._live_fregs[leader]:
@@ -1409,24 +1498,23 @@ class _KernelAnalyzer:
             leader, cur, inc, sub_cur, sub_inc
         )
 
-        def clean_of_leader(form) -> bool:
-            return not any(
-                isinstance(k, tuple) and k[0] == "m" and k[1] == leader
-                for k, _ in form
-            )
-
         merged.neqz = {
             fc
             for fc in self._norm_neqz(cur.neqz) & self._norm_neqz(inc.neqz)
-            if clean_of_leader(fc[0])
+            if not _form_mentions_leader(fc[0], leader)
         }
-        for r in set(cur.cmp) & set(inc.cmp):
-            o1, c1e, c1r = cur.cmp[r]
-            o2, c2e, c2r = inc.cmp[r]
-            c1 = (o1, self._phi_norm(c1e), self._phi_norm(c1r))
-            c2 = (o2, self._phi_norm(c2e), self._phi_norm(c2r))
-            if c1 == c2 and clean_of_leader(
-                tuple((k, 1) for k in (*c1[1].terms, *c1[2].terms))
+        ccmp, icmp = cur.cmp, inc.cmp
+        for r in ccmp.keys() & icmp.keys():
+            c1, c2 = ccmp[r], icmp[r]
+            if c1 == c2 and not (c1[1].has_merge or c1[2].has_merge):
+                merged.cmp[r] = c1  # nothing to normalize
+                continue
+            c1 = (c1[0], self._phi_norm(c1[1]), self._phi_norm(c1[2]))
+            c2 = (c2[0], self._phi_norm(c2[1]), self._phi_norm(c2[2]))
+            if (
+                c1 == c2
+                and not _mentions_leader(c1[1], leader)
+                and not _mentions_leader(c1[2], leader)
             ):
                 merged.cmp[r] = c1
 
@@ -1452,11 +1540,8 @@ class _KernelAnalyzer:
         cfacts = self._norm_facts(cur.facts)
         ifacts = self._norm_facts(inc.facts)
         # fast path: forms present on both edges verbatim
-        for form in set(cfacts) & set(ifacts):
-            if not any(
-                isinstance(k, tuple) and k[0] == "m" and k[1] == leader
-                for k, _ in form
-            ):
+        for form in cfacts.keys() & ifacts.keys():
+            if not _form_mentions_leader(form, leader):
                 j = cfacts[form].join(ifacts[form])
                 if not j.is_top:
                     out[form] = j
@@ -1469,13 +1554,16 @@ class _KernelAnalyzer:
         candidates: set[tuple] = set()
 
         def rewrite(facts: dict, subs: dict) -> None:
+            # substitute merged registers in register order, however the
+            # join walked them
+            subs = sorted(subs.items())
             for form in facts:
                 expr = _Expr(0, dict(form))
                 # best-effort translation: for every merged register,
                 # eliminate one +-1 pivot shared with its edge expression
                 # (the difference (edge_expr - mkey) is zero on the edge)
                 changed = False
-                for mkey, e in subs.items():
+                for mkey, e in subs:
                     for k0, c0 in e.terms.items():
                         if c0 in (1, -1) and expr.terms.get(k0):
                             lam = expr.terms[k0] * c0
@@ -1484,7 +1572,7 @@ class _KernelAnalyzer:
                             )
                             changed = True
                             break
-                form2 = expr.form()
+                form2 = expr.form(self._rkeys)
                 if changed and form2 and form2 not in out:
                     candidates.add(form2)
 
@@ -1521,7 +1609,7 @@ class _KernelAnalyzer:
     def run(self) -> SafetyCertificate:
         cert = SafetyCertificate(kernel=self.kern.name)
         entry = self._entry_state()
-        pos = {L: i for i, L in enumerate(self._leaders)}
+        pos = self._rpo_index
         # round-robin Kleene iteration: every sweep recomputes each
         # leader FRESH from this sweep's forward-edge contributions plus
         # the previous sweep's back-edge contributions.  (Joining new
@@ -1533,6 +1621,7 @@ class _KernelAnalyzer:
         back_in: dict[int, list] = {}
         converged = False
         for _ in range(_MAX_SWEEPS):
+            self.sweeps += 1
             self._dirty = False
             fwd_in: dict[int, list] = {self._leaders[0]: [entry.copy()]}
             new_back: dict[int, list] = {}
@@ -1621,32 +1710,46 @@ def _kernel_digest(kern, globals_info: dict, wrapper: bool) -> str:
     return h.hexdigest()
 
 
-def analyze_kernel(kern, *, globals_info: dict, wrapper: bool) -> SafetyCertificate:
+def analyze_kernel(
+    kern, *, globals_info: dict, wrapper: bool, work: dict | None = None
+) -> SafetyCertificate:
     """Run the safety analysis over one lowered kernel (memoized on the
     lowered code, the referenced global extents and the analyzer
-    version)."""
+    version).  ``work`` (a dict), when given, receives the work this call
+    did: fixpoint ``sweeps``, pairwise ``joins``, and ``memo`` (whether
+    the memo answered, in which case both counts are 0)."""
     key = _kernel_digest(kern, globals_info, wrapper)
     cert = _CERT_MEMO.get(key)
     if cert is not None and cert.analyzer_version != ANALYZER_VERSION:
         # Certificates are shared objects; one whose version field was
         # clobbered (a tampered holder) must never be served again.
         cert = None
-    if cert is None:
-        cert = _KernelAnalyzer(
+    sweeps = joins = 0
+    memo = cert is not None
+    if not memo:
+        analyzer = _KernelAnalyzer(
             kern, globals_info=globals_info, wrapper=wrapper
-        ).run()
+        )
+        cert = analyzer.run()
+        sweeps, joins = analyzer.sweeps, sum(analyzer.visits.values())
         if len(_CERT_MEMO) >= _CERT_MEMO_MAX:
             _CERT_MEMO.pop(next(iter(_CERT_MEMO)))
         _CERT_MEMO[key] = cert
+    if work is not None:
+        work.update(sweeps=sweeps, joins=joins, memo=memo)
     return cert
 
 
-def certify_module(module) -> dict:
+def certify_module(module, *, tracer=None, work: dict | None = None) -> dict:
     """Compute a :class:`SafetyCertificate` for every lowerable kernel.
 
     Kernels that cannot be lowered yet (calls not inlined — i.e. the
     module has not been finalized) are skipped, so the checkers degrade
-    gracefully at earlier pipeline stages.
+    gracefully at earlier pipeline stages.  With an enabled
+    :class:`~repro.obs.Tracer`, each kernel's analysis is one
+    ``safety <kernel>`` span on the ``compiler`` track (after its
+    ``lower`` span); ``work`` (a dict) receives each kernel's
+    :func:`analyze_kernel` work counts.
     """
     from repro.errors import DeviceError, IRError
     from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
@@ -1656,14 +1759,25 @@ def certify_module(module) -> dict:
     certs: dict = {}
     for fn in module.kernels():
         try:
-            kern = lower_kernel(fn)
+            kern = lower_kernel(fn, tracer=tracer)
         except (DeviceError, IRError):
             continue
-        certs[fn.name] = analyze_kernel(
-            kern,
+        done: dict = {}
+        kw = dict(
             globals_info=globals_info,
             wrapper=fn.name in (ENSEMBLE_KERNEL, SINGLE_KERNEL),
+            work=done,
         )
+        if tracer is not None and tracer.enabled:
+            with tracer.span(
+                f"safety {fn.name}", track="compiler", cat="safety"
+            ) as span:
+                certs[fn.name] = analyze_kernel(kern, **kw)
+            span.args.update(done, sites=len(certs[fn.name].sites))
+        else:
+            certs[fn.name] = analyze_kernel(kern, **kw)
+        if work is not None:
+            work[fn.name] = done
     return certs
 
 
@@ -1678,10 +1792,12 @@ def certificates_for(module) -> dict:
     return certify_module(module)
 
 
-def stamp_certificates(module, *, metrics=None) -> dict:
+def stamp_certificates(module, *, tracer=None, metrics=None) -> dict:
     """Compute certificates, stamp them into module metadata, and publish
-    build-time ``safety.*`` counters."""
-    certs = certify_module(module)
+    build-time ``safety.*`` counters: per-site verdicts, and the
+    analysis work (fixpoint sweeps and pairwise joins) behind them."""
+    work: dict = {}
+    certs = certify_module(module, tracer=tracer, work=work)
     module.metadata[SAFETY_META] = certs
     if metrics is not None:
         for cert in certs.values():
@@ -1691,6 +1807,9 @@ def stamp_certificates(module, *, metrics=None) -> dict:
                     kind=proof.kind,
                     verdict=proof.verdict.name.lower(),
                 ).inc()
+        for done in work.values():
+            metrics.counter("safety.sweeps").inc(done["sweeps"])
+            metrics.counter("safety.joins").inc(done["joins"])
     return certs
 
 

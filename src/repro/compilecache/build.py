@@ -90,7 +90,7 @@ def build_executable(
     # Prove memory/trap safety once per executable; the certificates ride
     # in module metadata so every backend (and the compilecache) can elide
     # dynamic guards for PROVEN sites without re-running the analysis.
-    stamp_certificates(module, metrics=metrics)
+    stamp_certificates(module, **obs_kw)
     module.metadata[EXECUTABLE_META] = True
     return module
 

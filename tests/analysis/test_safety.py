@@ -1,9 +1,15 @@
 """The safety analyzer: per-site certificates, the static-oob /
 static-trap checkers, the launch gate, and safety-mode parity."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.analysis.safety as safety
 from repro.analysis import Severity, analyze_module
+from repro.analysis.ranges import Interval
 from repro.analysis.safety import (
     ANALYZER_VERSION,
     SAFETY_META,
@@ -17,6 +23,7 @@ from repro.errors import DeviceTrap, LoaderError
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
+from repro.obs import Observability
 from repro.tools.safety_check import (
     BROKEN,
     bound_loops,
@@ -169,3 +176,124 @@ class TestMutants:
             verdicts[raise_by] = set(loop_verdicts(module))
         assert verdicts[0] == {Verdict.PROVEN}
         assert Verdict.PROVEN not in verdicts[1] and verdicts[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _registry_module(app: str, opt_level: int):
+    return build_executable(
+        APPS[app].build_program().compile(), opt_level=opt_level
+    )
+
+
+#: What the two wrapper kernels of one executable must agree on.
+TWIN_COUNTS = ("proven", "guard_free", "index_free", "disproven", "unproven", "sites")
+
+
+class TestDeterminism:
+    """The fixpoint's result depends on the program only: not on which of
+    two near-identical kernels it analyses, nor on the order a join walks
+    its registers."""
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_twin_kernels_certify_alike(self, app, opt_level):
+        certs = _registry_module(app, opt_level).metadata[SAFETY_META]
+        single, ensemble = (
+            {k: certs[name].summary()[k] for k in TWIN_COUNTS}
+            for name in ("__single_entry", "__ensemble_entry")
+        )
+        assert single == ensemble
+
+    @pytest.mark.parametrize("opt_level", [1, 2])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_join_walk_order_is_irrelevant(self, monkeypatch, app, opt_level):
+        module = _registry_module(app, opt_level)
+        want = {k: c.to_dict() for k, c in module.metadata[SAFETY_META].items()}
+        liveness = safety._KernelAnalyzer._liveness
+
+        def reversed_walk(self):
+            liveness(self)
+            for regs in self._live_iregs.values():
+                regs.reverse()
+
+        monkeypatch.setattr(safety._KernelAnalyzer, "_liveness", reversed_walk)
+        monkeypatch.setattr(safety, "_CERT_MEMO", {})
+        got = {k: c.to_dict() for k, c in certify_module(module).items()}
+        assert got == want
+
+
+class TestObservability:
+    def test_build_records_one_safety_span_per_kernel(self, monkeypatch):
+        monkeypatch.setattr(safety, "_CERT_MEMO", {})
+        obs = Observability.enabled()
+        build_executable(
+            Program.from_source(SAFE).compile(),
+            tracer=obs.tracer,
+            metrics=obs.metrics,
+        )
+        spans = [e for e in obs.tracer.events if e.cat == "safety"]
+        assert sorted(e.name for e in spans) == [
+            "safety __ensemble_entry",
+            "safety __single_entry",
+        ]
+        for span in spans:
+            assert span.track == "compiler"
+            assert set(span.args) == {"sweeps", "joins", "sites", "memo"}
+            assert span.args["sites"] > 0
+        # the twin kernels differ, so neither proof comes from the memo
+        assert not any(span.args["memo"] for span in spans)
+        sweeps = sum(span.args["sweeps"] for span in spans)
+        joins = sum(span.args["joins"] for span in spans)
+        assert sweeps > 0 and joins > 0
+        assert obs.metrics.value("safety.sweeps") == sweeps
+        assert obs.metrics.value("safety.joins") == joins
+
+    def test_a_memo_hit_does_no_analysis_work(self):
+        module = _module(SAFE)  # certified once already: the memo answers
+        work: dict = {}
+        certify_module(module, work=work)
+        assert work and all(
+            w == {"sweeps": 0, "joins": 0, "memo": True} for w in work.values()
+        )
+
+
+#: Interval ends and coefficients that straddle the +-2**63 clipping line.
+_BIG = st.one_of(
+    st.integers(-(2**65), 2**65),
+    st.integers(-16, 16),
+    st.builds(
+        lambda d, sign: sign * (2**63 + d),
+        st.integers(-16, 16),
+        st.sampled_from([1, -1]),
+    ),
+)
+_END = st.one_of(st.none(), _BIG)
+
+
+def _reference_eval(analyzer, e) -> Interval:
+    """``_eval`` as a fold of ``_iscale`` and ``Interval.add``."""
+    iv = Interval.const(e.const)
+    for key, coeff in e.terms.items():
+        org = analyzer.origins.get(key)
+        iv = iv.add(safety._iscale(org.iv, coeff) if org is not None else Interval())
+    return iv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    const=_BIG,
+    terms=st.lists(st.tuples(_END, _END, _BIG, st.booleans()), max_size=4),
+)
+@example(const=5, terms=[(-(2**63) - 1, 0, 1, True)])
+@example(const=-5, terms=[(0, 2**63 + 1, 1, True)])
+def test_eval_matches_the_interval_reference(const, terms):
+    analyzer = safety._KernelAnalyzer.__new__(safety._KernelAnalyzer)
+    analyzer.origins = {}
+    coeffs = {}
+    for i, (lo, hi, coeff, known) in enumerate(terms):
+        if known:  # an unknown origin evaluates to an unbounded term
+            analyzer.origins[i] = safety._Origin(f"o{i}", Interval(lo, hi))
+        coeffs[i] = coeff
+    e = safety._Expr(const, coeffs)
+    assert analyzer._eval(e) == _reference_eval(analyzer, e)
+

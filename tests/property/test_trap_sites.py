@@ -26,9 +26,11 @@ from tests.oracle import (
     SAFETY_MATRIX,
     TRAP_DEVICE,
     TRAP_SITES,
+    Config,
     check,
     program_specs,
     render,
+    run,
     source_input,
 )
 
@@ -77,3 +79,39 @@ def test_forged_proofs_fail_the_oracle(monkeypatch, site):
     asserting = [c for c in SAFETY_MATRIX if c.safety_mode == "assert"]
     with pytest.raises(AssertionError, match="safety certificate violated"):
         check(trap_input(SPEC, site), asserting)
+
+
+@pytest.mark.parametrize("opt_level", [1, 2])
+def test_forged_bounds_proof_past_device_memory(monkeypatch, opt_level):
+    """A forged bounds proof on the ``end`` site, whose argc-dependent
+    index lands past device memory: ``assert`` mode names the violation
+    ahead of the interpreter's end-of-memory text, ``checked`` mode
+    ignores the proof, and ``unchecked`` trusts it (docs/safety.md)."""
+    inp = trap_input(SPEC, "end")
+    want = run(inp, ORACLE).obs.trap
+    assert re.fullmatch(rf"device trap: {TRAP_TEXT['end']} \[team 0, .*\]", want)
+    real = safety.analyze_kernel
+    proven = dict.fromkeys(("null", "align", "bounds"), Verdict.PROVEN)
+
+    def forged(kern, **kw):
+        cert = real(kern, **kw)
+        assert any(p.is_mem and not p.index_free for p in cert.sites.values())
+        sites = {
+            pc: dataclasses.replace(p, **proven) if p.is_mem else p
+            for pc, p in cert.sites.items()
+        }
+        return dataclasses.replace(cert, sites=sites)
+
+    monkeypatch.setattr(safety, "analyze_kernel", forged)
+
+    def trap(mode):
+        return run(inp, Config("compiled", opt_level, mode)).obs.trap
+
+    assert trap("checked") == want
+    assert trap("assert") == want.replace(
+        "device trap: ", "device trap: safety certificate violated: "
+    )
+    # no end-of-memory backstop is left: numpy's own error escapes the launch
+    with pytest.raises(IndexError):
+        trap("unchecked")
+
