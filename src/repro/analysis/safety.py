@@ -1782,10 +1782,13 @@ def certify_module(module, *, tracer=None, work: dict | None = None) -> dict:
 
 
 def certificates_for(module) -> dict:
-    """Cached certificates: reuse the stamped metadata when current."""
+    """The module's certificates: the stamped metadata when every value
+    is a current :class:`SafetyCertificate`, else a fresh analysis (a
+    stale or tampered stamp is never served)."""
     cached = module.metadata.get(SAFETY_META)
     if isinstance(cached, dict) and all(
-        getattr(c, "analyzer_version", None) == ANALYZER_VERSION
+        isinstance(c, SafetyCertificate)
+        and c.analyzer_version == ANALYZER_VERSION
         for c in cached.values()
     ):
         return cached

@@ -8,15 +8,14 @@ The key is everything that determines the finalized executable:
 * **pipeline config** — the loader options that change codegen
   (``team_local_globals``, ``shared_mem_budget``), canonicalized through
   :func:`repro.wire.canonical_json`;
-* **opt level** and **backend**;
+* **opt level**;
 * the **pass-pipeline fingerprint**
   (:func:`repro.passes.pipeline.pipeline_fingerprint`) — versioned
   invalidation: bump :data:`~repro.passes.pipeline.PIPELINE_VERSION` or
   change the pass list and every old entry silently misses.
 
-``backend`` defaults to ``"*"`` because a finalized module is
-backend-portable (the compiled backend lowers lazily per device image);
-callers that bake backend-specific artifacts may key per backend.
+The backend is not part of the key: a finalized module is
+backend-portable (the compiled backend lowers lazily per device image).
 
 Lookups hit the in-memory LRU first, then the disk tier (pickled entry
 guarded by a magic header and a sha256 checksum — a corrupted or
@@ -52,7 +51,7 @@ from repro.compilecache.build import (
 )
 
 #: Magic first line of a disk-tier entry; bump with the entry format.
-DISK_MAGIC = b"rexe1\n"
+DISK_MAGIC = b"rexe2\n"
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_MEMORY_ENTRIES = 512
@@ -70,7 +69,6 @@ class CacheKey:
     source_hash: str
     pipeline: str  #: canonical_json of the codegen-relevant loader opts
     opt_level: int
-    backend: str
     fingerprint: str  #: pass-pipeline fingerprint (versioned invalidation)
 
     def to_wire(self) -> dict:
@@ -79,7 +77,6 @@ class CacheKey:
             "source_hash": self.source_hash,
             "pipeline": self.pipeline,
             "opt_level": self.opt_level,
-            "backend": self.backend,
             "fingerprint": self.fingerprint,
         }
 
@@ -90,30 +87,25 @@ class CacheKey:
 class _AnalysisBox:
     """Shared, lazily filled analysis state of one cache entry.
 
-    Footprint + interprocedural facts cost more than the compile itself
-    for small programs, and many workloads (the GP campaign, direct
-    loaders with explicit heaps) never consult them — so they are
-    derived on first demand, once, and memoized for every holder of the
-    entry (all tier-tagged copies share one box)."""
+    The footprint costs more than the compile itself for small programs,
+    and many workloads (the GP campaign, direct loaders with explicit
+    heaps) never consult it — so it is derived on first demand, once,
+    and memoized for every holder of the entry (all tier-tagged copies
+    share one box)."""
 
-    __slots__ = ("footprint", "facts", "safety", "done", "lock")
+    __slots__ = ("footprint", "done", "lock")
 
-    def __init__(self, footprint=None, facts=None, safety=None, done=False):
+    def __init__(self, footprint=None, done=False):
         self.footprint = footprint
-        self.facts = facts if facts is not None else {}
-        #: per-kernel :class:`~repro.analysis.safety.SafetyCertificate`
-        #: map, filled independently of footprint/facts (``None`` until
-        #: first demand; an invalid on-disk copy loads back as ``None``).
-        self.safety = safety
         self.done = done
         self.lock = threading.Lock()
 
 
 @dataclass
 class CachedExecutable:
-    """One cache entry: the finalized module plus everything expensive
-    that can be learned from it (footprint / interprocedural facts,
-    computed lazily and shared — see :class:`_AnalysisBox`)."""
+    """One cache entry: the finalized module (its safety certificates
+    stamped in ``module.metadata``) plus its static footprint, computed
+    lazily and shared — see :class:`_AnalysisBox`."""
 
     key: CacheKey
     digest: str
@@ -121,44 +113,19 @@ class CachedExecutable:
     box: _AnalysisBox = field(repr=False, default_factory=_AnalysisBox)
     tier: str = "build"  #: where *this* lookup was satisfied
 
-    def _ensure_analysis(self) -> _AnalysisBox:
-        box = self.box
-        if not box.done:
-            with box.lock:
-                if not box.done:
-                    box.footprint, box.facts = _analyze(self.module)
-                    box.done = True
-        return box
-
     @property
     def footprint(self):
         """The module's :class:`~repro.analysis.footprint.
         StaticFootprint` (None when unbounded/underivable); computed on
         first access, then free — this is what pre-seeds the scheduler's
         static batch packing without recompiling."""
-        return self._ensure_analysis().footprint
-
-    @property
-    def facts(self) -> dict:
-        """Interprocedural facts (callgraph, value ranges) of the
-        finalized module, lazily derived alongside the footprint."""
-        return self._ensure_analysis().facts
-
-    @property
-    def safety(self) -> dict:
-        """Per-kernel :class:`~repro.analysis.safety.SafetyCertificate`
-        map of the finalized module.  Normally this is just the
-        certificates stamped at build time; a stale or corrupted copy
-        (analyzer version bump, tampered disk entry) is rebuilt here and
-        never served as-is."""
         box = self.box
-        if box.safety is None:
+        if not box.done:
             with box.lock:
-                if box.safety is None:
-                    from repro.analysis.safety import certificates_for
-
-                    box.safety = certificates_for(self.module)
-        return box.safety
+                if not box.done:
+                    box.footprint = _analyze(self.module)
+                    box.done = True
+        return box.footprint
 
 
 def _resolve_source(program):
@@ -199,11 +166,9 @@ class ExecutableCache:
         self,
         cache_dir: str | None = None,
         *,
-        max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         metrics=None,
     ):
         self.cache_dir = str(cache_dir) if cache_dir else None
-        self.max_memory_entries = max(1, int(max_memory_entries))
         self._metrics = metrics
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedExecutable] = OrderedDict()
@@ -240,12 +205,9 @@ class ExecutableCache:
         *,
         team_local_globals: bool = False,
         shared_mem_budget: int | None = None,
-        optimize: bool = True,
-        opt_level: int | None = None,
-        backend: str = "*",
+        opt_level: int = 1,
     ) -> CacheKey:
         """Build the full cache key for one compile request."""
-        resolved = opt_level if opt_level is not None else (1 if optimize else 0)
         pipeline = wire.canonical_json(
             {
                 "team_local_globals": bool(team_local_globals),
@@ -255,9 +217,8 @@ class ExecutableCache:
         return CacheKey(
             source_hash=source_hash,
             pipeline=pipeline,
-            opt_level=resolved,
-            backend=backend,
-            fingerprint=pipeline_fingerprint(resolved),
+            opt_level=opt_level,
+            fingerprint=pipeline_fingerprint(opt_level),
         )
 
     # -- lookup / build -----------------------------------------------------
@@ -267,9 +228,7 @@ class ExecutableCache:
         *,
         team_local_globals: bool = False,
         shared_mem_budget: int | None = None,
-        optimize: bool = True,
-        opt_level: int | None = None,
-        backend: str = "*",
+        opt_level: int = 1,
         source_hash: str | None = None,
         tracer=None,
         metrics=None,
@@ -298,9 +257,7 @@ class ExecutableCache:
             source_hash,
             team_local_globals=team_local_globals,
             shared_mem_budget=shared_mem_budget,
-            optimize=optimize,
             opt_level=opt_level,
-            backend=backend,
         )
         digest = key.digest()
 
@@ -392,7 +349,7 @@ class ExecutableCache:
         with self._lock:
             self._memory[digest] = entry
             self._memory.move_to_end(digest)
-            while len(self._memory) > self.max_memory_entries:
+            while len(self._memory) > DEFAULT_MEMORY_ENTRIES:
                 self._memory.popitem(last=False)
                 self._count("evictions", "cache.evictions", tier="memory")
         self._count("stores_memory", "cache.stores", tier="memory")
@@ -413,8 +370,6 @@ class ExecutableCache:
                     "module": entry.module,
                     "analyzed": box.done,
                     "footprint": box.footprint,
-                    "facts": box.facts,
-                    "safety": box.safety,
                 },
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
@@ -480,8 +435,6 @@ class ExecutableCache:
             module=module,
             box=_AnalysisBox(
                 footprint=data.get("footprint"),
-                facts=data.get("facts"),
-                safety=_valid_safety(data.get("safety")),
                 done=bool(data.get("analyzed")),
             ),
             tier="disk",
@@ -489,23 +442,6 @@ class ExecutableCache:
         self._store_memory(digest, entry)
         self._count("hits_disk", "cache.hits", tier="disk")
         return entry
-
-
-def _valid_safety(certs):
-    """Admit a deserialized certificate map only when it is exactly what
-    the current analyzer would produce; anything else loads as ``None``
-    and is rebuilt on first demand (never served)."""
-    from repro.analysis.safety import ANALYZER_VERSION, SafetyCertificate
-
-    if not isinstance(certs, dict) or not certs:
-        return None
-    if all(
-        isinstance(c, SafetyCertificate)
-        and c.analyzer_version == ANALYZER_VERSION
-        for c in certs.values()
-    ):
-        return certs
-    return None
 
 
 def _pipeline_config(key: CacheKey) -> dict:
@@ -532,23 +468,18 @@ def _resolve_source_for_override(program):
 
 
 def _analyze(module: Module):
-    """Compute the footprint + interprocedural facts stored alongside an
-    executable, so schedulers can pack batches without re-deriving them."""
-    footprint, facts = None, {}
+    """Compute the static footprint stored alongside an executable, so
+    schedulers can pack batches without re-deriving it."""
     try:
         from repro.analysis.footprint import compute_footprint
         from repro.analysis.manager import AnalysisManager
 
         am = AnalysisManager(module)
-        callgraph = am.get("callgraph")
-        ranges = am.get("ranges")
-        facts = {"callgraph": callgraph, "ranges": ranges}
-        footprint = compute_footprint(
-            module, callgraph=callgraph, ranges=ranges
+        return compute_footprint(
+            module, callgraph=am.get("callgraph"), ranges=am.get("ranges")
         )
     except ReproError:
-        pass
-    return footprint, facts
+        return None
 
 
 __all__ = [

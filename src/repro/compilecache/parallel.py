@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.compilecache.cache import CachedExecutable, ExecutableCache
@@ -41,12 +41,8 @@ class CompileRequest:
     program: Any
     team_local_globals: bool = False
     shared_mem_budget: int | None = None
-    optimize: bool = True
-    opt_level: int | None = None
-    backend: str = "*"
+    opt_level: int = 1
     source_hash: str | None = None
-    label: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def compile_many(
@@ -56,14 +52,13 @@ def compile_many(
     max_workers: int | None = None,
     tracer=None,
     metrics=None,
-    on_error: str = "raise",
-) -> list[CachedExecutable | None]:
+) -> list[CachedExecutable]:
     """Compile every request concurrently; results in request order.
 
     ``cache=None`` uses a private in-memory cache scoped to this call
-    (still deduplicating within the batch).  ``on_error="raise"``
-    re-raises the first failure after the pool drains; ``"none"`` maps a
-    failed request to ``None`` instead.
+    (still deduplicating within the batch).  A failed request raises
+    its error; with a pool, the first failure in request order, after
+    the pool drains.
     """
     reqs = [
         r if isinstance(r, CompileRequest) else CompileRequest(r)
@@ -83,34 +78,17 @@ def compile_many(
             req.program,
             team_local_globals=req.team_local_globals,
             shared_mem_budget=req.shared_mem_budget,
-            optimize=req.optimize,
             opt_level=req.opt_level,
-            backend=req.backend,
             source_hash=req.source_hash,
             tracer=tracer,
             metrics=metrics,
         )
 
-    results: list[CachedExecutable | None] = [None] * len(reqs)
-    errors: list[tuple[int, BaseException]] = []
     if max_workers == 1:
-        for i, req in enumerate(reqs):
-            try:
-                results[i] = one(req)
-            except Exception as exc:  # noqa: BLE001 - collected below
-                errors.append((i, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(one, req) for req in reqs]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - collected below
-                    errors.append((i, exc))
-    if errors and on_error == "raise":
-        errors.sort(key=lambda pair: pair[0])
-        raise errors[0][1]
-    return results
+        return [one(req) for req in reqs]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [pool.submit(one, req) for req in reqs]
+        return [fut.result() for fut in futures]
 
 
 __all__ = ["CompileRequest", "compile_many", "default_workers"]

@@ -51,7 +51,6 @@ class CacheConfig:
     line_bytes: int = 128
     ways: int = 16
     hit_latency: int = 30
-    enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,6 @@ class SimConfig:
 
     model_l2: bool = True
     """If False, all transactions go straight to DRAM (ablation)."""
-
-    collect_detailed_trace: bool = False
-    """Record per-instruction events (slow; for debugging and tests)."""
 
 
 DEFAULT_SIM = SimConfig()

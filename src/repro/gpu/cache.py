@@ -40,7 +40,7 @@ class L2Model:
         """Estimate L2 filtering for a kernel's aggregate sector stream."""
         total_bytes = total_sectors * SECTOR_BYTES
         ws = unique_sectors * SECTOR_BYTES
-        if not self.cfg.enabled or total_sectors == 0:
+        if total_sectors == 0:
             return CacheOutcome(0.0, float(total_bytes), 0.0, ws)
         reuse = max(0.0, 1.0 - unique_sectors / total_sectors)
         capacity_factor = min(1.0, self.cfg.size_bytes / ws) if ws > 0 else 1.0

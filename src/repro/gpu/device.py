@@ -18,7 +18,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.analysis.safety import SAFETY_META, Verdict
+from repro.analysis.safety import SAFETY_META, Verdict, certificates_for
 from repro.config import DEFAULT_DEVICE, DEFAULT_SIM, DeviceConfig, SimConfig
 from repro.errors import DeviceError, DeviceTrap, LaunchError
 from repro.faults.injector import NO_FAULTS, InjectedOOM, InstanceFault
@@ -304,11 +304,12 @@ class GPUDevice:
     def _lower(self, image: DeviceImage, kernel_name: str) -> LoweredKernel:
         fn = image.module.get_function(kernel_name)
         kern = lower_kernel(fn, tracer=self.tracer, metrics=self.metrics)
-        # Attach the build-time safety certificate (if the module was
-        # stamped) so certificate-aware backends can elide guards.
-        certs = image.module.metadata.get(SAFETY_META)
-        if isinstance(certs, dict):
-            cert = certs.get(kernel_name)
+        # Attach the safety certificate of a stamped module, validated
+        # (and re-derived when stale) through ``certificates_for``, so
+        # certificate-aware backends can elide guards.  An unstamped
+        # module runs with every guard armed.
+        if SAFETY_META in image.module.metadata:
+            cert = certificates_for(image.module).get(kernel_name)
             if cert is not None:
                 kern.backend_cache[SAFETY_CERT_KEY] = cert
         return kern

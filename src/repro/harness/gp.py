@@ -71,7 +71,7 @@ class GPConfig:
     depth: int = 2
     mutation_prob: float = 0.25
     tournament: int = 3
-    opt_level: int | None = 1
+    opt_level: int = 1
     backend: str = DEFAULT_BACKEND
     thread_limit: int = 16
     heap_bytes: int = 1 << 20
@@ -239,7 +239,6 @@ def run_campaign(config: GPConfig | None = None) -> GPReport:
                     ),
                     source_hash=_source_hash(genome, cfg.points),
                     opt_level=cfg.opt_level,
-                    backend=cfg.backend,
                 )
                 for genome in population
             ]

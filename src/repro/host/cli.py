@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--opt-level",
         type=int,
         choices=(0, 1, 2),
-        default=None,
+        default=1,
         help="optimization stage: 0 inline-only, 1 classic sweep (default), "
         "2 adds the interprocedural stage (points-to-driven barrier "
         "elimination, alias DCE, read-only load hoisting)",

@@ -121,8 +121,7 @@ class EnsembleLoader(Loader):
         heap_bytes: int = 64 * 1024 * 1024,
         stack_bytes: int = 2048,
         team_local_globals: bool = False,
-        optimize: bool = True,
-        opt_level: int | None = None,
+        opt_level: int = 1,
         rpc_transport: str = "direct",
         allow_races: bool = False,
         allow_unsafe: bool = False,
@@ -134,7 +133,6 @@ class EnsembleLoader(Loader):
             heap_bytes=heap_bytes,
             stack_bytes=stack_bytes,
             team_local_globals=team_local_globals,
-            optimize=optimize,
             opt_level=opt_level,
             rpc_transport=rpc_transport,
             allow_unsafe=allow_unsafe,

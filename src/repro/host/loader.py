@@ -70,8 +70,7 @@ class Loader:
         heap_bytes: int = 32 * 1024 * 1024,
         stack_bytes: int = 2048,
         team_local_globals: bool = False,
-        optimize: bool = True,
-        opt_level: int | None = None,
+        opt_level: int = 1,
         rpc_transport: str = "direct",
         allow_unsafe: bool = False,
         cache=None,
@@ -107,7 +106,6 @@ class Loader:
                     if team_local_globals
                     else None
                 ),
-                optimize=optimize,
                 opt_level=opt_level,
                 **obs_kw,
             )
@@ -119,7 +117,6 @@ class Loader:
                 module,
                 team_local_globals=team_local_globals,
                 shared_mem_budget=self.device.config.shared_mem_per_block,
-                optimize=optimize,
                 opt_level=opt_level,
                 **obs_kw,
             )

@@ -12,10 +12,8 @@
     simplification) iterated to a small fixpoint, then verification.  The
     result is a call-free module ready for the SIMT machine.
 
-Both entry points accept ``analyze=True`` to additionally run the
-:mod:`repro.analysis` safety checkers after verification; the findings are
-stored in ``module.metadata["diagnostics"]`` and error-severity findings
-abort compilation with a :class:`~repro.errors.PassError`.
+The static checkers of :mod:`repro.analysis` are not part of either
+pipeline; ``make lint`` (:mod:`repro.tools.lint`) runs them.
 """
 
 from __future__ import annotations
@@ -104,21 +102,6 @@ def pipeline_fingerprint(opt_level: int) -> str:
     return f"pp{PIPELINE_VERSION}:{digest[:16]}"
 
 
-def _run_analysis(module: Module, stage: str) -> None:
-    """Opt-in ``analyze`` step: run the safety checkers, stash the findings
-    in ``module.metadata["diagnostics"]``, and abort on errors."""
-    from repro.analysis import Severity, analyze_module
-
-    diags = analyze_module(module)
-    module.metadata["diagnostics"] = diags
-    errs = [d for d in diags if d.severity >= Severity.ERROR]
-    if errs:
-        listing = "\n".join(d.format() for d in errs)
-        raise PassError(
-            f"analysis found {len(errs)} error(s) after {stage}:\n{listing}"
-        )
-
-
 def _run_pipeline(pm: PassManager, module: Module, stage: str, tracer, metrics) -> Module:
     """Run a built pipeline with per-pass spans and pipeline counters."""
     if metrics is not None:
@@ -133,13 +116,11 @@ def _run_pipeline(pm: PassManager, module: Module, stage: str, tracer, metrics) 
 def compile_for_device(
     module: Module,
     *,
-    require_main: bool = True,
-    verify: bool = True,
-    analyze: bool = False,
     tracer=None,
     metrics=None,
 ) -> Module:
-    """Apply the direct-GPU-compilation front half to a program module.
+    """Apply the direct-GPU-compilation front half to a program module,
+    then verify it.
 
     ``tracer``/``metrics`` are optional :mod:`repro.obs` sinks: with an
     enabled tracer every pass becomes a span on the ``compiler`` track,
@@ -147,33 +128,28 @@ def compile_for_device(
     """
     pm = PassManager()
     pm.add(declare_target_pass, "declare-target")
-    pm.add(lambda m: rename_main_pass(m, require_main=require_main), "rename-main")
+    pm.add(rename_main_pass, "rename-main")
     pm.add(rpc_lowering_pass, "rpc-lowering")
     module = _run_pipeline(pm, module, "compile_for_device", tracer, metrics)
-    if verify:
-        verify_module(module)
-    if analyze:
-        _run_analysis(module, "compile_for_device")
+    verify_module(module)
     return module
 
 
 def finalize_executable(
     module: Module,
     *,
-    optimize: bool = True,
-    verify: bool = True,
-    analyze: bool = False,
+    opt_level: int = 1,
     tracer=None,
     metrics=None,
-    opt_level: int | None = None,
 ) -> Module:
-    """Inline + optimize a linked module into its executable form.
+    """Inline + optimize a linked module into its executable form, then
+    verify it.
 
     ``opt_level`` selects the optimization stage:
 
-    * ``0`` — inline only (same as ``optimize=False``);
+    * ``0`` — inline only;
     * ``1`` — the classic intraprocedural sweep (constfold/DCE/LICM/CFG
-      simplification iterated twice) — the default with ``optimize=True``;
+      simplification iterated twice), the default;
     * ``2`` — everything in ``1`` plus the interprocedural stage: an
       :class:`~repro.analysis.manager.AnalysisManager` (kept honest by the
       pass manager's fingerprint invalidation) feeds points-to facts into
@@ -183,10 +159,7 @@ def finalize_executable(
 
     ``tracer``/``metrics`` behave as in :func:`compile_for_device`.
     """
-    if opt_level is None:
-        opt_level = 1 if optimize else 0
-    if opt_level not in (0, 1, 2):
-        raise PassError(f"unsupported opt_level {opt_level!r} (expected 0, 1 or 2)")
+    names = finalize_pass_names(opt_level)  # validates opt_level
     am = None
     if opt_level >= 2:
         from repro.analysis.manager import AnalysisManager
@@ -223,15 +196,12 @@ def finalize_executable(
     # Built from the *name list* so pipeline_fingerprint() — and with it
     # every compile-cache key — is honest by construction.
     pm = PassManager(am=am)
-    for name in finalize_pass_names(opt_level):
+    for name in names:
         pm.add(_resolve(name), name)
     module = _run_pipeline(pm, module, "finalize_executable", tracer, metrics)
     module.metadata["opt_level"] = opt_level
     if am is not None and metrics is not None:
         metrics.counter("analysis.cache.hits").inc(am.hits)
         metrics.counter("analysis.cache.misses").inc(am.misses)
-    if verify:
-        verify_module(module)
-    if analyze:
-        _run_analysis(module, "finalize_executable")
+    verify_module(module)
     return module

@@ -90,6 +90,10 @@ from repro.sched.stats import SchedulerStats
 #: Track name the scheduler's own (wall-clock) events are recorded on.
 SCHED_TRACK = "scheduler"
 
+#: Consecutive injected faults after which a device is quarantined
+#: (unless it is the last healthy one).
+QUARANTINE_THRESHOLD = 3
+
 
 @dataclass
 class _BisectionPolicy:
@@ -182,21 +186,17 @@ class Scheduler:
         sleep: Callable[[float], None] = time.sleep,
         obs: Observability | None = None,
         faults=None,
-        quarantine_threshold: int = 3,
         static_packing: bool = True,
         job_scoped_faults: bool = False,
         cache=None,
     ):
         if default_retries < 0:
             raise SchedulerError("default_retries must be >= 0")
-        if quarantine_threshold < 1:
-            raise SchedulerError("quarantine_threshold must be >= 1")
         self.pool = pool
         self.max_batch = max_batch
         self.default_retries = default_retries
         self.backoff_base = backoff_base
         self.chunk_size = chunk_size
-        self.quarantine_threshold = quarantine_threshold
         #: Seed per-device batch caps from the compiler's StaticFootprint
         #: instead of discovering them through runtime OOM bisection.
         self.static_packing = static_packing
@@ -889,7 +889,7 @@ class Scheduler:
         """Quarantine a device whose injected-fault streak hit the
         threshold, redistributing its queue — unless it is the last
         healthy device, which must keep limping along."""
-        if worker.quarantined or worker.fault_streak < self.quarantine_threshold:
+        if worker.quarantined or worker.fault_streak < QUARANTINE_THRESHOLD:
             return
         others = [w for w in self.pool.healthy if w is not worker]
         if not others:

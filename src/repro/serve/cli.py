@@ -168,7 +168,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timing", action="store_true")
     parser.add_argument("--allow-races", action="store_true")
     parser.add_argument("--team-local-globals", action="store_true")
-    parser.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=None)
+    parser.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=1)
     parser.add_argument("--retries", type=int, default=None)
     parser.add_argument(
         "--step-budget", type=int, default=None,

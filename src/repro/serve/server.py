@@ -645,7 +645,7 @@ class CampaignServer:
             program,
             team_local_globals=team_local,
             shared_mem_budget=budget,
-            opt_level=opts.get("opt_level"),
+            opt_level=opts.get("opt_level", 1),
             tracer=self.obs.tracer,
             metrics=self.obs.metrics,
         )

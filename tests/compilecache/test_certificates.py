@@ -1,34 +1,50 @@
 """Safety certificates in the compile cache.
 
 * **Key sensitivity** — mutating any single input (source, opt level,
-  backend, analyzer version) moves the cache key, so certificates can
-  never be confused across compiles.
-* **Disk-tier integrity** — a persisted certificate map round-trips
-  intact; a corrupted or version-stale copy loads back as *absent* and
-  is rebuilt with the current analyzer, never served.
+  analyzer version) moves the cache key, so certificates can never be
+  confused across compiles.
+* **Disk-tier integrity** — a persisted executable's stamped
+  certificates (``module.metadata[SAFETY_META]``, the one copy the
+  loader and the device read) round-trip intact; a version-stale or
+  malformed stamp is re-derived with the current analyzer, never used to
+  skip a guard or the launch gate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
 import tempfile
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.safety as safety
-from repro.analysis.safety import ANALYZER_VERSION, SafetyCertificate
+from repro.analysis.safety import (
+    ANALYZER_VERSION,
+    SAFETY_META,
+    SafetyCertificate,
+    Verdict,
+    certificates_for,
+)
 from repro.compilecache import ExecutableCache
 from repro.compilecache.cache import DISK_MAGIC
+from repro.errors import DeviceTrap, LoaderError
 from repro.frontend.dsl import Program
+from repro.gpu.device import GPUDevice
+from repro.host.loader import Loader
 from repro.passes.pipeline import pipeline_fingerprint
+from repro.runtime.compiled import SAFETY_CERT_KEY
+from repro.tools.safety_check import BROKEN
+from tests.util import SMALL_DEVICE
 
 source_hashes = st.text(
     alphabet="0123456789abcdef", min_size=8, max_size=32
 ).map(lambda s: "src:" + s)
 opt_levels = st.sampled_from([0, 1, 2])
-backends = st.sampled_from(["*", "interp", "compiled"])
 
 SRC = """
 def main(argc: i64, argv: ptr_ptr) -> i64:
@@ -38,24 +54,18 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
     return buf[7]
 """
 
+#: A program whose one load is statically DISPROVEN (it faults on every
+#: run), so a stamp that hides the verdict is observable.
+OOB = BROKEN["oob"][0]
+
 
 @settings(max_examples=30, deadline=None)
-@given(source_hashes, opt_levels, backends)
-def test_single_input_mutation_moves_the_key(src, opt, backend):
+@given(source_hashes, opt_levels)
+def test_single_input_mutation_moves_the_key(src, opt):
     cache = ExecutableCache()
-    base = cache.key_for(src, opt_level=opt, backend=backend).digest()
-    assert (
-        cache.key_for(src + "0", opt_level=opt, backend=backend).digest()
-        != base
-    )
-    assert (
-        cache.key_for(src, opt_level=(opt + 1) % 3, backend=backend).digest()
-        != base
-    )
-    other = "interp" if backend != "interp" else "compiled"
-    assert (
-        cache.key_for(src, opt_level=opt, backend=other).digest() != base
-    )
+    base = cache.key_for(src, opt_level=opt).digest()
+    assert cache.key_for(src + "0", opt_level=opt).digest() != base
+    assert cache.key_for(src, opt_level=(opt + 1) % 3).digest() != base
 
 
 def test_analyzer_version_bump_moves_fingerprint_and_key(monkeypatch):
@@ -82,64 +92,90 @@ def _rewrite_entry(path, mutate):
 
 
 class TestDiskCertificates:
-    def _build(self, cache_dir):
-        cache = ExecutableCache(cache_dir)
-        entry = cache.get_or_build(Program.from_source(SRC), opt_level=2)
-        certs = entry.safety  # fill the analysis box
-        assert certs and all(
-            isinstance(c, SafetyCertificate) for c in certs.values()
+    def _disk_load(self, src, mutate=None):
+        """Build ``src`` at -O2 into a disk tier, let ``mutate`` rewrite
+        the stored module's stamped certificate map, and load the entry
+        back through a fresh cache."""
+        with tempfile.TemporaryDirectory() as d:
+            cache = ExecutableCache(d)
+            built = cache.get_or_build(Program.from_source(src), opt_level=2)
+            if mutate is not None:
+                _rewrite_entry(
+                    cache._path(built.digest),
+                    lambda data: mutate(data["module"].metadata),
+                )
+            loaded = ExecutableCache(d).get_or_build(
+                Program.from_source(src), opt_level=2
+            )
+        assert loaded.tier == "disk"
+        return built.module, loaded.module
+
+    def _assert_rederived(self, module):
+        """The loader's DISPROVEN gate refuses the launch, and with the
+        gate overridden every lowered kernel carries a current
+        certificate that keeps the guard: the run traps."""
+        with pytest.raises(LoaderError, match="refusing to launch"):
+            Loader(module, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20).run(
+                [], thread_limit=8, collect_timing=False
+            )
+        loader = Loader(
+            module, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20,
+            allow_unsafe=True,
         )
-        cache._store_disk(entry.digest, entry)  # persist the filled box
-        return cache, entry
+        with pytest.raises(DeviceTrap):
+            loader.run(
+                [], thread_limit=8, collect_timing=False,
+                backend="compiled", safety_mode="unchecked",
+            )
+        assert loader.image.lowered
+        for kern in loader.image.lowered.values():
+            cert = kern.backend_cache[SAFETY_CERT_KEY]
+            assert isinstance(cert, SafetyCertificate)
+            assert cert.analyzer_version == ANALYZER_VERSION
+            assert cert.disproven()
 
     def test_certificates_roundtrip_via_disk(self):
-        with tempfile.TemporaryDirectory() as d:
-            _, built = self._build(d)
-            loaded = ExecutableCache(d).get_or_build(
-                Program.from_source(SRC), opt_level=2
-            )
-            assert loaded.tier == "disk"
-            assert loaded.box.safety is not None
-            assert {k: c.counts() for k, c in loaded.safety.items()} == {
-                k: c.counts() for k, c in built.safety.items()
-            }
+        built, loaded = self._disk_load(SRC)
+        stamped = loaded.metadata[SAFETY_META]
+        assert certificates_for(loaded) is stamped  # served, not re-derived
+        assert {k: c.to_dict() for k, c in stamped.items()} == {
+            k: c.to_dict() for k, c in built.metadata[SAFETY_META].items()
+        }
+        loader = Loader(loaded, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
+        assert loader.run([], thread_limit=32, collect_timing=False).exit_code == 8
+        for name, kern in loader.image.lowered.items():
+            assert kern.backend_cache[SAFETY_CERT_KEY] is stamped[name]
 
     def test_stale_certificate_version_is_rebuilt_not_served(self):
-        with tempfile.TemporaryDirectory() as d:
-            cache, entry = self._build(d)
+        def forge(metadata):
+            # A stale stamp claiming every site PROVEN: served, it would
+            # pass the launch gate and elide every guard.
+            for cert in metadata[SAFETY_META].values():
+                cert.analyzer_version = ANALYZER_VERSION + 41
+                cert.sites = {
+                    pc: dataclasses.replace(
+                        proof,
+                        null=Verdict.PROVEN,
+                        align=Verdict.PROVEN,
+                        bounds=Verdict.PROVEN,
+                        trap=Verdict.PROVEN,
+                    )
+                    for pc, proof in cert.sites.items()
+                }
 
-            def clobber(data):
-                for cert in data["safety"].values():
-                    cert.analyzer_version = ANALYZER_VERSION + 41
-                for cert in data["module"].metadata.get(
-                    safety.SAFETY_META, {}
-                ).values():
-                    cert.analyzer_version = ANALYZER_VERSION + 41
-
-            _rewrite_entry(cache._path(entry.digest), clobber)
-            loaded = ExecutableCache(d).get_or_build(
-                Program.from_source(SRC), opt_level=2
-            )
-            assert loaded.tier == "disk"
-            assert loaded.box.safety is None  # the stale copy was dropped
-            rebuilt = loaded.safety  # lazily re-analyzed on demand
-            assert all(
-                c.analyzer_version == ANALYZER_VERSION
-                for c in rebuilt.values()
-            )
+        _, loaded = self._disk_load(OOB, forge)
+        self._assert_rederived(loaded)
 
     def test_garbage_certificate_payload_is_rebuilt_not_served(self):
-        with tempfile.TemporaryDirectory() as d:
-            cache, entry = self._build(d)
-            _rewrite_entry(
-                cache._path(entry.digest),
-                lambda data: data.update(safety={"k": "not a certificate"}),
-            )
-            loaded = ExecutableCache(d).get_or_build(
-                Program.from_source(SRC), opt_level=2
-            )
-            assert loaded.box.safety is None
-            assert all(
-                isinstance(c, SafetyCertificate)
-                for c in loaded.safety.values()
-            )
+        def forge(metadata):
+            # Look-alikes carrying the current version and no sites.
+            metadata[SAFETY_META] = {
+                name: SimpleNamespace(
+                    kernel=name, analyzer_version=ANALYZER_VERSION,
+                    sites={}, disproven=list,
+                )
+                for name in metadata[SAFETY_META]
+            }
+
+        _, loaded = self._disk_load(OOB, forge)
+        self._assert_rederived(loaded)

@@ -1,7 +1,6 @@
 """Hypothesis properties of the executable cache.
 
-* **Key stability** — the same (source, config, opt level, backend)
-  always produces the same key and digest; changing any *single*
+* **Key stability** — the same (source, config, opt level) always produces the same key and digest; changing any *single*
   component produces a different digest.
 * **compile_many determinism** — the compiled artifacts are a pure
   function of the requests: worker count and submission order change
@@ -33,18 +32,16 @@ source_hashes = st.text(
 ).map(lambda s: "src:" + s)
 budgets = st.one_of(st.none(), st.integers(min_value=1 << 10, max_value=1 << 20))
 opt_levels = st.sampled_from([0, 1, 2])
-backends = st.sampled_from(["*", "interp", "compiled"])
 
 
 @settings(max_examples=50, deadline=None)
-@given(source_hashes, st.booleans(), budgets, opt_levels, backends)
-def test_key_is_stable(src, team_local, budget, opt, backend):
+@given(source_hashes, st.booleans(), budgets, opt_levels)
+def test_key_is_stable(src, team_local, budget, opt):
     cache = ExecutableCache()
     kw = dict(
         team_local_globals=team_local,
         shared_mem_budget=budget,
         opt_level=opt,
-        backend=backend,
     )
     first = cache.key_for(src, **kw)
     second = cache.key_for(src, **kw)
@@ -62,7 +59,6 @@ def test_any_single_component_changes_the_digest(src, team_local, budget, opt):
         team_local_globals=team_local,
         shared_mem_budget=budget,
         opt_level=opt,
-        backend="interp",
     )
     variants = [
         cache.key_for(
@@ -70,35 +66,24 @@ def test_any_single_component_changes_the_digest(src, team_local, budget, opt):
             team_local_globals=team_local,
             shared_mem_budget=budget,
             opt_level=opt,
-            backend="interp",
         ),
         cache.key_for(
             src,
             team_local_globals=not team_local,
             shared_mem_budget=budget,
             opt_level=opt,
-            backend="interp",
         ),
         cache.key_for(
             src,
             team_local_globals=team_local,
             shared_mem_budget=(budget or 0) + 4096,
             opt_level=opt,
-            backend="interp",
         ),
         cache.key_for(
             src,
             team_local_globals=team_local,
             shared_mem_budget=budget,
             opt_level=(opt + 1) % 3,
-            backend="interp",
-        ),
-        cache.key_for(
-            src,
-            team_local_globals=team_local,
-            shared_mem_budget=budget,
-            opt_level=opt,
-            backend="compiled",
         ),
         # Versioned invalidation: a pass-pipeline change misses even
         # when every caller-visible component is identical.

@@ -1,14 +1,16 @@
 """Analytic L2 model invariants."""
 
+import numpy as np
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, DeviceConfig, SimConfig
 from repro.gpu.cache import L2Model
 from repro.gpu.coalescing import SECTOR_BYTES
+from repro.gpu.timing import BlockTrace, PhaseStats, TimingModel
 
 
-def model(size=1 << 20, enabled=True):
-    return L2Model(CacheConfig(size_bytes=size, enabled=enabled))
+def model(size=1 << 20):
+    return L2Model(CacheConfig(size_bytes=size))
 
 
 def test_no_reuse_no_hits():
@@ -33,9 +35,20 @@ def test_capacity_overflow_scales_hits_down():
 
 
 def test_disabled_cache_sends_everything_to_dram():
-    out = model(enabled=False).evaluate(total_sectors=500, unique_sectors=10)
-    assert out.hit_rate == 0.0
-    assert out.dram_bytes == 500 * SECTOR_BYTES
+    """The L2 ablation (``SimConfig(model_l2=False)``) filters nothing,
+    even for a stream that re-touches 10 sectors 500 times."""
+    t = BlockTrace(0)
+    t.phases.append(PhaseStats(
+        parallel=False, active_warps=1, mem_warps=1,
+        issue_cycles_total=100.0, issue_cycles_max_warp=100.0, sectors=500,
+    ))
+    t.unique_sectors = np.arange(10)
+    timing = TimingModel(
+        DeviceConfig(global_mem_bytes=1 << 26), SimConfig(model_l2=False)
+    )
+    out = timing.kernel_time([t], threads_per_block=32)
+    assert out.l2_hit_rate == 0.0
+    assert out.total_dram_bytes == 500 * SECTOR_BYTES
 
 
 def test_bytes_conserved():

@@ -5,13 +5,19 @@ import json
 
 import pytest
 
+from repro.analysis import safety
+from repro.apps.registry import APPS
+from repro.gpu.device import GPUDevice
 from repro.harness.bench import (
     BenchRecord,
     BenchReport,
     check_regression,
+    measure_compile_walls,
     run_bench,
 )
 from repro.harness.figure6 import Figure6Workload
+from repro.host.loader import Loader
+from tests.util import SMALL_DEVICE
 
 #: Miniature workloads so a real bench run stays test-sized.
 TINY = {
@@ -165,6 +171,23 @@ class TestRegressionGate:
 
 
 class TestRealRun:
+    def test_cold_compile_runs_the_analyzer_after_a_warm_memo(self, monkeypatch):
+        """A loader has already certified the app's kernels in this
+        process; the bench's "cold" build must analyze them again, as a
+        new process would, instead of reading the certificate memo."""
+        loader = Loader(APPS["stream"].build_program(), GPUDevice(SMALL_DEVICE))
+        analyzed = []
+        run = safety._KernelAnalyzer.run
+
+        def counted(self):
+            analyzed.append(self.kern.name)
+            return run(self)
+
+        monkeypatch.setattr(safety._KernelAnalyzer, "run", counted)
+        measure_compile_walls(("stream",), (1,))
+        kernels = sorted(fn.name for fn in loader.module.kernels())
+        assert len(kernels) == 2 and sorted(analyzed) == kernels
+
     def test_tiny_bench_produces_both_backends(self):
         rep = run_bench(
             apps=("rsbench",), opt_levels=(2,), instances=2,

@@ -1,5 +1,6 @@
 """Ring RPC transport end to end: a device program whose printf/file calls
-travel through the ring buffer and a real host service thread."""
+travel through the ring buffer and a real host service thread.  Ring vs
+direct equivalence is the oracle's ``transport`` axis."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.frontend import Program, dgpu, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
 from repro.host.loader import Loader
 from repro.errors import LoaderError
+from tests.oracle import ORACLE, Config, Input, check
 from tests.util import SMALL_DEVICE
 
 
@@ -35,22 +37,13 @@ def ring_loader():
     )
 
 
-@pytest.fixture(scope="module")
-def direct_loader():
-    return Loader(
-        chatty_program(),
-        GPUDevice(SMALL_DEVICE),
-        heap_bytes=1 << 20,
-        rpc_transport="direct",
-    )
-
-
-def test_ring_transport_output_matches_direct(ring_loader, direct_loader):
-    a = ring_loader.run(["5"], collect_timing=False)
-    b = direct_loader.run(["5"], collect_timing=False)
-    assert a.exit_code == b.exit_code == 5
-    assert a.stdout == b.stdout
-    assert "line 4 of 5, x=2\n" in a.stdout
+def test_ring_transport_output_matches_direct():
+    configs = [Config(transport="ring"), Config("compiled", transport="ring")]
+    for timed in (False, True):
+        inp = Input(chatty_program(), ("5",), heap_bytes=1 << 20, timed=timed)
+        ((_, _, code, stdout, _),) = check(inp, configs)[ORACLE].obs.instances
+        assert code == 5
+        assert "line 4 of 5, x=2\n" in stdout
 
 
 def test_ring_transport_many_calls(ring_loader):

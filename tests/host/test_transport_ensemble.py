@@ -1,13 +1,9 @@
 """Ring RPC transport under ensemble execution: per-instance output must
 stay correctly keyed even when all calls funnel through one ring."""
 
-import pytest
-
 from repro.frontend import Program, i64, ptr_ptr
-from repro.gpu.device import GPUDevice
-from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
-from tests.util import SMALL_DEVICE
+from tests.oracle import ORACLE, Config, Input, check
 
 
 def chatty():
@@ -22,24 +18,15 @@ def chatty():
     return prog
 
 
-@pytest.fixture(scope="module")
-def loaders():
-    ring = EnsembleLoader(
-        chatty(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20,
-        rpc_transport="ring",
-    )
-    direct = EnsembleLoader(
-        chatty(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20,
-        rpc_transport="direct",
-    )
-    return ring, direct
-
-
-def test_ensemble_over_ring_matches_direct(loaders):
-    ring, direct = loaders
+def test_ensemble_over_ring_matches_direct():
     lines = [[str(i)] for i in (7, 8, 9, 10)]
-    a = ring.run_ensemble(LaunchSpec(lines, thread_limit=32, collect_timing=False))
-    b = direct.run_ensemble(LaunchSpec(lines, thread_limit=32, collect_timing=False))
-    assert a.return_codes == b.return_codes == [7, 8, 9, 10]
-    for i in range(4):
-        assert a.stdout_of(i) == b.stdout_of(i) == f"from instance {7 + i}\n"
+    spec = LaunchSpec(lines, thread_limit=32)
+    runs = check(
+        Input(chatty(), spec=spec, heap_bytes=1 << 20),
+        [Config(transport="ring"), Config("compiled", transport="ring")],
+    )
+    instances = runs[ORACLE].obs.instances
+    assert [code for _, _, code, _, _ in instances] == [7, 8, 9, 10]
+    assert [out for _, _, _, out, _ in instances] == [
+        f"from instance {7 + i}\n" for i in range(4)
+    ]

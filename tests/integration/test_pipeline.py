@@ -87,13 +87,13 @@ def test_optimization_reduces_instruction_count():
     m1 = compile_for_device(prog.compile())
     build_single_kernel(m1)
     build_ensemble_kernel(m1)
-    unopt = finalize_executable(m1, optimize=False)
+    unopt = finalize_executable(m1, opt_level=0)
     size_unopt = unopt.functions["__single_entry"].instruction_count()
 
     prog2 = legacy_app()
     m2 = compile_for_device(prog2.compile())
     build_single_kernel(m2)
     build_ensemble_kernel(m2)
-    opt = finalize_executable(m2, optimize=True)
+    opt = finalize_executable(m2, opt_level=1)
     size_opt = opt.functions["__single_entry"].instruction_count()
     assert size_opt < size_unopt

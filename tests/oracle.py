@@ -2,7 +2,7 @@
 
 A :class:`Config` picks one value per equivalence axis; :data:`ORACLE`
 (interpreter, -O1, checked, cold compile, direct, no fault plan, one
-device) is the reference.  :func:`check` runs an :class:`Input` under
+device, direct RPC transport) is the reference.  :func:`check` runs an :class:`Input` under
 the oracle and under each config, and compares every pair of runs on the
 :data:`FIELDS` kept (:data:`PRESERVES`) by every axis on which the two
 differ.  A new axis is a ``PRESERVES`` row, not a new fingerprint
@@ -56,6 +56,7 @@ class Config:
     served: bool = False  # submit through a campaign server
     plan: str | None = None  # a fault plan the run recovers from
     devices: int = 1
+    transport: str = "direct"  # the loader's RPC transport
 
     def diff(self, other: "Config") -> tuple[str, ...]:
         """The axes on which ``self`` and ``other`` differ."""
@@ -82,7 +83,9 @@ SAFETY_MATRIX = [Config(opt_level=2)] + [
 
 #: The fields each axis keeps.  -O2 legitimately moves steps and cycles;
 #: a campaign result carries no traces; the device count and a recovered
-#: fault plan promise the answers, not the time.
+#: fault plan promise the answers, not the time.  The RPC transport
+#: moves host calls through a ring buffer and a host service thread
+#: instead of a direct call, which no observable may see.
 PRESERVES = {
     "backend": FIELDS,
     "safety_mode": FIELDS,
@@ -91,6 +94,7 @@ PRESERVES = {
     "served": ("instances", "steps", "cycles"),
     "plan": ("instances",),
     "devices": ("instances",),
+    "transport": FIELDS,
 }
 
 
@@ -150,6 +154,7 @@ def _run_argv(inp: Input, cfg: Config, cache) -> Run:
         GPUDevice(inp.device),
         heap_bytes=inp.heap_bytes,
         opt_level=cfg.opt_level,
+        rpc_transport=cfg.transport,
         allow_unsafe=inp.allow_unsafe,
         cache=cache,
     )
@@ -175,6 +180,7 @@ def _run_spec(inp: Input, cfg: Config, cache) -> Run:
     )
     opts = {"heap_bytes": inp.heap_bytes, "opt_level": cfg.opt_level}
     if cfg.served:
+        assert cfg.transport == ORACLE.transport, f"{cfg}: not on the wire"
         from repro.serve.client import Client
         from repro.serve.harness import ServerThread
 
@@ -190,6 +196,7 @@ def _run_spec(inp: Input, cfg: Config, cache) -> Run:
             sched = st.server.scheduler
             stats, labels = sched.stats.summary(), sched.pool.labels
         return Run(Observables.of(result), stats=stats, labels=labels)
+    opts["rpc_transport"] = cfg.transport
     pool = DevicePool(cfg.devices, config=inp.device)
     try:
         sched = Scheduler(

@@ -46,10 +46,10 @@ def test_rsbench_stays_uniform():
 
 def test_optimization_reduces_steps():
     """The LTO pipeline must keep paying for itself in dynamic work."""
-    def run(optimize):
+    def run(opt_level):
         loader = EnsembleLoader(
             xsbench.build_program(), GPUDevice(SMALL_DEVICE),
-            heap_bytes=1 << 22, optimize=optimize,
+            heap_bytes=1 << 22, opt_level=opt_level,
         )
         res = loader.run_ensemble(LaunchSpec(
             [["-g", "256", "-n", "4", "-l", "64", "-s", "1"]],
@@ -57,4 +57,4 @@ def test_optimization_reduces_steps():
         ))
         return res.launch.interpreter_steps
 
-    assert run(True) < run(False) * 0.9
+    assert run(1) < run(0) * 0.9

@@ -68,5 +68,4 @@ class TestSubConfigs:
 
     def test_l2_defaults(self):
         c = CacheConfig()
-        assert c.enabled
         assert c.size_bytes == 40 * 1024 * 1024  # A100 L2

@@ -1,6 +1,7 @@
 """Documentation gates: every public surface carries real docstrings and
 the repo-level documents stay in sync with the code."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -114,3 +115,17 @@ class TestRepoDocuments:
             if len(cells) == 4 and cells[0].startswith("`"):
                 rows[cells[0].strip("`")] = tuple(cells[1].replace("`", "").split())
         assert rows == {axis: tuple(f) for axis, f in PRESERVES.items()}
+
+    def test_cache_key_table_matches_the_key(self):
+        """docs/compilecache.md's key table lists exactly the fields of
+        ``CacheKey``, in order."""
+        from repro.compilecache import CacheKey
+
+        text = (self.docs_dir() / "docs" / "compilecache.md").read_text()
+        section = text.split("## The key scheme", 1)[1].split("\n## ", 1)[0]
+        rows = []
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0].startswith("`"):
+                rows.append(cells[0].strip("`"))
+        assert rows == [f.name for f in dataclasses.fields(CacheKey)]
