@@ -24,7 +24,11 @@ CLI:  python -m repro.host.cli --app stencil --auto examples/auto_ensemble_loop.
 Lint: python -m repro.tools.lint --driver examples/auto_ensemble_loop.py
 """
 
+from repro import LaunchSpec
 from repro.frontend.autoensemble import auto_launch
+
+#: Run options of every launch; the driver supplies the instances.
+RUN = LaunchSpec(thread_limit=64, collect_timing=False)
 
 
 def driver(run):
@@ -40,9 +44,7 @@ def driver(run):
 
 
 def main() -> None:
-    ensemble = auto_launch(
-        driver, app="stencil", thread_limit=64, collect_timing=False
-    )
+    ensemble = auto_launch(driver, app="stencil", spec=RUN)
     print(f"mode={ensemble.mode}: {ensemble.num_instances} instances")
     verdicts = [
         f"  loop at line {cls.loop.node.lineno}: safe={cls.safe} ("
@@ -55,10 +57,7 @@ def main() -> None:
     print("\n".join("  " + line.strip() for line in checksums))
     print(f"  failures: {failures}")
 
-    sequential = auto_launch(
-        driver, app="stencil", mode="sequential", thread_limit=64,
-        collect_timing=False,
-    )
+    sequential = auto_launch(driver, app="stencil", mode="sequential", spec=RUN)
     assert sequential.value == ensemble.value, "ensemble deviated from sequential"
     print("sequential replay: bitwise-identical driver value")
 

@@ -61,7 +61,9 @@ def run() -> None:
     loader = EnsembleLoader(prog, device)
 
     # --- single instance (the original direct-compilation loader) -------
-    single = loader.run(["-n", "20000", "-l", "0"], thread_limit=128)
+    single = loader.run(
+        LaunchSpec([["-n", "20000", "-l", "0"]], thread_limit=128)
+    )
     print("single run:")
     print("  stdout:", single.stdout.strip())
     print(f"  exit code {single.exit_code}, {single.cycles:,.0f} simulated cycles")

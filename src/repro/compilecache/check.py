@@ -29,6 +29,7 @@ from repro.apps import get_app
 from repro.compilecache.cache import ExecutableCache
 from repro.config import DeviceConfig
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.host.results import Observables
 
@@ -39,13 +40,11 @@ DEFAULT_MIN_HIT_RATE = 0.99
 CHECK_DEVICE = DeviceConfig(global_mem_bytes=64 * 1024 * 1024)
 
 
-def _run_fresh(module, heap_bytes: int, thread_limit: int, args) -> Observables:
+def _run_fresh(module, heap_bytes: int, spec: LaunchSpec) -> Observables:
     """Run ``module`` on a fresh device."""
     loader = Loader(module, GPUDevice(CHECK_DEVICE), heap_bytes=heap_bytes)
     try:
-        res = loader.run(
-            args, thread_limit=thread_limit, collect_timing=False
-        )
+        res = loader.run(spec)
     finally:
         loader.close()
     return Observables.of(res)
@@ -62,7 +61,11 @@ def run_check(
     """Execute the four gates; returns the report dict (``report["ok"]``
     is the overall verdict)."""
     app = get_app(app_name)
-    args = app.default_args(points=64, iters=1)
+    spec = LaunchSpec(
+        [app.default_args(points=64, iters=1)],
+        thread_limit=thread_limit,
+        collect_timing=False,
+    )
     heap = app.heap_hint_bytes
 
     cold_cache = ExecutableCache(cache_dir)
@@ -71,7 +74,7 @@ def run_check(
         app.build_program(), opt_level=opt_level
     )
     cold_wall = time.perf_counter() - t0
-    cold_obs = _run_fresh(cold_entry.module, heap, thread_limit, args)
+    cold_obs = _run_fresh(cold_entry.module, heap, spec)
     disk_stored = cold_cache.stats()["stores_disk"] == 1
 
     # A fresh cache over the same directory: restart simulation.  Both
@@ -84,7 +87,7 @@ def run_check(
     warm_wall = time.perf_counter() - t0
     second = warm_cache.get_or_build(app.build_program(), opt_level=opt_level)
     stats = warm_cache.stats()
-    warm_obs = _run_fresh(warm_entry.module, heap, thread_limit, args)
+    warm_obs = _run_fresh(warm_entry.module, heap, spec)
 
     hit_rate = stats["hit_rate"] or 0.0
     report = {

@@ -55,8 +55,7 @@ from typing import Any, Callable, Sequence
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.driverdep import LoopClassification, analyze_driver
 from repro.errors import AutoEnsembleError
-from repro.host.launch import DEFAULT_MAX_STEPS, LaunchSpec
-from repro.runtime.backend import DEFAULT_BACKEND
+from repro.host.launch import LaunchSpec
 
 #: Loader keyword options forwarded to the launch surfaces.
 _LOADER_OPT_KEYS = (
@@ -326,34 +325,31 @@ def _resolve_program(app):
 
 
 class EnsembleBackend:
-    """Executes one batch of argument vectors as a scheduled campaign."""
+    """Executes one batch of argument vectors as a scheduled campaign.
+
+    ``spec`` is the template every launch is built from: its run options
+    (thread limit, step cap, timing, engine, safety mode, fault plan)
+    apply as given, and its argument source is replaced by the batch.
+    """
 
     def __init__(
         self,
         app,
         *,
+        spec: LaunchSpec = LaunchSpec(),
         devices: int = 1,
-        thread_limit: int = 1024,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        collect_timing: bool = True,
-        fault_plan=None,
         obs=None,
         loader_opts: dict | None = None,
         max_batch: int | None = None,
         retries: int = 2,
-        backend: str = DEFAULT_BACKEND,
     ):
         self.program = _resolve_program(app)
+        self.spec = spec
         self.devices = devices
-        self.thread_limit = thread_limit
-        self.max_steps = max_steps
-        self.collect_timing = collect_timing
-        self.fault_plan = fault_plan
         self.obs = obs
         self.loader_opts = dict(loader_opts or {})
         self.max_batch = max_batch
         self.retries = retries
-        self.backend = backend
         self.last_spec: LaunchSpec | None = None
         self.last_result = None
 
@@ -361,14 +357,7 @@ class EnsembleBackend:
         from repro.config import DEFAULT_DEVICE
         from repro.sched import DevicePool, Scheduler
 
-        spec = LaunchSpec(
-            arg_source=[list(args) for args in batches],
-            thread_limit=self.thread_limit,
-            max_steps=self.max_steps,
-            collect_timing=self.collect_timing,
-            fault_plan=self.fault_plan,
-            backend=self.backend,
-        )
+        spec = self.spec.with_instances([list(args) for args in batches])
         self.last_spec = spec
         pool = DevicePool(self.devices, config=DEFAULT_DEVICE)
         kwargs = dict(default_retries=self.retries)
@@ -394,15 +383,14 @@ class EnsembleBackend:
 
 
 class SequentialBackend:
-    """Executes argument vectors one at a time on a single device."""
+    """Executes argument vectors one at a time on a single device, each
+    under the run options of the template ``spec``."""
 
     def __init__(
         self,
         app,
         *,
-        thread_limit: int = 1024,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        collect_timing: bool = True,
+        spec: LaunchSpec = LaunchSpec(),
         loader_opts: dict | None = None,
     ):
         from repro.gpu.device import GPUDevice
@@ -412,17 +400,10 @@ class SequentialBackend:
         opts.pop("mapping", None)  # single-instance runs have no mapping
         opts.pop("allow_races", None)
         self.loader = Loader(_resolve_program(app), GPUDevice(), **opts)
-        self.thread_limit = thread_limit
-        self.max_steps = max_steps
-        self.collect_timing = collect_timing
+        self.spec = spec
 
     def execute_one(self, args: list[str]) -> tuple[int, str]:
-        result = self.loader.run(
-            args,
-            thread_limit=self.thread_limit,
-            collect_timing=self.collect_timing,
-            max_steps=self.max_steps,
-        )
+        result = self.loader.run(self.spec.with_instances([list(args)]))
         return result.exit_code, result.stdout
 
 
@@ -461,14 +442,11 @@ def auto_launch(
     fn: Callable,
     app=None,
     *,
+    spec: LaunchSpec = LaunchSpec(),
     mode: str = "auto",
     devices: int = 1,
-    thread_limit: int = 1024,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    collect_timing: bool = True,
-    fault_plan=None,
     obs=None,
-    backend: Callable[[list[tuple[str, ...]]], list[AutoRunResult]] | None = None,
+    execute: Callable[[list[tuple[str, ...]]], list[AutoRunResult]] | None = None,
     sequential_execute: Callable[[list[str]], tuple[int, str]] | None = None,
     **loader_opts,
 ) -> AutoEnsembleOutcome:
@@ -478,11 +456,14 @@ def auto_launch(
     launcher and whose body contains an ordinary ``for`` loop calling it
     once (or more) per iteration.  ``app`` names the application every
     ``run(...)`` call launches (registry name, AppEntry, or Program).
+    ``spec`` is the template :class:`~repro.host.launch.LaunchSpec` whose
+    run options every launch uses; its argument source is ignored (the
+    recorded calls replace it).
 
     ``mode="auto"`` (default) analyzes, traces, launches through
     :mod:`repro.sched`, and replays.  ``mode="sequential"`` executes each
     call immediately on one device — the differential oracle.  Custom
-    ``backend`` / ``sequential_execute`` callables replace the device
+    ``execute`` / ``sequential_execute`` callables replace the device
     execution (used by the property tests); ``**loader_opts`` forward to
     the loaders (``heap_bytes``, ``opt_level``, ``mapping``, ...).
 
@@ -493,7 +474,8 @@ def auto_launch(
     if unknown:
         raise AutoEnsembleError(
             f"unknown auto_launch option(s) {sorted(unknown)}; loader "
-            f"options are {sorted(_LOADER_OPT_KEYS)}"
+            f"options are {sorted(_LOADER_OPT_KEYS)}, and run options "
+            "go on the template spec=LaunchSpec(...)"
         )
     if mode not in ("auto", "sequential"):
         raise AutoEnsembleError(
@@ -510,14 +492,9 @@ def auto_launch(
 
     if mode == "sequential":
         if sequential_execute is None:
-            seq_backend = SequentialBackend(
-                app,
-                thread_limit=thread_limit,
-                max_steps=max_steps,
-                collect_timing=collect_timing,
-                loader_opts=loader_opts,
-            )
-            sequential_execute = seq_backend.execute_one
+            sequential_execute = SequentialBackend(
+                app, spec=spec, loader_opts=loader_opts
+            ).execute_one
         launcher = _Sequential(sequential_execute)
         value = fn(launcher)
         return AutoEnsembleOutcome(
@@ -532,21 +509,14 @@ def auto_launch(
     fn(recorder)
 
     # --- launch ---------------------------------------------------------
-    if backend is None:
-        backend = EnsembleBackend(
-            app,
-            devices=devices,
-            thread_limit=thread_limit,
-            max_steps=max_steps,
-            collect_timing=collect_timing,
-            fault_plan=fault_plan,
-            obs=obs,
-            loader_opts=loader_opts,
+    if execute is None:
+        execute = EnsembleBackend(
+            app, spec=spec, devices=devices, obs=obs, loader_opts=loader_opts
         )
-    results = backend(list(recorder.calls)) if recorder.calls else []
+    results = execute(list(recorder.calls)) if recorder.calls else []
     if len(results) != len(recorder.calls):
         raise AutoEnsembleError(
-            f"backend returned {len(results)} results for "
+            f"the execute backend returned {len(results)} results for "
             f"{len(recorder.calls)} recorded instances"
         )
 
@@ -564,8 +534,8 @@ def auto_launch(
         instances=results,
         mode="ensemble",
         classifications=classifications,
-        spec=getattr(backend, "last_spec", None),
-        campaign=getattr(backend, "last_result", None),
+        spec=getattr(execute, "last_spec", None),
+        campaign=getattr(execute, "last_result", None),
     )
 
 

@@ -28,8 +28,15 @@ from repro.gpu.memory import GlobalMemory
 from repro.gpu.timing import BlockTrace, KernelTiming, TimingModel
 from repro.ir.module import Module
 from repro.obs.tracer import CLOCK_CYCLES, CLOCK_STEPS, NULL_TRACER
-from repro.runtime.backend import DEFAULT_BACKEND, Backend, get_backend
-from repro.runtime.compiled import SAFETY_CERT_KEY, SAFETY_MODES
+from repro.runtime.backend import (
+    DEFAULT_BACKEND,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_SAFETY_MODE,
+    SAFETY_MODES,
+    Backend,
+    get_backend,
+)
+from repro.runtime.compiled import SAFETY_CERT_KEY
 from repro.runtime.interpreter import BlockContext
 from repro.runtime.machine import LoweredKernel, lower_kernel
 from repro.runtime.trace import TraceCollector
@@ -326,9 +333,9 @@ class GPUDevice:
         stack_bytes: int = 1024,
         rpc=None,
         collect_timing: bool = True,
-        max_steps: int = 200_000_000,
+        max_steps: int = DEFAULT_MAX_STEPS,
         backend: "str | Backend" = DEFAULT_BACKEND,
-        safety_mode: str = "unchecked",
+        safety_mode: str = DEFAULT_SAFETY_MODE,
     ) -> LaunchResult:
         engine = get_backend(backend)
         cfg = config_1d(num_teams, thread_limit, instances_per_team)

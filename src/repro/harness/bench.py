@@ -59,6 +59,7 @@ from repro.harness.experiment import build_instance_lines
 from repro.harness.figure6 import FIGURE6_WORKLOADS, Figure6Workload
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
+from repro.runtime.backend import DEFAULT_SAFETY_MODE
 
 #: Schema version of the JSON report (bump on incompatible change).
 #: v2: per-app checked-vs-unchecked safety comparison (``safety`` section).
@@ -243,7 +244,7 @@ def run_bench(
     thread_limit: int = SMOKE_THREAD_LIMIT,
     repeats: int = 3,
     workloads: dict[str, Figure6Workload] | None = None,
-    safety_mode: str = "unchecked",
+    safety_mode: str = DEFAULT_SAFETY_MODE,
     progress=None,
 ) -> BenchReport:
     """Measure the smoke campaign on both backends; see module doc.

@@ -48,6 +48,7 @@ from repro.compilecache import (
     compile_many,
 )
 from repro.config import DeviceConfig
+from repro.host.launch import LaunchSpec
 from repro.host.results import Observables
 from repro.runtime.backend import DEFAULT_BACKEND
 
@@ -84,6 +85,15 @@ class GPConfig:
     devices: int = 1
     fault_plan: str | None = None
     retries: int = 4
+
+    def launch_spec(self) -> LaunchSpec:
+        """One untimed run of a genome (genomes take no arguments)."""
+        return LaunchSpec(
+            [[]],
+            thread_limit=self.thread_limit,
+            collect_timing=False,
+            backend=self.backend,
+        )
 
 
 @dataclass
@@ -171,11 +181,10 @@ class _Evaluator:
         cfg = self.config
         if self.sched is None:
             return _run_direct(module, cfg)
-        from repro.host.launch import LaunchSpec
-
-        spec = LaunchSpec([[]], thread_limit=cfg.thread_limit, collect_timing=False)
         opts = {"heap_bytes": cfg.heap_bytes}
-        return Observables.of(self.sched.run_campaign(module, spec, loader_opts=opts))
+        return Observables.of(
+            self.sched.run_campaign(module, cfg.launch_spec(), loader_opts=opts)
+        )
 
     def close(self) -> None:
         if self.pool is not None:
@@ -189,12 +198,7 @@ def _run_direct(module, cfg: GPConfig) -> Observables:
 
     loader = Loader(module, GPUDevice(GP_DEVICE), heap_bytes=cfg.heap_bytes)
     try:
-        res = loader.run(
-            [],
-            thread_limit=cfg.thread_limit,
-            collect_timing=False,
-            backend=cfg.backend,
-        )
+        res = loader.run(cfg.launch_spec())
     finally:
         loader.close()
     return Observables.of(res)

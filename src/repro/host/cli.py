@@ -31,8 +31,8 @@ from repro.faults import FaultPlan, FaultPlanError
 from repro.gpu.device import GPUDevice
 from repro.host.argscript import expand_argument_script
 from repro.host.ensemble_loader import EnsembleLoader
-from repro.host.launch import DEFAULT_MAX_STEPS, LaunchSpec
-from repro.runtime.backend import DEFAULT_BACKEND, available_backends
+from repro.host.launch import LaunchSpec
+from repro.runtime.backend import available_backends
 from repro.host.mapping import OneInstancePerTeam, PackedMapping
 from repro.obs import Observability, report
 
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-t",
         "--thread-limit",
         type=int,
-        default=1024,
+        default=LaunchSpec.thread_limit,
         help="maximum number of threads each instance can utilize",
     )
     parser.add_argument(
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-steps",
         type=int,
-        default=DEFAULT_MAX_STEPS,
+        default=LaunchSpec.max_steps,
         help="interpreter-step cap per launch (livelock guard)",
     )
     parser.add_argument(
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default=DEFAULT_BACKEND,
+        default=LaunchSpec.backend,
         choices=available_backends(),
         help="execution engine: 'compiled' (the default: block-compiled "
         "threaded code, bitwise-identical results, faster) or 'interp' "
@@ -165,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compile through a persistent executable cache rooted at DIR "
         "(compile-once across invocations; see docs/compilecache.md)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir and compile cold",
     )
     parser.add_argument(
         "--inject",
@@ -302,6 +297,19 @@ def _parse_fault_plan(parser, args):
         parser.error(f"--inject: {exc}")
 
 
+def _spec(parser, args, arg_source=()) -> LaunchSpec:
+    """The run options of the parsed ``args`` as one :class:`LaunchSpec`."""
+    return LaunchSpec(
+        arg_source,
+        num_instances=args.num_instances,
+        thread_limit=args.thread_limit,
+        max_steps=args.max_steps,
+        collect_timing=not args.no_timing,
+        fault_plan=_parse_fault_plan(parser, args),
+        backend=args.backend,
+    )
+
+
 def _loader_opts(args) -> dict:
     mapping = PackedMapping(args.pack) if args.pack > 1 else OneInstancePerTeam()
     return dict(
@@ -356,21 +364,17 @@ def _run_auto(parser, args, app, obs: Observability) -> int:
     from repro.frontend.autoensemble import EnsembleBackend, auto_launch
 
     fn = _load_driver(parser, args.auto)
-    backend = EnsembleBackend(
-        app,
-        devices=args.devices,
-        thread_limit=args.thread_limit,
-        max_steps=args.max_steps,
-        collect_timing=not args.no_timing,
-        fault_plan=_parse_fault_plan(parser, args),
-        obs=obs,
-        loader_opts=_loader_opts(args),
-        max_batch=args.max_batch,
-        retries=args.retries,
-        backend=args.backend,
-    )
     try:
-        outcome = auto_launch(fn, app, backend=backend)
+        execute = EnsembleBackend(
+            app,
+            spec=_spec(parser, args),
+            devices=args.devices,
+            obs=obs,
+            loader_opts=_loader_opts(args),
+            max_batch=args.max_batch,
+            retries=args.retries,
+        )
+        outcome = auto_launch(fn, app, execute=execute)
     except AutoEnsembleError as exc:
         print(f"auto-ensemble rejected: {exc}", file=sys.stderr)
         return 1
@@ -407,18 +411,10 @@ def _run(parser, args, app, obs: Observability) -> int:
         else:
             arg_source = args.arg_file
 
-        spec = LaunchSpec(
-            arg_source=arg_source,
-            num_instances=args.num_instances,
-            thread_limit=args.thread_limit,
-            max_steps=args.max_steps,
-            collect_timing=not args.no_timing,
-            fault_plan=_parse_fault_plan(parser, args),
-            backend=args.backend,
-        )
+        spec = _spec(parser, args, arg_source)
         loader_opts = _loader_opts(args)
         cache = None
-        if args.cache_dir and not args.no_cache:
+        if args.cache_dir:
             from repro.compilecache import ExecutableCache
 
             cache = ExecutableCache(args.cache_dir, metrics=obs.metrics)

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.analysis import Severity, check_races
 from repro.errors import EnsembleSafetyError, LoaderError
-from repro.faults.injector import FaultInjector
 from repro.faults.report import FAULT_EXIT, FaultReport
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice, LaunchResult
@@ -140,11 +139,6 @@ class EnsembleLoader(Loader):
         )
         self.mapping = mapping
         self.allow_races = allow_races
-        #: the injector this loader armed from a spec's fault plan, if any;
-        #: lets the next direct ``run_ensemble`` re-arm a fresh plan
-        #: without clobbering an injector a scheduler attached for its
-        #: campaign.
-        self._spec_adopted_faults = None
         #: error-severity cross-instance race findings for the linked module;
         #: computed once here, enforced per-launch in :meth:`run_ensemble`.
         self.race_diagnostics = [
@@ -187,25 +181,6 @@ class EnsembleLoader(Loader):
             )
         return self._run_spec(spec)
 
-    def _adopt_fault_plan(self, spec: LaunchSpec) -> None:
-        """Arm a spec-carried chaos plan on this loader's device.
-
-        A scheduler that already armed an injector for the campaign wins
-        over the spec.  A plan the *spec* carries is part of
-        that launch's description, so each such launch re-arms a fresh
-        injector (schedule counters like ``times=`` start over per run).
-        """
-        plan = spec.resolve_fault_plan()
-        if plan is None:
-            return
-        current = self.device.faults
-        if current.enabled and current is not self._spec_adopted_faults:
-            return
-        injector = FaultInjector(plan)
-        injector.attach_sinks(self.device.tracer, self.device.metrics)
-        self.device.faults = injector
-        self._spec_adopted_faults = injector
-
     def _run_spec(self, spec: LaunchSpec) -> EnsembleResult:
         self._adopt_fault_plan(spec)
         instances = spec.resolve_instances()
@@ -222,17 +197,7 @@ class EnsembleLoader(Loader):
         block = self._marshal_instances(argvs)
         try:
             launch = self._launch(
-                ENSEMBLE_KERNEL,
-                block,
-                num_teams=geometry.num_teams,
-                thread_limit=geometry.thread_limit,
-                instances_per_team=geometry.instances_per_team,
-                total_slots=geometry.total_slots,
-                rpc_host=rpc_host,
-                collect_timing=spec.collect_timing,
-                max_steps=spec.max_steps,
-                backend=spec.backend,
-                safety_mode=spec.safety_mode,
+                ENSEMBLE_KERNEL, block, spec, geometry, rpc_host
             )
             codes = self.device.memory.read_array(
                 block.ret_addr, np.int64, num_instances

@@ -8,9 +8,14 @@ pre-parsed token lists, and the CLI yet another flag spelling.
 argument source and instance count) and *how* (thread limit, step cap,
 timing collection), and is accepted uniformly by
 
-* :meth:`repro.host.loader.Loader.run`,
+* :meth:`repro.host.loader.Loader.run` (which also takes a bare argv
+  tail, meaning ``LaunchSpec([argv])``),
 * :meth:`repro.host.ensemble_loader.EnsembleLoader.run_ensemble`,
-* :meth:`repro.sched.Scheduler.submit`.
+* :meth:`repro.sched.Scheduler.submit`,
+* :func:`repro.frontend.autoensemble.auto_launch` and its backends, as a
+  template whose instances each call fills in.
+
+None of them restates a run option as a keyword parameter.
 
 Since v2.0 the spec is the only accepted shape (the v1 raw-source call
 shapes raise ``TypeError`` with a migration hint).  The spec also names
@@ -29,14 +34,16 @@ from typing import Sequence, Union
 from repro.errors import LoaderError
 from repro.faults.plan import FaultPlan
 from repro.host.argfile import resolve_arg_source
-from repro.runtime.backend import DEFAULT_BACKEND
+from repro.runtime.backend import (
+    DEFAULT_BACKEND,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_SAFETY_MODE,
+    SAFETY_MODES,
+    available_backends,
+)
 
 #: Anything :func:`~repro.host.argfile.resolve_arg_source` understands.
 ArgSource = Union[str, Path, Sequence[Sequence[str]]]
-
-#: Default per-launch interpreter-step cap (matches the historical
-#: ``run_ensemble`` default; generous enough for every shipped benchmark).
-DEFAULT_MAX_STEPS = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -44,14 +51,22 @@ class LaunchSpec:
     """Everything needed to launch an ensemble, in one value.
 
     ``arg_source`` is an argument file path, raw argument-file text, or an
-    already-parsed list of per-instance token lists (§3.2's ``-f``).
+    already-parsed list of per-instance token lists (§3.2's ``-f``).  It
+    defaults to no instances, which makes ``LaunchSpec(thread_limit=...)``
+    a template of run options for the entry points that fill in the
+    instances themselves (the auto-ensemble frontend).
     ``num_instances`` is the paper's ``-n``: ``None`` runs every line, a
     smaller count runs a prefix, a larger count is an error.
     ``thread_limit`` is ``-t``; ``max_steps`` bounds interpreter steps per
     launch; ``collect_timing`` toggles the timing model.
+
+    This is the one place run options are declared, defaulted and
+    validated: construction raises :class:`~repro.errors.LoaderError` for
+    a value no launch could accept, so a typo fails before any device
+    work instead of surfacing later as a device fault.
     """
 
-    arg_source: ArgSource
+    arg_source: ArgSource = ()
     num_instances: int | None = None
     thread_limit: int = 1024
     max_steps: int = DEFAULT_MAX_STEPS
@@ -64,15 +79,36 @@ class LaunchSpec:
     backend: str = DEFAULT_BACKEND
     #: Optional chaos plan (a :class:`~repro.faults.plan.FaultPlan` or its
     #: spec-string form) carried with the workload; the entry surface that
-    #: executes the spec arms it — the scheduler across its pool, the
-    #: ensemble loader on its device.  ``None`` means ``NO_FAULTS``.
+    #: executes the spec arms it — the scheduler across its pool, a
+    #: loader on its device.  ``None`` means ``NO_FAULTS``.
     fault_plan: FaultPlan | str | None = None
-    #: Guard policy for certificate-aware backends: ``"unchecked"`` (the
+    #: Guard policy for certificate-aware backends, one of
+    #: :data:`~repro.runtime.backend.SAFETY_MODES`: ``"unchecked"`` (the
     #: default — sites the :mod:`~repro.analysis.safety` certificate
     #: proves safe run guard-free), ``"checked"`` (dynamic guards
     #: everywhere; the ``--no-unchecked`` escape hatch), or ``"assert"``
     #: (guards stay armed and report certificate violations).
-    safety_mode: str = "unchecked"
+    safety_mode: str = DEFAULT_SAFETY_MODE
+
+    def __post_init__(self) -> None:
+        if self.num_instances is not None and self.num_instances < 1:
+            raise LoaderError("-n must request at least one instance")
+        if self.thread_limit < 1:
+            raise LoaderError(
+                f"thread_limit must be >= 1, got {self.thread_limit}"
+            )
+        if self.max_steps < 1:
+            raise LoaderError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.backend not in available_backends():
+            raise LoaderError(
+                f"unknown backend {self.backend!r}; available: "
+                f"{', '.join(available_backends())}"
+            )
+        if self.safety_mode not in SAFETY_MODES:
+            raise LoaderError(
+                f"unknown safety_mode {self.safety_mode!r}; expected one of "
+                f"{', '.join(SAFETY_MODES)}"
+            )
 
     def resolve_instances(self) -> list[list[str]]:
         """Resolve ``arg_source`` and apply the ``-n`` prefix rule."""
@@ -80,8 +116,6 @@ class LaunchSpec:
         n = self.num_instances
         if n is None:
             return instances
-        if n < 1:
-            raise LoaderError("-n must request at least one instance")
         if n > len(instances):
             raise LoaderError(
                 f"-n {n} requested but the argument file has only "
@@ -150,26 +184,26 @@ class LaunchSpec:
                 )
             instances.append(list(line))
         plan_data = wire.get_field(data, "fault_plan", dict, None, kind=kind)
-        return cls(
-            arg_source=instances,
-            num_instances=None,
-            thread_limit=wire.get_field(
-                data, "thread_limit", int, 1024, kind=kind
-            ),
-            max_steps=wire.get_field(
-                data, "max_steps", int, DEFAULT_MAX_STEPS, kind=kind
-            ),
-            collect_timing=wire.get_field(
-                data, "collect_timing", bool, True, kind=kind
-            ),
-            backend=wire.get_field(data, "backend", str, DEFAULT_BACKEND, kind=kind),
-            fault_plan=None
-            if plan_data is None
-            else FaultPlan.from_wire(plan_data),
-            safety_mode=wire.get_field(
-                data, "safety_mode", str, "unchecked", kind=kind
-            ),
-        )
+
+        def option(name, types):  # absent: the dataclass default
+            return wire.get_field(data, name, types, getattr(cls, name), kind=kind)
+
+        try:
+            return cls(
+                arg_source=instances,
+                thread_limit=option("thread_limit", int),
+                max_steps=option("max_steps", int),
+                collect_timing=option("collect_timing", bool),
+                backend=option("backend", str),
+                fault_plan=None
+                if plan_data is None
+                else FaultPlan.from_wire(plan_data),
+                safety_mode=option("safety_mode", str),
+            )
+        except LoaderError as exc:
+            raise wire.WireError(
+                f"{kind}: {exc}", code=wire.E_BAD_REQUEST
+            ) from exc
 
 
-__all__ = ["ArgSource", "LaunchSpec", "DEFAULT_MAX_STEPS"]
+__all__ = ["ArgSource", "LaunchSpec"]

@@ -18,6 +18,7 @@ machinery for multi-instance execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +30,16 @@ from repro.compilecache.build import (
 )
 from repro.config import DEFAULT_DEVICE, DEFAULT_SIM
 from repro.errors import DeviceOutOfMemory, DeviceTrap, LoaderError
+from repro.faults.injector import FaultInjector
 from repro.frontend.dsl import Program
 from repro.gpu.device import DeviceImage, GPUDevice, LaunchResult
 from repro.gpu.timing import KernelTiming
+from repro.host.launch import LaunchSpec
 from repro.host.rpc_host import RPCHost
 from repro.ir.module import Module
-from repro.runtime.backend import DEFAULT_BACKEND
 from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
 from repro.runtime.libc import HEAP_CURSOR, HEAP_END
+from repro.runtime.teams import TeamGeometry
 
 
 @dataclass
@@ -59,6 +62,10 @@ class _ArgBlock:
     num_instances: int
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Loader:
     """Loads one application onto one simulated device."""
 
@@ -77,6 +84,14 @@ class Loader:
     ):
         if rpc_transport not in ("direct", "ring"):
             raise LoaderError(f"unknown rpc_transport {rpc_transport!r}")
+        if not _is_int(heap_bytes) or heap_bytes < 1:
+            raise LoaderError(
+                f"heap_bytes must be a positive int, got {heap_bytes!r}"
+            )
+        if not _is_int(stack_bytes) or stack_bytes < 0:
+            raise LoaderError(
+                f"stack_bytes must be a non-negative int, got {stack_bytes!r}"
+            )
         self.device = device if device is not None else GPUDevice(DEFAULT_DEVICE, DEFAULT_SIM)
         self.heap_bytes = heap_bytes
         self.stack_bytes = stack_bytes
@@ -132,6 +147,10 @@ class Loader:
         }
         self.image: DeviceImage = self.device.load_image(module)
         self.heap_addr = self.device.alloc(heap_bytes)
+        #: the injector this loader armed from a spec's fault plan, if any;
+        #: lets the next direct launch re-arm a fresh plan without
+        #: clobbering an injector a scheduler attached for its campaign.
+        self._spec_adopted_faults = None
 
     @property
     def static_footprint(self):
@@ -252,20 +271,32 @@ class Loader:
             "loader with allow_unsafe=True to keep the dynamic guard"
         )
 
+    def _adopt_fault_plan(self, spec: LaunchSpec) -> None:
+        """Arm a spec-carried chaos plan on this loader's device.
+
+        A scheduler that already armed an injector for the campaign wins
+        over the spec.  A plan the *spec* carries is part of
+        that launch's description, so each such launch re-arms a fresh
+        injector (schedule counters like ``times=`` start over per run).
+        """
+        plan = spec.resolve_fault_plan()
+        if plan is None:
+            return
+        current = self.device.faults
+        if current.enabled and current is not self._spec_adopted_faults:
+            return
+        injector = FaultInjector(plan)
+        injector.attach_sinks(self.device.tracer, self.device.metrics)
+        self.device.faults = injector
+        self._spec_adopted_faults = injector
+
     def _launch(
         self,
         kernel: str,
         block: _ArgBlock,
-        *,
-        num_teams: int,
-        thread_limit: int,
-        instances_per_team: int,
-        total_slots: int,
+        spec: LaunchSpec,
+        geometry: TeamGeometry,
         rpc_host: RPCHost,
-        collect_timing: bool,
-        max_steps: int,
-        backend: str = DEFAULT_BACKEND,
-        safety_mode: str = "unchecked",
     ) -> LaunchResult:
         self._check_launch_safety()
         params: tuple = (
@@ -273,7 +304,7 @@ class Loader:
             block.argc_addr,
             block.argv_addr,
             block.ret_addr,
-            total_slots,
+            geometry.total_slots,
         )
         transport = None
         endpoint = rpc_host.handle
@@ -286,16 +317,16 @@ class Loader:
             return self.device.launch(
                 self.image,
                 kernel,
-                num_teams=num_teams,
-                thread_limit=thread_limit,
+                num_teams=geometry.num_teams,
+                thread_limit=geometry.thread_limit,
                 params=params,
-                instances_per_team=instances_per_team,
+                instances_per_team=geometry.instances_per_team,
                 stack_bytes=self.stack_bytes,
                 rpc=endpoint,
-                collect_timing=collect_timing,
-                max_steps=max_steps,
-                backend=backend,
-                safety_mode=safety_mode,
+                collect_timing=spec.collect_timing,
+                max_steps=spec.max_steps,
+                backend=spec.backend,
+                safety_mode=spec.safety_mode,
             )
         except DeviceTrap as trap:
             if "out of memory" in str(trap):
@@ -310,58 +341,34 @@ class Loader:
                 transport.close()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        args: "list[str] | LaunchSpec | None" = None,
-        *,
-        thread_limit: int = 1024,
-        collect_timing: bool = True,
-        max_steps: int = 200_000_000,
-        backend: str = DEFAULT_BACKEND,
-        safety_mode: str = "unchecked",
-    ) -> RunResult:
-        """Run the application once with C-style arguments.
+    def run(self, spec: LaunchSpec | Sequence[str] | None = None) -> RunResult:
+        """Run the application once.
 
-        ``args`` are the argv *tail* (``argv[0]`` is the program name, added
-        automatically, exactly like the enhanced loader does in Figure 4).
-        A single-instance :class:`~repro.host.launch.LaunchSpec` is also
-        accepted, making this entry point uniform with the ensemble and
-        scheduler surfaces.
+        ``spec`` is a single-instance :class:`~repro.host.launch.LaunchSpec`,
+        or a bare argv *tail*, which means ``LaunchSpec([argv])``.
+        ``argv[0]`` is the program name, added automatically, exactly like
+        the enhanced loader does in Figure 4.
         """
-        from repro.host.launch import LaunchSpec
-
-        if isinstance(args, LaunchSpec):
-            spec = args
-            lines = spec.resolve_instances()
-            if len(lines) != 1:
-                raise LoaderError(
-                    f"Loader.run executes exactly one instance; the spec "
-                    f"resolves to {len(lines)} (use EnsembleLoader or the "
-                    "scheduler for ensembles)"
-                )
-            args = lines[0]
-            thread_limit = spec.thread_limit
-            collect_timing = spec.collect_timing
-            max_steps = spec.max_steps
-            backend = spec.backend
-            safety_mode = spec.safety_mode
-        argv = [self.app_name] + list(args or [])
+        if not isinstance(spec, LaunchSpec):
+            spec = LaunchSpec([list(spec or [])])
+        self._adopt_fault_plan(spec)
+        lines = spec.resolve_instances()
+        if len(lines) != 1:
+            raise LoaderError(
+                f"Loader.run executes exactly one instance; the spec "
+                f"resolves to {len(lines)} (use EnsembleLoader or the "
+                "scheduler for ensembles)"
+            )
         self._reset_for_run()
         rpc_host = self._make_rpc_host()
-        block = self._marshal_instances([argv])
+        block = self._marshal_instances([[self.app_name] + lines[0]])
         try:
             launch = self._launch(
                 SINGLE_KERNEL,
                 block,
-                num_teams=1,
-                thread_limit=thread_limit,
-                instances_per_team=1,
-                total_slots=1,
-                rpc_host=rpc_host,
-                collect_timing=collect_timing,
-                max_steps=max_steps,
-                backend=backend,
-                safety_mode=safety_mode,
+                spec,
+                TeamGeometry(1, spec.thread_limit),
+                rpc_host,
             )
             code = int(self.device.memory.read_i64(block.ret_addr))
         finally:

@@ -42,6 +42,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: not the default).
 DEFAULT_BACKEND = "compiled"
 
+#: Default per-launch interpreter-step cap: the livelock guard, generous
+#: enough for every shipped benchmark.
+DEFAULT_MAX_STEPS = 400_000_000
+
+#: Guard policies for certificate-aware backends:
+#:
+#: * ``"checked"``   — dynamic guards on every memory/trap site;
+#: * ``"unchecked"`` — sites the certificate PROVEs safe run guard-free
+#:   (identical observables by soundness);
+#: * ``"assert"``    — guards stay armed, but one firing at a PROVEN site
+#:   reports a certificate violation (debug mode for the analyzer itself).
+#:
+#: The interpreter backend always runs fully guarded.
+SAFETY_MODES = ("checked", "unchecked", "assert")
+#: The guard policy of a launch that names none.
+DEFAULT_SAFETY_MODE = "unchecked"
+
 
 @runtime_checkable
 class Backend(Protocol):
@@ -123,7 +140,10 @@ __all__ = [
     "Backend",
     "CompiledBackend",
     "DEFAULT_BACKEND",
+    "DEFAULT_MAX_STEPS",
+    "DEFAULT_SAFETY_MODE",
     "InterpreterBackend",
+    "SAFETY_MODES",
     "available_backends",
     "get_backend",
     "register_backend",

@@ -72,15 +72,6 @@ CACHE_KEY = "compiled"
 #: metadata at build time) for safety-mode-aware codegen.
 SAFETY_CERT_KEY = "safety.cert"
 
-#: Codegen safety modes:
-#:
-#: * ``"checked"``   — dynamic guards on every memory/trap site (legacy);
-#: * ``"unchecked"`` — sites the certificate PROVEs safe run guard-free
-#:   (the default launch mode; identical observables by soundness);
-#: * ``"assert"``    — guards stay armed, but one firing at a PROVEN site
-#:   reports a certificate violation (debug mode for the analyzer itself).
-SAFETY_MODES = ("checked", "unchecked", "assert")
-
 #: numpy ufunc spellings for the binary ops the full-row body inlines.
 _UFUNC_NAMES = {
     Opcode.ADD: "np.add",
@@ -464,7 +455,7 @@ def compile_kernel(
     kernel: LoweredKernel,
     *,
     cert=None,
-    safety_mode: str = "checked",
+    safety_mode: str,
 ) -> CompiledProgram:
     """Generate + ``compile()`` the block functions for one kernel.
 
@@ -475,16 +466,13 @@ def compile_kernel(
     lookup speed inside each block.
 
     ``cert`` (a :class:`~repro.analysis.safety.SafetyCertificate`) plus
-    ``safety_mode`` select guard emission per site; artifacts are cached
-    per (mode, certificate) so modes never share code objects.  Two
-    threads missing the cache at once both generate the same source from
-    the same inputs, so whichever artifact is stored last is equivalent.
+    ``safety_mode`` (one of :data:`~repro.runtime.backend.SAFETY_MODES`,
+    already validated by the launching device) select guard emission per
+    site; artifacts are cached per (mode, certificate) so modes never
+    share code objects.  Two threads missing the cache at once both
+    generate the same source from the same inputs, so whichever artifact
+    is stored last is equivalent.
     """
-    if safety_mode not in SAFETY_MODES:
-        raise ValueError(
-            f"unknown safety_mode {safety_mode!r}; expected one of "
-            f"{SAFETY_MODES}"
-        )
     if cert is None:
         safety_mode = "checked"  # nothing to consult: guards everywhere
     cache_key = (
@@ -659,7 +647,7 @@ class CompiledBlockExecutor(BlockExecutor):
         program = compile_kernel(
             kernel,
             cert=kernel.backend_cache.get(SAFETY_CERT_KEY),
-            safety_mode=getattr(ctx, "safety_mode", "checked"),
+            safety_mode=ctx.safety_mode,
         )
         ns = self._bind_namespace()
         exec(program.code, ns)
@@ -936,6 +924,5 @@ __all__ = [
     "CompiledBlockExecutor",
     "CompiledProgram",
     "SAFETY_CERT_KEY",
-    "SAFETY_MODES",
     "compile_kernel",
 ]

@@ -35,6 +35,7 @@ from repro.errors import DeviceTrap, MemoryFault
 from repro.gpu.memory import GlobalMemory
 from repro.ir.instructions import Opcode
 from repro.ir.types import MemType
+from repro.runtime.backend import DEFAULT_MAX_STEPS, DEFAULT_SAFETY_MODE
 from repro.runtime.machine import LInstr, LoweredKernel
 from repro.runtime.trace import TraceCollector
 
@@ -68,11 +69,11 @@ class BlockContext:
     stack_bytes: int
     rpc: Callable[[str, list, RpcLane], float | int | None] | None = None
     warp_size: int = 32
-    max_steps: int = 200_000_000
+    max_steps: int = DEFAULT_MAX_STEPS
     collector: TraceCollector | None = None
-    safety_mode: str = "unchecked"
-    """Guard policy for backends that consult safety certificates
-    (``"checked"`` | ``"unchecked"`` | ``"assert"``).  The interpreter
+    safety_mode: str = DEFAULT_SAFETY_MODE
+    """Guard policy for backends that consult safety certificates (one of
+    :data:`~repro.runtime.backend.SAFETY_MODES`).  The interpreter
     backend always runs fully guarded; the compiled backend elides guards
     at certificate-PROVEN sites unless ``"checked"``."""
     shared_range: tuple[int, int] | None = None

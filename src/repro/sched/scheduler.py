@@ -501,7 +501,10 @@ class Scheduler:
             # must not smuggle a racy program past it one instance at a
             # time.
             loader._check_ensemble_safety(job.total_instances)
-        except ReproError as exc:
+        except Exception as exc:
+            # Whatever stops this job's loader from being built (a bad
+            # loader option, a compile error, a refused launch) fails
+            # only this job; the pump and every other job keep going.
             self._fail_job(job, exc)
             return
 

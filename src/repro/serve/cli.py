@@ -14,10 +14,9 @@ import argparse
 import asyncio
 import sys
 
-from repro.errors import ReproError, ServeError
-from repro.faults import FaultPlan, FaultPlanError
-from repro.host.launch import DEFAULT_MAX_STEPS, LaunchSpec
-from repro.runtime.backend import DEFAULT_BACKEND, available_backends
+from repro.errors import LoaderError, ReproError, ServeError
+from repro.host.launch import LaunchSpec
+from repro.runtime.backend import available_backends
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +150,20 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app", required=True)
     parser.add_argument("-f", "--arg-file", required=True)
     parser.add_argument("-n", "--num-instances", type=int, default=None)
-    parser.add_argument("-t", "--thread-limit", type=int, default=1024)
+    parser.add_argument(
+        "-t", "--thread-limit", type=int, default=LaunchSpec.thread_limit
+    )
     parser.add_argument("--pack", type=int, default=1, metavar="M")
     parser.add_argument(
         "--heap-mb", type=int, default=64,
         help="device heap size for application malloc (MiB)",
     )
-    parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    parser.add_argument("--max-steps", type=int, default=LaunchSpec.max_steps)
     parser.add_argument(
         "--backend",
-        default=DEFAULT_BACKEND,
+        default=LaunchSpec.backend,
         choices=available_backends(),
-        help=f"execution engine (default: {DEFAULT_BACKEND}; 'interp' is "
+        help=f"execution engine (default: {LaunchSpec.backend}; 'interp' is "
         "the reference interpreter)",
     )
     parser.add_argument("--no-timing", action="store_true")
@@ -200,26 +201,14 @@ def submit_main(argv: list[str] | None = None) -> int:
     a running server and print the usual per-instance report."""
     parser = build_submit_parser()
     args = parser.parse_args(argv)
-    from repro.host.cli import _print_instances
+    from repro.host.cli import _print_instances, _spec
     from repro.obs import report
     from repro.serve.client import Client
 
-    plan = None
-    if args.inject:
-        try:
-            plan = FaultPlan.parse(args.inject, seed=args.inject_seed)
-        except FaultPlanError as exc:
-            parser.error(f"--inject: {exc}")
-
-    spec = LaunchSpec(
-        arg_source=args.arg_file,
-        num_instances=args.num_instances,
-        thread_limit=args.thread_limit,
-        max_steps=args.max_steps,
-        collect_timing=not args.no_timing,
-        fault_plan=plan,
-        backend=args.backend,
-    )
+    try:
+        spec = _spec(parser, args, args.arg_file)
+    except LoaderError as exc:
+        parser.error(str(exc))
     loader_opts = dict(
         heap_bytes=args.heap_mb * 1024 * 1024,
         allow_races=args.allow_races,

@@ -280,7 +280,7 @@ class CampaignServer:
                 loader_opts=sub.scheduler_loader_opts(),
                 tenant=sub.tenant,
             )
-        except ReproError as exc:
+        except Exception as exc:  # fail this submission, never the pump
             entry.phase = "done"
             entry.ticket.state = JobState.FAILED
             entry.terminal_event = protocol.event_msg(

@@ -22,8 +22,10 @@ from repro.compilecache.build import build_executable
 from repro.errors import DeviceTrap, LoaderError
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.obs import Observability
+from repro.runtime.kernel import SINGLE_KERNEL
 from repro.tools.safety_check import (
     BROKEN,
     bound_loops,
@@ -122,17 +124,17 @@ class TestLaunchGate:
         loader = _loader(OOB)
         assert loader.safety_disproven
         with pytest.raises(LoaderError, match="allow_unsafe"):
-            loader.run([], thread_limit=8, collect_timing=False)
+            loader.run(LaunchSpec([[]], thread_limit=8, collect_timing=False))
 
     def test_allow_unsafe_keeps_the_dynamic_guard(self):
         loader = _loader(OOB, allow_unsafe=True)
         with pytest.raises(DeviceTrap):
-            loader.run([], thread_limit=8, collect_timing=False)
+            loader.run(LaunchSpec([[]], thread_limit=8, collect_timing=False))
 
     def test_safe_program_launches_without_override(self):
         loader = _loader(SAFE)
         assert loader.safety_disproven == {}
-        res = loader.run([], thread_limit=32, collect_timing=False)
+        res = loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=False))
         assert res.exit_code == 96  # sum(5i, i<64) & 127
 
 
@@ -143,11 +145,15 @@ class TestSafetyModes:
         check(source_input(SAFE), [Config(backend, safety_mode=m) for m in modes])
 
     def test_unknown_mode_rejected(self):
+        """The device checks the mode of a launch made without a spec;
+        ``test_launch_spec_rejects`` covers the spec."""
         from repro.errors import LaunchError
 
+        loader = _loader(SAFE)
         with pytest.raises(LaunchError, match="safety_mode"):
-            _loader(SAFE).run(
-                [], thread_limit=8, collect_timing=False, safety_mode="yolo"
+            loader.device.launch(
+                loader.image, SINGLE_KERNEL, num_teams=1, thread_limit=8,
+                safety_mode="yolo",
             )
 
 

@@ -35,6 +35,7 @@ from repro.compilecache.cache import DISK_MAGIC
 from repro.errors import DeviceTrap, LoaderError
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.passes.pipeline import pipeline_fingerprint
 from repro.runtime.compiled import SAFETY_CERT_KEY
@@ -116,17 +117,17 @@ class TestDiskCertificates:
         certificate that keeps the guard: the run traps."""
         with pytest.raises(LoaderError, match="refusing to launch"):
             Loader(module, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20).run(
-                [], thread_limit=8, collect_timing=False
+                LaunchSpec([[]], thread_limit=8, collect_timing=False)
             )
         loader = Loader(
             module, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20,
             allow_unsafe=True,
         )
         with pytest.raises(DeviceTrap):
-            loader.run(
-                [], thread_limit=8, collect_timing=False,
+            loader.run(LaunchSpec(
+                [[]], thread_limit=8, collect_timing=False,
                 backend="compiled", safety_mode="unchecked",
-            )
+            ))
         assert loader.image.lowered
         for kern in loader.image.lowered.values():
             cert = kern.backend_cache[SAFETY_CERT_KEY]
@@ -142,7 +143,9 @@ class TestDiskCertificates:
             k: c.to_dict() for k, c in built.metadata[SAFETY_META].items()
         }
         loader = Loader(loaded, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], thread_limit=32, collect_timing=False).exit_code == 8
+        assert loader.run(
+            LaunchSpec([[]], thread_limit=32, collect_timing=False)
+        ).exit_code == 8
         for name, kern in loader.image.lowered.items():
             assert kern.backend_cache[SAFETY_CERT_KEY] is stamped[name]
 

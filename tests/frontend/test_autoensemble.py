@@ -2,6 +2,8 @@
 backends, rejection behavior, and the device-backed differential suite
 proving ensemble == sequential, including under recovered fault plans."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import AutoEnsembleError
@@ -13,6 +15,7 @@ from repro.frontend.autoensemble import (
     auto_launch,
     ensemble,
 )
+from repro.host.launch import LaunchSpec
 from repro.host.results import Observables
 
 # ---------------------------------------------------------------------------
@@ -46,7 +49,7 @@ def sweep(run):
 
 class TestEngine:
     def test_trace_launch_replay(self):
-        out = auto_launch(sweep, backend=fake_backend)
+        out = auto_launch(sweep, execute=fake_backend)
         assert out.mode == "ensemble"
         assert out.num_instances == 4
         assert [r.args for r in out.instances] == [
@@ -56,7 +59,7 @@ class TestEngine:
         assert out.all_succeeded
 
     def test_matches_sequential_mode(self):
-        auto = auto_launch(sweep, backend=fake_backend)
+        auto = auto_launch(sweep, execute=fake_backend)
         seq = auto_launch(
             sweep, mode="sequential", sequential_execute=fake_sequential
         )
@@ -71,7 +74,7 @@ class TestEngine:
             for s in range(2):
                 run("-n 512", ["-s", s], "-v")
 
-        out = auto_launch(drv, backend=fake_backend)
+        out = auto_launch(drv, execute=fake_backend)
         assert out.instances[0].args == ("-n", "512", "-s", "0", "-v")
 
     def test_keyword_run_args_rejected(self):
@@ -80,7 +83,7 @@ class TestEngine:
                 run(["-s"], seed=s)
 
         with pytest.raises(AutoEnsembleError, match="positional"):
-            auto_launch(drv, backend=fake_backend)
+            auto_launch(drv, execute=fake_backend)
 
     def test_empty_iterable_is_zero_instances(self):
         def drv(run):
@@ -89,7 +92,7 @@ class TestEngine:
                 acc += run(cfg).exit_code
             return acc
 
-        out = auto_launch(drv, backend=fake_backend)
+        out = auto_launch(drv, execute=fake_backend)
         assert out.num_instances == 0
         assert out.value == 0
 
@@ -99,14 +102,14 @@ class TestEngine:
                 run(["-a", str(s)])
                 run(["-b", str(s)])
 
-        out = auto_launch(drv, backend=fake_backend)
+        out = auto_launch(drv, execute=fake_backend)
         assert [r.args for r in out.instances] == [
             ("-a", "0"), ("-b", "0"), ("-a", "1"), ("-b", "1"),
         ]
 
     def test_backend_count_mismatch_detected(self):
         with pytest.raises(AutoEnsembleError, match="backend returned"):
-            auto_launch(sweep, backend=lambda calls: fake_backend(calls)[:-1])
+            auto_launch(sweep, execute=lambda calls: fake_backend(calls)[:-1])
 
     def test_nondeterministic_driver_detected(self):
         state = {"epoch": 0}
@@ -117,7 +120,7 @@ class TestEngine:
             state["epoch"] += 1  # epilogue: trace and replay diverge
 
         with pytest.raises(AutoEnsembleError, match="replay drift"):
-            auto_launch(drv, backend=fake_backend)
+            auto_launch(drv, execute=fake_backend)
 
     def test_pending_placeholder_backstop(self):
         from repro.frontend.autoensemble import _PENDING
@@ -138,7 +141,7 @@ class TestEngine:
                 worst = max(worst, run(["-s", str(s)]).exit_code)
             return worst
 
-        out = auto_launch(drv, backend=fake_backend)
+        out = auto_launch(drv, execute=fake_backend)
         assert out.value == 0
         seq = auto_launch(
             drv, mode="sequential", sequential_execute=fake_sequential
@@ -156,7 +159,7 @@ class TestRejection:
             return last
 
         with pytest.raises(AutoEnsembleError) as exc:
-            auto_launch(drv, backend=fake_backend)
+            auto_launch(drv, execute=fake_backend)
         assert exc.value.diagnostics
         assert any(d.sym == "last" for d in exc.value.diagnostics)
         assert "output dependence" in str(exc.value)
@@ -166,15 +169,15 @@ class TestRejection:
             return run(["-s", "1"])
 
         with pytest.raises(AutoEnsembleError, match="no for loop"):
-            auto_launch(drv, backend=fake_backend)
+            auto_launch(drv, execute=fake_backend)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(AutoEnsembleError, match="mode"):
-            auto_launch(sweep, mode="parallel", backend=fake_backend)
+            auto_launch(sweep, mode="parallel", execute=fake_backend)
 
     def test_unknown_loader_opt_rejected(self):
         with pytest.raises(AutoEnsembleError, match="unknown auto_launch"):
-            auto_launch(sweep, backend=fake_backend, heap_megabytes=1)
+            auto_launch(sweep, execute=fake_backend, heap_megabytes=1)
 
     def test_analyze_reports_without_executing(self):
         calls = []
@@ -196,12 +199,12 @@ class TestDecorator:
             for s in range(2):
                 run(["-s", str(s)])
 
-        out = drv(backend=fake_backend)
+        out = drv(execute=fake_backend)
         assert out.num_instances == 2
         assert drv.driver.__name__ == "drv"
 
     def test_options_and_overrides(self):
-        @ensemble(backend=fake_backend)
+        @ensemble(execute=fake_backend)
         def drv(run):
             total = 0
             for s in range(3):
@@ -232,19 +235,22 @@ def stencil_driver(run):
     return checksums, failures
 
 
+#: Run options of every device-backed launch below.
+RUN = LaunchSpec(thread_limit=32, collect_timing=False)
+
+
 @pytest.fixture(scope="module")
 def sequential_oracle():
     return auto_launch(
-        stencil_driver, app="stencil", mode="sequential",
-        thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
+        stencil_driver, app="stencil", mode="sequential", spec=RUN,
+        heap_bytes=1 << 22,
     )
 
 
 class TestDeviceDifferential:
     def test_ensemble_bitwise_identical_to_sequential(self, sequential_oracle):
         auto = auto_launch(
-            stencil_driver, app="stencil",
-            thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
+            stencil_driver, app="stencil", spec=RUN, heap_bytes=1 << 22
         )
         assert auto.mode == "ensemble"
         assert auto.value == sequential_oracle.value
@@ -256,24 +262,24 @@ class TestDeviceDifferential:
     def test_identical_under_recovered_fault_plan(self, sequential_oracle):
         plan = FaultPlan.parse("rpc_drop:rate=1.0:times=1:seed=0")
         faulted = auto_launch(
-            stencil_driver, app="stencil", fault_plan=plan,
-            thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
+            stencil_driver, app="stencil",
+            spec=dataclasses.replace(RUN, fault_plan=plan),
+            heap_bytes=1 << 22,
         )
         assert faulted.value == sequential_oracle.value
         assert Observables.of(faulted) == Observables.of(sequential_oracle)
 
     def test_multi_device_identical(self, sequential_oracle):
         auto = auto_launch(
-            stencil_driver, app="stencil", devices=2,
-            thread_limit=32, collect_timing=False, heap_bytes=1 << 22,
+            stencil_driver, app="stencil", devices=2, spec=RUN,
+            heap_bytes=1 << 22,
         )
         assert auto.value == sequential_oracle.value
         assert Observables.of(auto) == Observables.of(sequential_oracle)
 
     def test_one_device_campaign_is_one_launch(self):
         backend = EnsembleBackend(
-            "stencil", thread_limit=32, collect_timing=False,
-            loader_opts={"heap_bytes": 1 << 22},
+            "stencil", spec=RUN, loader_opts={"heap_bytes": 1 << 22}
         )
         backend([("-n", "256", "-i", "1", "-s", str(s)) for s in range(1, 9)])
         batches = backend.last_result.batches

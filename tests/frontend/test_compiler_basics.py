@@ -9,6 +9,7 @@ import pytest
 
 from repro.frontend import Program, dgpu, f64, i64, ptr_f64, ptr_i64, ptr_ptr
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -19,8 +20,13 @@ def run_main(pyfunc, args=(), *, thread_limit=32):
     prog = Program(f"t_{pyfunc.__name__}")
     prog.main(pyfunc)
     loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    res = loader.run([str(a) for a in args], thread_limit=thread_limit,
-                     collect_timing=False)
+    res = loader.run(
+        LaunchSpec(
+            [[str(a) for a in args]],
+            thread_limit=thread_limit,
+            collect_timing=False,
+        )
+    )
     return res.exit_code
 
 
@@ -308,7 +314,7 @@ class TestDeviceFunctions:
             return sum_squares(5)
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], collect_timing=False).exit_code == 30
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 30
 
     def test_float_args_coerced(self):
         prog = Program("coerce_test")
@@ -322,7 +328,7 @@ class TestDeviceFunctions:
             return int(scale(3, 4))  # ints coerce to f64 params
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], collect_timing=False).exit_code == 12
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 12
 
 
 class TestGlobals:
@@ -336,7 +342,7 @@ class TestGlobals:
             return counter  # noqa: F821
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], collect_timing=False).exit_code == 15
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 15
 
     def test_global_array_decays_to_pointer(self):
         prog = Program("garray")
@@ -347,7 +353,7 @@ class TestGlobals:
             return int(table[0] + table[2])  # noqa: F821
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], collect_timing=False).exit_code == 5
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 5
 
     def test_globals_reset_between_runs(self):
         prog = Program("greset")
@@ -359,9 +365,9 @@ class TestGlobals:
             return state  # noqa: F821
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], collect_timing=False).exit_code == 3
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 3
         # fresh-process semantics: second run starts from init again
-        assert loader.run([], collect_timing=False).exit_code == 3
+        assert loader.run(LaunchSpec([[]], collect_timing=False)).exit_code == 3
 
 
 class TestMathIntrinsics:

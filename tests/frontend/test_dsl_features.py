@@ -5,6 +5,7 @@ import pytest
 
 from repro.frontend import Program, dgpu, f64, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -14,8 +15,13 @@ def run_main(pyfunc, args=(), *, thread_limit=32, prog=None):
     if prog is None:
         program.main(pyfunc)
     loader = Loader(program, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    return loader.run([str(a) for a in args], thread_limit=thread_limit,
-                      collect_timing=False).exit_code
+    return loader.run(
+        LaunchSpec(
+            [[str(a) for a in args]],
+            thread_limit=thread_limit,
+            collect_timing=False,
+        )
+    ).exit_code
 
 
 class TestAnnotatedAssignment:

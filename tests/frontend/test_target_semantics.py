@@ -13,12 +13,14 @@ import numpy as np
 from repro.frontend import Program, dgpu, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
 from repro.host.ensemble_loader import EnsembleLoader
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
+from tests.oracle import ORACLE, Config, Input, check
 from tests.util import SMALL_DEVICE
 
 
-def make_loader():
+def make_program():
     prog = Program("semantics")
 
     @prog.main
@@ -40,7 +42,13 @@ def make_loader():
             i += 1
         return total
 
-    return EnsembleLoader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
+    return prog
+
+
+def make_loader():
+    return EnsembleLoader(
+        make_program(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20
+    )
 
 
 def test_kernels_generated_implicitly():
@@ -55,7 +63,7 @@ def test_kernels_generated_implicitly():
 
 def test_initial_thread_runs_sequential_code_once():
     loader = make_loader()
-    res = loader.run([], thread_limit=32, collect_timing=False)
+    res = loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=False))
     # 1 sequential increment + 32 parallel increments of 10
     assert res.exit_code == 1 + 320
 
@@ -63,10 +71,9 @@ def test_initial_thread_runs_sequential_code_once():
 def test_target_semantics_identical_across_team_sizes():
     """OpenMP semantics: program results must not depend on the thread
     limit (worksharing just partitions differently)."""
-    loader = make_loader()
-    a = loader.run([], thread_limit=32, collect_timing=False).exit_code
-    b = loader.run([], thread_limit=1024, collect_timing=False).exit_code
-    assert a == b == 321
+    wide = [Config(thread_limit=1024), Config("compiled", thread_limit=1024)]
+    runs = check(Input(make_program()), wide)
+    assert runs[ORACLE].obs.instances[0][2] == 321  # exit code
 
 
 def test_declare_target_flags_set():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.frontend import Program, dgpu, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.errors import LoaderError
 from tests.oracle import ORACLE, Config, Input, check
@@ -48,19 +49,19 @@ def test_ring_transport_output_matches_direct():
 
 def test_ring_transport_many_calls(ring_loader):
     """More calls than ring slots: the service thread must keep draining."""
-    res = ring_loader.run(["200"], collect_timing=False)
+    res = ring_loader.run(LaunchSpec([["200"]], collect_timing=False))
     assert res.exit_code == 200
     assert res.stdout.count("\n") == 200
 
 
 def test_ring_transport_repeated_runs(ring_loader):
     for _ in range(3):
-        assert ring_loader.run(["2"], collect_timing=False).exit_code == 2
+        assert ring_loader.run(LaunchSpec([["2"]], collect_timing=False)).exit_code == 2
 
 
 def test_ring_resources_released(ring_loader):
     used = ring_loader.device.allocator.used_bytes
-    ring_loader.run(["1"], collect_timing=False)
+    ring_loader.run(LaunchSpec([["1"]], collect_timing=False))
     assert ring_loader.device.allocator.used_bytes == used
 
 

@@ -2,12 +2,14 @@
 
 A :class:`Config` picks one value per equivalence axis; :data:`ORACLE`
 (interpreter, -O1, checked, cold compile, direct, no fault plan, one
-device, direct RPC transport) is the reference.  :func:`check` runs an :class:`Input` under
-the oracle and under each config, and compares every pair of runs on the
-:data:`FIELDS` kept (:data:`PRESERVES`) by every axis on which the two
-differ.  A new axis is a ``PRESERVES`` row, not a new fingerprint
-helper; ``docs/internals.md`` ("Equivalence contract") mirrors the table
-and ``tests/test_documentation.py`` keeps the two in step.
+device, direct RPC transport, the input's own thread limit) is the
+reference.
+:func:`check` runs an :class:`Input` under the oracle and under each
+config, and compares every pair of runs on the :data:`FIELDS` kept
+(:data:`PRESERVES`) by every axis on which the two differ.  A new axis
+is a ``PRESERVES`` row, not a new fingerprint helper;
+``docs/internals.md`` ("Equivalence contract") mirrors the table and
+``tests/test_documentation.py`` keeps the two in step.
 
 Programs come from the registry apps (:func:`app_input`), from the
 Hypothesis generator (:data:`program_specs`, :func:`render`), which can
@@ -36,7 +38,7 @@ from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.host.results import Observables
 from repro.ir.instructions import Opcode
-from repro.runtime.compiled import SAFETY_MODES
+from repro.runtime.backend import SAFETY_MODES
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE, trace_fields
 
@@ -57,6 +59,7 @@ class Config:
     plan: str | None = None  # a fault plan the run recovers from
     devices: int = 1
     transport: str = "direct"  # the loader's RPC transport
+    thread_limit: int | None = None  # -t of the launch; None: the input's
 
     def diff(self, other: "Config") -> tuple[str, ...]:
         """The axes on which ``self`` and ``other`` differ."""
@@ -85,7 +88,11 @@ SAFETY_MATRIX = [Config(opt_level=2)] + [
 #: a campaign result carries no traces; the device count and a recovered
 #: fault plan promise the answers, not the time.  The RPC transport
 #: moves host calls through a ring buffer and a host service thread
-#: instead of a direct call, which no observable may see.
+#: instead of a direct call, which no observable may see.  The thread
+#: limit repartitions worksharing: steps, cycles and traces move, and a
+#: trap names the team and thread that hit it.  Its row holds for
+#: race-free programs only; one whose iterations read each other's
+#: writes may answer differently at another thread limit.
 PRESERVES = {
     "backend": FIELDS,
     "safety_mode": FIELDS,
@@ -95,6 +102,7 @@ PRESERVES = {
     "plan": ("instances",),
     "devices": ("instances",),
     "transport": FIELDS,
+    "thread_limit": ("instances",),
 }
 
 
@@ -109,7 +117,8 @@ class Input:
     """A program plus one argv (run through a :class:`Loader`) or a
     :class:`LaunchSpec` (run through a :class:`Scheduler`; the only kind
     served and multi-device configs apply to).  ``thread_limit`` and
-    ``timed`` apply to an argv; a spec carries its own."""
+    ``timed`` apply to an argv; a spec carries its own.  A config that
+    sets a thread limit replaces the input's, argv or spec."""
 
     program: Program
     argv: tuple[str, ...] = ()
@@ -162,11 +171,13 @@ def _run_argv(inp: Input, cfg: Config, cache) -> Run:
         loader.device.faults = FaultInjector(cfg.plan)
     try:
         res = loader.run(
-            list(inp.argv),
-            thread_limit=inp.thread_limit,
-            collect_timing=inp.timed,
-            backend=cfg.backend,
-            safety_mode=cfg.safety_mode,
+            LaunchSpec(
+                [list(inp.argv)],
+                thread_limit=cfg.thread_limit or inp.thread_limit,
+                collect_timing=inp.timed,
+                backend=cfg.backend,
+                safety_mode=cfg.safety_mode,
+            )
         )
     except DeviceTrap as exc:
         return Run(Observables(trap=str(exc)), module=loader.module)
@@ -176,7 +187,10 @@ def _run_argv(inp: Input, cfg: Config, cache) -> Run:
 
 def _run_spec(inp: Input, cfg: Config, cache) -> Run:
     spec = dataclasses.replace(
-        inp.spec, backend=cfg.backend, safety_mode=cfg.safety_mode
+        inp.spec,
+        thread_limit=cfg.thread_limit or inp.spec.thread_limit,
+        backend=cfg.backend,
+        safety_mode=cfg.safety_mode,
     )
     opts = {"heap_bytes": inp.heap_bytes, "opt_level": cfg.opt_level}
     if cfg.served:

@@ -10,7 +10,7 @@ from repro.ir.instructions import Opcode
 from repro.ir.module import Function, GlobalVar, Module
 from repro.ir.types import MemType, ScalarType
 from repro.passes.barrier_elim import redundant_barrier_elim_pass
-from tests.oracle import ORACLE, Config, check, source_input
+from tests.oracle import Config, check, source_input
 from tests.util import count_barriers
 
 
@@ -155,10 +155,10 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
 def test_acceptance_o2_removes_barrier_and_preserves_output():
     """-O2 strips at least one barrier from the representative example and
     the interpreter-observed behavior is bitwise identical to -O1."""
-    inp = source_input(SRC, thread_limit=1024, timed=True)
-    o2 = Config(opt_level=2)
-    runs = check(inp, [o2])
-    m1, m2 = runs[ORACLE].module, runs[o2].module
+    inp = source_input(SRC, timed=True)
+    o1, o2 = Config(thread_limit=1024), Config(opt_level=2, thread_limit=1024)
+    runs = check(inp, [o1, o2])
+    m1, m2 = runs[o1].module, runs[o2].module
     assert count_barriers(m1) >= 1
     assert count_barriers(m2) < count_barriers(m1)
     assert runs[o2].obs.instances == ((0, (), 0, "total 2016\n", None),)

@@ -137,7 +137,7 @@ class TestParRegionSafety:
             return total
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        res = loader.run([], thread_limit=32, collect_timing=False)
+        res = loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=False))
         assert res.exit_code == 3 * sum(range(32))
 
     def test_full_pipeline_apps_still_correct(self):

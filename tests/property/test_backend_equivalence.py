@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.apps.registry import APPS
 from repro.host.launch import LaunchSpec
-from repro.runtime.compiled import SAFETY_MODES
+from repro.runtime.backend import SAFETY_MODES
 from repro.runtime.trace import TraceCollector
 from tests.oracle import (
     ORACLE,
@@ -80,6 +80,9 @@ def test_registry_apps_timed_traces_equivalent(app, opt_level):
     check(inp, ([] if opt_level == 1 else [O2]) + configs)
 
 
+#: Each iteration reads a neighbour's element that another iteration
+#: writes, so the result depends on the thread limit: every config runs
+#: it at the input's own 64 threads.
 DIVERGENT = """
 def main(argc: i64, argv: ptr_ptr) -> i64:
     buf = malloc_i64(64)

@@ -180,7 +180,7 @@ def test_unsafe_loops_always_rejected(values, kind, fillers):
 def test_safe_loops_bitwise_equal_to_sequential(values, red_idx, fillers, append):
     source = make_safe_source(values, red_idx, fillers, append)
     fn = load_driver(source)
-    auto = auto_launch(fn, backend=fake_backend)
+    auto = auto_launch(fn, execute=fake_backend)
     seq = auto_launch(fn, mode="sequential", sequential_execute=fake_sequential)
     assert auto.value == seq.value
     assert [

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -102,7 +103,7 @@ def test_random_loop_programs_match_c_model(spec):
 
     prog = Program.from_source(src, name="randloop", link_libc=False)
     loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    res = loader.run([], thread_limit=32, collect_timing=False)
+    res = loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=False))
     assert res.exit_code == expected, f"\n{src}\nexpected {expected}, got {res.exit_code}"
 
 
@@ -114,5 +115,5 @@ def test_random_arithmetic_matches_c_model(spec):
 
     prog = Program.from_source(src, name="randprog", link_libc=False)
     loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    res = loader.run([], thread_limit=32, collect_timing=False)
+    res = loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=False))
     assert res.exit_code == expected, f"\n{src}\nexpected {expected}, got {res.exit_code}"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.frontend import Program, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -35,7 +36,7 @@ def loader():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-(10**12), 10**12))
 def test_atoi_matches_int(loader, value):
-    res = loader.run(["1", str(value)], collect_timing=False)
+    res = loader.run(LaunchSpec([["1", str(value)]], collect_timing=False))
     assert res.exit_code == value
 
 
@@ -47,7 +48,7 @@ def test_atoi_matches_int(loader, value):
 )
 def test_atof_matches_float_within_precision(loader, value):
     text = f"{value:.6f}"
-    res = loader.run(["2", text], collect_timing=False)
+    res = loader.run(LaunchSpec([["2", text]], collect_timing=False))
     assert res.exit_code == pytest.approx(int(float(text) * 1e6), abs=2)
 
 
@@ -56,12 +57,12 @@ def test_atof_matches_float_within_precision(loader, value):
 def test_atof_scientific_notation(loader, mant, exp10):
     # keep the scaled result within i64 and precision bounds
     text = f"{mant}e-{exp10 % 4}"
-    res = loader.run(["2", text], collect_timing=False)
+    res = loader.run(LaunchSpec([["2", text]], collect_timing=False))
     assert res.exit_code == pytest.approx(int(float(text) * 1e6), abs=2)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.text(alphabet="0123456789", min_size=1, max_size=9))
 def test_atoi_digit_strings(loader, digits):
-    res = loader.run(["1", digits], collect_timing=False)
+    res = loader.run(LaunchSpec([["1", digits]], collect_timing=False))
     assert res.exit_code == int(digits)

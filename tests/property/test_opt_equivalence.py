@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from repro.faults import FaultInjector
 from repro.faults.injector import InjectedRPCFailure
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.oracle import ORACLE, Config, check, program_specs, render, source_input
 from tests.util import SMALL_DEVICE, count_barriers
@@ -61,7 +62,7 @@ def test_rpc_fault_plan_equivalent_across_opt_levels():
         )
         loader.device.faults = FaultInjector("rpc_drop:times=1")
         with pytest.raises(InjectedRPCFailure) as exc:
-            loader.run([], thread_limit=32, collect_timing=True)
+            loader.run(LaunchSpec([[]], thread_limit=32, collect_timing=True))
         texts.append(str(exc.value))
     # same service, same instance: the RPC sequence was preserved by -O2
     assert texts[0] == texts[1]

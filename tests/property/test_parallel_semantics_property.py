@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -58,7 +59,7 @@ def test_worksharing_matches_sequential_model_across_thread_limits(spec):
 
     loader = Loader(Program.from_source(src, name="parprop"), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
     results = {
-        t: loader.run([], thread_limit=t, collect_timing=False).exit_code
+        t: loader.run(LaunchSpec([[]], thread_limit=t, collect_timing=False)).exit_code
         for t in (32, 64, 256)
     }
     assert set(results.values()) == {expected}, f"\n{src}\n{results} != {expected}"

@@ -205,8 +205,10 @@ class TestTrapParity:
     def test_livelock_trap_fires_on_compiled(self):
         loader = _loader(SIMPLE)
         with pytest.raises(DeviceTrap, match="interpreter steps"):
-            loader.run([], thread_limit=32, collect_timing=False,
-                       backend="compiled", max_steps=10)
+            loader.run(LaunchSpec(
+                [[]], thread_limit=32, collect_timing=False,
+                backend="compiled", max_steps=10,
+            ))
 
 
 class TestEndToEnd:
@@ -214,7 +216,11 @@ class TestEndToEnd:
         check(source_input(SIMPLE), [Config("compiled", safety_mode="unchecked")])
 
     def test_unknown_backend_fails_at_launch(self):
+        """The device checks the backend of a launch made without a spec;
+        ``test_launch_spec_rejects`` covers the spec."""
+        loader = _loader(SIMPLE)
         with pytest.raises(LaunchError, match="unknown backend"):
-            _loader(SIMPLE).run(
-                [], thread_limit=32, collect_timing=False, backend="jit"
+            loader.device.launch(
+                loader.image, ENSEMBLE_KERNEL, num_teams=1, thread_limit=32,
+                backend="jit",
             )

@@ -91,7 +91,9 @@ class TestDeepDivergence:
             return errs[0]
 
         loader = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-        assert loader.run([], thread_limit=32, collect_timing=False).exit_code == 0
+        assert loader.run(
+            LaunchSpec([[]], thread_limit=32, collect_timing=False)
+        ).exit_code == 0
 
     def test_divergent_sync_detected(self):
         """A barrier reached by only half the warp is OpenMP UB; the

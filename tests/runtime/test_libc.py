@@ -47,7 +47,9 @@ def loader():
 
 
 def run(loader, *args):
-    res = loader.run([str(a) for a in args], thread_limit=32, collect_timing=False)
+    res = loader.run(
+        LaunchSpec([[str(a) for a in args]], thread_limit=32, collect_timing=False)
+    )
     return res.exit_code
 
 
@@ -116,7 +118,7 @@ class TestHeap:
 
         small = Loader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
         with pytest.raises(DeviceOutOfMemory):
-            small.run([], collect_timing=False)
+            small.run(LaunchSpec([[]], collect_timing=False))
 
     def test_allocations_are_disjoint_across_instances(self):
         """Two ensemble instances malloc concurrently; atomic bump must give

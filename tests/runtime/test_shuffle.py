@@ -5,6 +5,7 @@ import pytest
 
 from repro.frontend import Program, dgpu, i64, ptr_ptr
 from repro.gpu.device import GPUDevice
+from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from tests.util import SMALL_DEVICE
 
@@ -48,7 +49,9 @@ def loader():
 
 
 def run_mode(loader, mode):
-    return loader.run([str(mode)], thread_limit=64, collect_timing=False).exit_code
+    return loader.run(
+        LaunchSpec([[str(mode)]], thread_limit=64, collect_timing=False)
+    ).exit_code
 
 
 def test_shfl_down_shifts_within_warp(loader):

@@ -1,14 +1,25 @@
 """The unified launch surface: LaunchSpec, the shared result protocol,
 and the v2.0 TypeError guards over the removed legacy call shapes."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.errors import LoaderError
+from repro.frontend.autoensemble import (
+    EnsembleBackend,
+    SequentialBackend,
+    auto_launch,
+)
+from repro.gpu.device import GPUDevice
 from repro.host.argfile import resolve_arg_source, write_argument_file
 from repro.host.ensemble_loader import EnsembleResult, InstanceOutcome
 from repro.host.launch import LaunchSpec
+from repro.host.loader import Loader
 from repro.host.results import EnsembleOutcome
 from repro.obs.reporting import report
+from repro.runtime.interpreter import BlockContext
 from repro.sched.jobs import JobResult
 
 LINES = [["-p", "8", "-n", "2", "-l", "16", "-s", "1"],
@@ -45,6 +56,35 @@ class TestLaunchSpec:
     def test_zero_instances_rejected(self):
         with pytest.raises(LoaderError, match="at least one"):
             LaunchSpec(LINES, num_instances=0).resolve_instances()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"safety_mode": "bogus"},
+            {"backend": "bogus"},
+            {"thread_limit": 0},
+            {"max_steps": 0},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_launch_spec_rejects(self, bad):
+        """An invalid run option fails at construction, before any
+        device work, instead of as a fault the scheduler retries."""
+        with pytest.raises(LoaderError, match=next(iter(bad))):
+            LaunchSpec(LINES, **bad)
+
+    def test_from_wire_rejects_invalid_spec_as_bad_request(self):
+        from repro import wire
+
+        doc = LaunchSpec(LINES).to_wire()
+        doc["thread_limit"] = 0
+        with pytest.raises(wire.WireError) as exc:
+            LaunchSpec.from_wire(doc)
+        assert exc.value.code == wire.E_BAD_REQUEST
+
+    def test_from_wire_defaults_come_from_the_dataclass(self):
+        doc = {"kind": "LaunchSpec", "schema_version": 1, "instances": LINES}
+        assert LaunchSpec.from_wire(doc) == LaunchSpec(LINES)
 
     def test_with_instances_keeps_limits(self):
         spec = LaunchSpec(LINES, thread_limit=64, collect_timing=False)
@@ -83,6 +123,34 @@ class TestUnifiedEntryPoints:
         from repro.host.ensemble_loader import EnsembleLoader
 
         assert not hasattr(EnsembleLoader, "_resolve_args")
+
+
+class TestOneLaunchDescription:
+    """Run options are declared once, on :class:`LaunchSpec`."""
+
+    FIELDS = {f.name for f in dataclasses.fields(LaunchSpec)}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [Loader.run, EnsembleBackend, SequentialBackend, auto_launch],
+        ids=lambda entry: entry.__qualname__,
+    )
+    def test_entry_points_take_a_spec_not_its_fields(self, entry):
+        params = set(inspect.signature(entry).parameters)
+        assert not params & self.FIELDS
+
+    @pytest.mark.parametrize(
+        "layer", [GPUDevice.launch, BlockContext], ids=["launch", "context"]
+    )
+    def test_runtime_defaults_are_the_spec_defaults(self, layer):
+        params = inspect.signature(layer).parameters
+        defaults = {
+            name: params[name].default
+            for name in self.FIELDS & set(params)
+            if params[name].default is not inspect.Parameter.empty
+        }
+        assert {"max_steps", "safety_mode"} <= set(defaults)
+        assert defaults == {name: getattr(LaunchSpec, name) for name in defaults}
 
 
 class TestResultProtocol:

@@ -136,6 +136,29 @@ class TestHappyPath:
         assert sched.stats.instances_completed == 1
 
 
+class TestLoaderFailure:
+    def test_loader_factory_error_fails_only_its_job(self, program):
+        """Any exception while building a job's loader fails that job;
+        the next job still runs.  The pump is bounded, so a regression
+        fails instead of hanging."""
+
+        def factory(prog, device, opts):
+            if opts["heap_bytes"] == 7:
+                raise ValueError("allocation size must be positive")
+            return EnsembleLoader(prog, device, **opts)
+
+        sched = make_scheduler(1, factory=factory)
+        bad = sched.submit(program, spec(lines(1)), loader_opts={"heap_bytes": 7})
+        good = sched.submit(program, spec(lines(2)), loader_opts={"heap_bytes": HEAP})
+        for _ in range(50):
+            if not sched.step():
+                break
+        assert bad.state is JobState.FAILED
+        assert isinstance(bad.exception(), ValueError)
+        assert good.state is JobState.COMPLETED
+        assert good.result().all_succeeded
+
+
 class TestOOM:
     def test_oom_splits_until_feasible(self, program):
         sched = make_scheduler(2, chunk_size=8)

@@ -113,6 +113,23 @@ class TestFaultIsolation:
         direct = one_shot(small_spec(2))
         assert Observables.of(clean_result) == Observables.of(direct)
 
+    @pytest.mark.parametrize("opts", [{"heap_bytes": -1}, {"pack": "x"}])
+    def test_bad_loader_option_fails_only_its_job(self, server, opts):
+        """A tenant's invalid loader option fails that tenant's job; the
+        pump keeps serving every other tenant.  The client's socket
+        timeout bounds the wait for the good job."""
+        with Client(server.address, timeout=30.0) as client:
+            bad = client.submit("pagerank", small_spec(1), tenant="bad",
+                                loader_opts=opts)
+            good = client.submit("pagerank", small_spec(2), tenant="good",
+                                 loader_opts=LOADER_OPTS)
+            with pytest.raises(ServeError) as exc:
+                bad.result()
+            assert exc.value.code == wire.E_JOB_FAILED
+            events = list(good.stream())
+            assert events[-1]["event"] == "result"
+            assert good.result().all_succeeded
+
 
 class TestMultiTenant:
     def test_three_tenants_two_devices_deterministic(self):
