@@ -1,9 +1,11 @@
 """Natural-loop detection and counted-loop (induction) pattern matching.
 
 The loop machinery lives here — shared by :mod:`repro.passes.licm` (which
-needs loop bodies and preheader insertion points) and by
+needs loop bodies and preheader insertion points), by
 :mod:`repro.analysis.footprint` (which needs *trip-count bounds* to turn
-"one ``malloc(n)`` inside a loop" into "at most ``k·n`` bytes").
+"one ``malloc(n)`` inside a loop" into "at most ``k·n`` bytes") and by
+kernel lowering (:mod:`repro.runtime.machine`, whose loops the compiled
+backend runs as regions).
 
 A loop is the classic natural loop of a back edge ``latch -> header``
 where ``header`` dominates ``latch``; loops sharing a header are merged.

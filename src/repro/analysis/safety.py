@@ -1759,7 +1759,7 @@ def certify_module(module, *, tracer=None, work: dict | None = None) -> dict:
     certs: dict = {}
     for fn in module.kernels():
         try:
-            kern = lower_kernel(fn, tracer=tracer)
+            kern = lower_kernel(fn, tracer=tracer, loops=False)
         except (DeviceError, IRError):
             continue
         done: dict = {}

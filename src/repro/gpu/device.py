@@ -426,6 +426,8 @@ class GPUDevice:
         traces: list[BlockTrace] = []
         team_faults: dict[int, Exception] = {}
         total_steps = 0
+        # (block, region) calls of engines that count them: compiled
+        dispatch = None
         try:
             for team in range(num_teams):
                 shared_range = None
@@ -467,6 +469,14 @@ class GPUDevice:
                         fault.team = team
                     team_faults[team] = fault
                 total_steps += executor.steps
+                if self.metrics is not None and hasattr(
+                    executor, "region_entries"
+                ):
+                    blocks, regions = dispatch or (0, 0)
+                    dispatch = (
+                        blocks + executor.block_dispatches,
+                        regions + executor.region_entries,
+                    )
                 if collector is not None:
                     traces.append(collector.finalize())
         finally:
@@ -487,6 +497,13 @@ class GPUDevice:
             cycles = timing.cycles
             if self.faults.enabled and self.faults.watches("device.launch"):
                 cycles = self._inject_team_stalls(timing, num_teams)
+        if dispatch is not None:
+            for name, value in zip(
+                ("exec.block_dispatches", "exec.region_entries"), dispatch
+            ):
+                self.metrics.counter(
+                    name, device=self.label, backend=engine.name
+                ).inc(value)
         self._publish_launch(kernel_name, num_teams, cycles, timing, total_steps)
         return LaunchResult(
             kernel=kernel_name,

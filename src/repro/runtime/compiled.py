@@ -1,4 +1,5 @@
-"""Compiled execution backend: basic blocks as ``compile()``d closures.
+"""Compiled execution backend: basic blocks and loops as ``compile()``d
+closures.
 
 The interpreter's uniform fast path still pays, per instruction, one
 handler call, one CPI lookup, one branch-table probe, and a boolean-mask
@@ -17,6 +18,15 @@ overhead for straight-line code:
   rows with ``out=`` ufuncs — no mask materialization at all.  Otherwise
   the body replays the interpreter's own pre-specialized handlers, so
   masked semantics are identical by construction.
+* **Loop regions** — each innermost natural loop with no control op in
+  it (a header, acyclic body blocks, back edges to the header) also
+  becomes one generated ``_loop{header}`` function: a native ``while``
+  over ``if b == <leader>`` arms holding the blocks' full-row bodies.
+  The run loop enters it when every lane is runnable and the PC sits on
+  the header, and takes over again when the loop exits, a CBR's lanes
+  disagree (one ``count_nonzero`` of the condition row tells) or the
+  step cap is near.  Steps, livelock checks and issue cycles are those
+  of block dispatch, summed in locals and noted once per region.
 * **Shared everything else** — this class *is* a
   :class:`~repro.runtime.interpreter.BlockExecutor` subclass: memory
   model, RPC ring, fault-injection points, divergent-path scheduling,
@@ -37,7 +47,9 @@ docs/backends.md).
 
 Compiled artifacts are cached on
 :attr:`~repro.runtime.machine.LoweredKernel.backend_cache`, so the
-codegen + ``compile()`` cost is paid once per kernel, not per team.
+codegen + ``compile()`` cost is paid once per kernel, not per team; so
+are the dispatch tables and the names each team's namespace binds
+(:class:`_StaticTables`).
 """
 
 from __future__ import annotations
@@ -132,12 +144,14 @@ class CompiledProgram:
     — the straight-line body ``[leader, end_pc)`` plus its precomputed
     trace contribution.  ``end_pc`` always lands on a branch/control
     instruction, which the run loop handles with the interpreter's own
-    uniform logic.
+    uniform logic.  ``regions`` lists the headers of the loops compiled
+    as one ``_loop{header}`` function each (see :func:`_emit_region`).
     """
 
     source: str
     code: object
     blocks: dict[int, tuple[int, int, float]]
+    regions: tuple[int, ...]
 
 
 def _reg(operand: tuple[bool, int]) -> str:
@@ -457,7 +471,7 @@ def compile_kernel(
     cert=None,
     safety_mode: str,
 ) -> CompiledProgram:
-    """Generate + ``compile()`` the block functions for one kernel.
+    """Generate + ``compile()`` the block and region functions for one kernel.
 
     The artifact is kernel-level (not executor-level): generated names
     (``I3``, ``H``, ``_mem``...) are free variables bound as keyword
@@ -497,30 +511,34 @@ def compile_kernel(
         li.op in (Opcode.BR, Opcode.CBR) or li.op in _CONTROL_OPS
         for li in code
     ]
-    leaders = _block_leaders(kernel, is_stop)
-
-    lines: list[str] = ["import numpy as np  # bound via defaults; see exec"]
-    blocks: dict[int, tuple[int, int, float]] = {}
-    for leader in sorted(leaders):
+    # Each leader's terminator; a straight-line run falling off the end
+    # (the verifier forbids it) gets no entry.
+    ends: dict[int, int] = {}
+    for leader in sorted(_block_leaders(kernel, is_stop)):
         end = leader
         while end < n and not is_stop[end]:
             end += 1
-        if end == leader or end >= n:
-            # Empty body (leader is itself a stopper) or a straight-line
-            # run falling off the end (the verifier forbids it; be safe).
-            continue
+        if end < n:
+            ends[leader] = end
+
+    lines: list[str] = ["import numpy as np  # bound via defaults; see exec"]
+    blocks: dict[int, tuple[int, int, float]] = {}
+    full_src: dict[int, list[str]] = {}
+    for leader, end in ends.items():
+        if end == leader:
+            continue  # empty body: the leader is itself a stopper
         body = code[leader:end]
         cycles = float(sum(cpi_of(li.op) for li in body))
         blocks[leader] = (end, end - leader, cycles)
 
-        full_lines: list[str] = []
+        full_lines = full_src[leader] = []
         masked_lines: list[str] = []
         for off, li in enumerate(body):
             proof = sites.get(leader + off)
             _emit_full(li, leader + off, full_lines, proof, safety_mode)
             _emit_masked(li, leader + off, masked_lines, proof, safety_mode)
 
-        names = sorted(_free_names(full_lines + masked_lines, kernel))
+        names = sorted(_free_names(full_lines + masked_lines))
         defaults = "".join(f", {nm}={nm}" for nm in names)
         lines.append(f"def _blk{leader}(mask, full{defaults}):")
         lines.append("    if full:")
@@ -528,11 +546,16 @@ def compile_kernel(
         lines.append("    else:")
         lines.extend(f"        {ln}" for ln in masked_lines)
 
+    regions = _loop_regions(kernel, ends)
+    for header, members in regions:
+        lines.extend(_emit_region(header, members, code, blocks, full_src))
+
     source = "\n".join(lines) + "\n"
     program = CompiledProgram(
         source=source,
         code=compile(source, f"<compiled kernel {kernel.name}>", "exec"),
         blocks=blocks,
+        regions=tuple(header for header, _ in regions),
     )
     kernel.backend_cache[cache_key] = (
         program if safety_mode == "checked" else (cert, program)
@@ -540,13 +563,104 @@ def compile_kernel(
     return program
 
 
-def _free_names(lines: list[str], kernel: LoweredKernel) -> set[str]:
-    """Names a block body references that must be bound as defaults."""
+def _loop_regions(
+    kernel: LoweredKernel, ends: dict[int, int]
+) -> list[tuple[int, list[int]]]:
+    """The kernel's innermost natural loops that contain no control op,
+    as ``(header, member leaders in PC order)``.
+
+    Lowering lays blocks out in reverse postorder, so inside an innermost
+    loop every edge but the back edges to the header runs to a higher PC:
+    one pass over the members in PC order runs one iteration.
+    """
+    headers = {header for header, _ in kernel.loops}
+    regions = []
+    for header, body in kernel.loops:
+        members = sorted(body.intersection(ends))
+        if headers.intersection(members) == {header} and all(
+            kernel.code[ends[m]].op in (Opcode.BR, Opcode.CBR) for m in members
+        ):
+            regions.append((header, members))
+    return sorted(regions)
+
+
+def _emit_region(
+    header: int,
+    members: list[int],
+    code: list[LInstr],
+    blocks: dict[int, tuple[int, int, float]],
+    full_src: dict[int, list[str]],
+) -> list[str]:
+    """Source of ``_loop{header}(mask, steps, cap)``: one region run on
+    the full-row path, returning ``(pc, steps)`` for the run loop to
+    resume at.
+
+    One pass of the ``while`` walks the members in PC order;
+    each arm runs its block's full-row body and its terminator exactly
+    as the run loop would.  The run loop gets control back at a branch
+    target outside the region, at a CBR whose lanes disagree (uncounted,
+    so the run loop re-issues it and writes per-lane PCs), or at a block
+    whose body plus terminator would cross the step cap (so the run loop
+    raises the livelock trap with the same step count).  The region's
+    steps and issue cycles reach the collector in one
+    ``note_uniform_block`` from a ``finally``, so a trapping block still
+    counts whole, as it does under block dispatch.
+    """
+    from repro.gpu.timing import cpi_of
+
+    inside = set(members)
+
+    def go(target: int) -> str:
+        return f"b = {target}" if target in inside else f"return {target}, steps"
+
+    arms: list[str] = []
+    for leader in members:
+        end, count, cycles = blocks.get(leader, (leader, 0, 0.0))
+        term = code[end]
+        arm = [f"if steps > cap - {count + 1}:", f"    return {leader}, steps"]
+        if count:
+            arm += [f"steps += {count}", f"cyc += {cycles!r}", *full_src[leader]]
+        issue = ["steps += 1", f"cyc += {cpi_of(term.op)!r}"]
+        if term.op is Opcode.BR:
+            arm += [*issue, go(term.targets[0])]
+        else:
+            t_then, t_else = term.targets
+            arm += [
+                f"_n = _nz({_reg(term.args[0])})",
+                "if 0 < _n < _T:",
+                f"    return {end}, steps",
+                *issue,
+                "if _n:",
+                f"    {go(t_then)}",
+                "else:",
+                f"    {go(t_else)}",
+            ]
+        arms.append(f"if b == {leader}:")
+        arms.extend(f"    {ln}" for ln in arm)
+
+    names = sorted(_free_names(arms) | {"_C"})
+    defaults = "".join(f", {nm}={nm}" for nm in names)
+    return [
+        f"def _loop{header}(mask, steps, cap{defaults}):",
+        f"    b = {header}",
+        "    s0 = steps",
+        "    cyc = 0.0",
+        "    try:",
+        "        while True:",
+        *(f"            {ln}" for ln in arms),
+        "    finally:",
+        "        if _C is not None:",
+        "            _C.note_uniform_block(cyc, steps - s0)",
+    ]
+
+
+def _free_names(lines: list[str]) -> set[str]:
+    """Names a generated body references that must be bound as defaults."""
     import re
 
     pattern = re.compile(
         r"\b(I\d+|F\d+|H|np|_mem|_C|_MF|_trap|_lids|_lii|_gi|_resolve"
-        r"|_tpi|_team|_nteams|_ws|_mty\d+|_mv\d+|_kp\d+)\b"
+        r"|_tpi|_team|_nteams|_ws|_nz|_T|_mty\d+|_mv\d+|_kp\d+)\b"
     )
     names: set[str] = set()
     for ln in lines:
@@ -584,37 +698,67 @@ class _LazyHandlers:
 _TABLES_KEY = "compiled.tables"
 
 
-def _static_tables(kernel: LoweredKernel):
-    """The per-PC dispatch tables that do not depend on executor state:
-    everything :meth:`BlockExecutor._build_dispatch` computes except the
-    handlers and the CBR register rows (cached as (bank, index) pairs)."""
+@dataclass(frozen=True)
+class _StaticTables:
+    """Everything :meth:`BlockExecutor._build_dispatch` and the generated
+    code's namespace need that does not depend on executor state: the
+    per-PC dispatch tables (CBR registers as (bank, index) pairs, not
+    rows) and the names the generated functions close over."""
+
+    cpi_list: list
+    is_control: list
+    br_target: list
+    cbr_static: list
+    sync_pcs: frozenset
+    stay_uniform: list
+    iregs: list  # "I0", "I1", ...
+    fregs: list  # "F0", "F1", ...
+    mtys: list  # per LOAD/STORE site: its memory type
+    mty_names: list  # ... bound as "_mty{pc}"
+    view_names: list  # ... and its element view as "_mv{pc}"
+    kparams: list  # per KPARAM: ("_kp{pc}", its imm, is float)
+
+
+def _static_tables(kernel: LoweredKernel) -> _StaticTables:
     from repro.gpu.timing import cpi_of
 
     code = kernel.code
-    cpi_list = [cpi_of(li.op) for li in code]
-    is_control = [li.op in _CONTROL_OPS for li in code]
-    br_target = [
-        li.targets[0] if li.op is Opcode.BR else -1 for li in code
+    mem = [
+        (pc, li.mty)
+        for pc, li in enumerate(code)
+        if li.op in (Opcode.LOAD, Opcode.STORE)
     ]
-    cbr_static = [
-        (li.args[0][0], li.args[0][1], li.targets[0], li.targets[1])
-        if li.op is Opcode.CBR
-        else None
-        for li in code
-    ]
-    sync_pcs = frozenset(
-        i for i, li in enumerate(code) if li.op in _SYNC_OPS
+    return _StaticTables(
+        cpi_list=[cpi_of(li.op) for li in code],
+        is_control=[li.op in _CONTROL_OPS for li in code],
+        br_target=[li.targets[0] if li.op is Opcode.BR else -1 for li in code],
+        cbr_static=[
+            (li.args[0][0], li.args[0][1], li.targets[0], li.targets[1])
+            if li.op is Opcode.CBR
+            else None
+            for li in code
+        ],
+        sync_pcs=frozenset(i for i, li in enumerate(code) if li.op in _SYNC_OPS),
+        # Control ops that, on a uniform runnable set, neither move
+        # per-lane PCs nor change the runnable set: the convergence they
+        # assert holds by construction, so the run loop may stay on the
+        # uniform path instead of re-deriving the schedule.
+        stay_uniform=[
+            li.op
+            in (Opcode.BARRIER, Opcode.RED_ADD, Opcode.RED_MAX, Opcode.RED_MIN)
+            for li in code
+        ],
+        iregs=[f"I{i}" for i in range(kernel.num_iregs)],
+        fregs=[f"F{i}" for i in range(kernel.num_fregs)],
+        mtys=[mty for _, mty in mem],
+        mty_names=[f"_mty{pc}" for pc, _ in mem],
+        view_names=[f"_mv{pc}" for pc, _ in mem],
+        kparams=[
+            (f"_kp{pc}", li.imm, li.dest_f)
+            for pc, li in enumerate(code)
+            if li.op is Opcode.KPARAM
+        ],
     )
-    # Control ops that, on a uniform runnable set, neither move per-lane
-    # PCs nor change the runnable set: the convergence they assert holds
-    # by construction, so the run loop may stay on the uniform path
-    # instead of re-deriving the schedule.
-    stay_uniform = [
-        li.op
-        in (Opcode.BARRIER, Opcode.RED_ADD, Opcode.RED_MAX, Opcode.RED_MIN)
-        for li in code
-    ]
-    return cpi_list, is_control, br_target, cbr_static, sync_pcs, stay_uniform
 
 
 class CompiledBlockExecutor(BlockExecutor):
@@ -622,7 +766,11 @@ class CompiledBlockExecutor(BlockExecutor):
 
     Control instructions, synchronization, and divergent stretches that
     do not chain through whole blocks fall back to the inherited
-    interpreter machinery; straight-line runs take the compiled path.
+    interpreter machinery; straight-line runs take the compiled path,
+    and warp-uniform innermost loops run as one compiled region.
+
+    After :meth:`run` returns, ``block_dispatches`` and
+    ``region_entries`` count the block and region functions it called.
     """
 
     def __init__(self, kernel: LoweredKernel, ctx: BlockContext):
@@ -630,18 +778,15 @@ class CompiledBlockExecutor(BlockExecutor):
         tables = kernel.backend_cache.get(_TABLES_KEY)
         if tables is None:
             tables = kernel.backend_cache[_TABLES_KEY] = _static_tables(kernel)
-        (
-            self._cpi_list,
-            self._is_control,
-            self._br_target,
-            cbr_static,
-            self._sync_pcs,
-            self._stay_uniform,
-        ) = tables
+        self._cpi_list = tables.cpi_list
+        self._is_control = tables.is_control
+        self._br_target = tables.br_target
+        self._sync_pcs = tables.sync_pcs
+        self._stay_uniform = tables.stay_uniform
         iregs, fregs = self.iregs, self.fregs
         self._cbr_info = [
             None if s is None else ((fregs if s[0] else iregs)[s[1]], s[2], s[3])
-            for s in cbr_static
+            for s in tables.cbr_static
         ]
         self._handlers = _LazyHandlers(self)
         program = compile_kernel(
@@ -649,15 +794,18 @@ class CompiledBlockExecutor(BlockExecutor):
             cert=kernel.backend_cache.get(SAFETY_CERT_KEY),
             safety_mode=ctx.safety_mode,
         )
-        ns = self._bind_namespace()
+        ns = self._bind_namespace(tables)
         exec(program.code, ns)
         self._blocks = {
             leader: (ns[f"_blk{leader}"], end, count, cycles)
             for leader, (end, count, cycles) in program.blocks.items()
         }
+        self._regions = {h: ns[f"_loop{h}"] for h in program.regions}
+        self.block_dispatches = 0
+        self.region_entries = 0
 
-    def _bind_namespace(self) -> dict:
-        """The per-executor environment the block functions close over."""
+    def _bind_namespace(self, tables: _StaticTables) -> dict:
+        """The per-executor environment the generated functions close over."""
         ctx = self.ctx
         ns: dict = {
             "np": np,
@@ -674,29 +822,28 @@ class CompiledBlockExecutor(BlockExecutor):
             "_team": ctx.team_id,
             "_nteams": ctx.num_teams,
             "_ws": ctx.warp_size,
+            "_nz": np.count_nonzero,
+            "_T": self.T,
         }
-        for i in range(self.kernel.num_iregs):
-            ns[f"I{i}"] = self.iregs[i]
-        for i in range(self.kernel.num_fregs):
-            ns[f"F{i}"] = self.fregs[i]
-        for pc, li in enumerate(self.kernel.code):
-            if li.op in (Opcode.LOAD, Opcode.STORE):
-                ns[f"_mty{pc}"] = li.mty
-                # element view pre-resolved per site (the underlying
-                # buffer is allocated once, so views never go stale)
-                ns[f"_mv{pc}"] = ctx.memory._views[li.mty]
-            elif li.op is Opcode.KPARAM:
-                # handlers are lazy here, so the interpreter's
-                # construction-time parameter check runs now instead
-                try:
-                    value = ctx.params[int(li.imm)]
-                except IndexError:
-                    raise DeviceTrap(
-                        f"kernel {self.kernel.name!r} reads parameter "
-                        f"#{li.imm} but only {len(ctx.params)} were passed",
-                        team=ctx.team_id,
-                    ) from None
-                ns[f"_kp{pc}"] = float(value) if li.dest_f else int(value)
+        ns.update(zip(tables.iregs, self.iregs))
+        ns.update(zip(tables.fregs, self.fregs))
+        ns.update(zip(tables.mty_names, tables.mtys))
+        # element views pre-resolved per site (the underlying buffer is
+        # allocated once, so views never go stale)
+        views = ctx.memory._views
+        ns.update(zip(tables.view_names, [views[m] for m in tables.mtys]))
+        for name, imm, is_f in tables.kparams:
+            # handlers are lazy here, so the interpreter's
+            # construction-time parameter check runs now instead
+            try:
+                value = ctx.params[int(imm)]
+            except IndexError:
+                raise DeviceTrap(
+                    f"kernel {self.kernel.name!r} reads parameter "
+                    f"#{imm} but only {len(ctx.params)} were passed",
+                    team=ctx.team_id,
+                ) from None
+            ns[name] = float(value) if is_f else int(value)
         return ns
 
     # ------------------------------------------------------------------
@@ -708,9 +855,12 @@ class CompiledBlockExecutor(BlockExecutor):
         executes as one compiled call (its trace contribution batched via
         ``note_uniform_block``) and control resumes at the terminator.
         A divergent min-PC group on a leader chains through whole blocks
-        the same way (``note_divergent_block``).  Mid-block entry and
-        the remaining divergent steps use the inherited per-instruction
-        machinery.
+        the same way (``note_divergent_block``).  When every lane is
+        runnable and the PC sits on a region header, the loop runs in
+        its ``_loop`` function until it exits, diverges or nears the
+        step cap, and block dispatch resumes where it stopped.  Mid-block
+        entry and the remaining divergent steps use the inherited
+        per-instruction machinery.
         """
         pc = self.pc
         status = self.status
@@ -726,6 +876,8 @@ class CompiledBlockExecutor(BlockExecutor):
         br_target = self._br_target
         stay_uniform = self._stay_uniform
         blocks_get = self._blocks.get
+        regions_get = self._regions.get
+        count_nonzero = np.count_nonzero
         T = self.T
 
         runnable = status == RUNNABLE
@@ -735,108 +887,131 @@ class CompiledBlockExecutor(BlockExecutor):
         mask = runnable
         cur = 0
         steps = 0
+        dispatches = 0
+        entries = 0
 
-        with np.errstate(all="ignore"):
-            while nrun > 0:
-                if divergent:
-                    sub = pc if nrun == T else pc[runnable]
-                    cur = int(sub.min())
-                    if int(sub.max()) == cur:
-                        divergent = False
-                        mask = runnable
-                        full = nrun == T
-                        if collector is not None:
-                            collector.begin_uniform(
-                                mask.reshape(self.num_warps, ws).any(axis=1)
-                            )
-                    else:
-                        mask = runnable & (pc == cur)
-                        # Divergent block fast path: the min-PC group sits
-                        # on a leader and the whole straight-line body lies
-                        # below every other runnable lane's PC, so min-PC
-                        # scheduling would run it to the terminator without
-                        # interleaving another group.  One masked call
-                        # replaces count handler dispatches; timed runs
-                        # note each block and folded branch once, with
-                        # the aggregates of per-instruction on_instr.
-                        if blocks_get(cur) is not None:
-                            # All other runnable lanes sit at or above
-                            # othermin, so min-PC scheduling keeps this
-                            # group running while its PC stays below it.
-                            # With othermin a scalar, block legality is an
-                            # integer compare — chain through whole blocks,
-                            # folded BRs, and group-uniform CBRs (loop
-                            # latches) without re-deriving the schedule.
-                            othermin = int(sub[sub != cur].min())
-                            cur_g = cur
-                            ran = False
+        try:
+            with np.errstate(all="ignore"):
+                while nrun > 0:
+                    if divergent:
+                        sub = pc if nrun == T else pc[runnable]
+                        cur = int(sub.min())
+                        if int(sub.max()) == cur:
+                            divergent = False
+                            mask = runnable
+                            full = nrun == T
                             if collector is not None:
-                                warp_mask = mask.reshape(
-                                    self.num_warps, ws
-                                ).any(axis=1)
-                            while True:
-                                blk = blocks_get(cur_g)
-                                if blk is None:
-                                    break
-                                fn, end, count, cycles = blk
-                                if end > othermin:
-                                    # another group's PC falls inside (or
-                                    # at the end of) the body: stop before
-                                    # it and let the probe re-derive
-                                    break
-                                steps += count
-                                if steps > max_steps:
-                                    self.steps = steps
-                                    raise DeviceTrap(
-                                        f"kernel {self.kernel.name!r} "
-                                        f"exceeded {max_steps} "
-                                        "interpreter steps (livelock?)",
-                                        team=self.ctx.team_id,
-                                    )
+                                collector.begin_uniform(
+                                    mask.reshape(self.num_warps, ws).any(axis=1)
+                                )
+                        else:
+                            mask = runnable & (pc == cur)
+                            # Divergent block fast path: the min-PC group sits
+                            # on a leader and the whole straight-line body lies
+                            # below every other runnable lane's PC, so min-PC
+                            # scheduling would run it to the terminator without
+                            # interleaving another group.  One masked call
+                            # replaces count handler dispatches; timed runs
+                            # note each block and folded branch once, with
+                            # the aggregates of per-instruction on_instr.
+                            if blocks_get(cur) is not None:
+                                # All other runnable lanes sit at or above
+                                # othermin, so min-PC scheduling keeps this
+                                # group running while its PC stays below it.
+                                # With othermin a scalar, block legality is an
+                                # integer compare — chain through whole blocks,
+                                # folded BRs, and group-uniform CBRs (loop
+                                # latches) without re-deriving the schedule.
+                                othermin = int(sub[sub != cur].min())
+                                cur_g = cur
+                                ran = False
                                 if collector is not None:
-                                    collector.note_divergent_block(
-                                        warp_mask, cycles, count
-                                    )
-                                fn(mask, False)
-                                ran = True
-                                if end == othermin:
-                                    # a lane waits exactly at the
-                                    # terminator and joins the group there
-                                    cur_g = end
+                                    warp_mask = mask.reshape(
+                                        self.num_warps, ws
+                                    ).any(axis=1)
+                                while True:
+                                    blk = blocks_get(cur_g)
+                                    if blk is None:
+                                        break
+                                    fn, end, count, cycles = blk
+                                    if end > othermin:
+                                        # another group's PC falls inside (or
+                                        # at the end of) the body: stop before
+                                        # it and let the probe re-derive
+                                        break
+                                    steps += count
+                                    if steps > max_steps:
+                                        self.steps = steps
+                                        raise DeviceTrap(
+                                            f"kernel {self.kernel.name!r} "
+                                            f"exceeded {max_steps} "
+                                            "interpreter steps (livelock?)",
+                                            team=self.ctx.team_id,
+                                        )
+                                    if collector is not None:
+                                        collector.note_divergent_block(
+                                            warp_mask, cycles, count
+                                        )
+                                    fn(mask, False)
+                                    dispatches += 1
+                                    ran = True
+                                    if end == othermin:
+                                        # a lane waits exactly at the
+                                        # terminator and joins the group there
+                                        cur_g = end
+                                        break
+                                    bt = br_target[end]
+                                    info = cbr_info[end]
+                                    if bt < 0 and info is None:
+                                        cur_g = end  # control op: slow path next
+                                        break
+                                    steps += 1  # folded BR/CBR
+                                    if collector is not None:
+                                        collector.note_divergent_block(
+                                            warp_mask, cpi_list[end], 1
+                                        )
+                                    if bt >= 0:
+                                        cur_g = bt
+                                        continue
+                                    row, t_then, t_else = info
+                                    vals = row[mask]
+                                    first = vals[0]
+                                    if (vals == first).all():
+                                        cur_g = t_then if first else t_else
+                                        continue
+                                    pc[mask] = np.where(vals != 0, t_then, t_else)
+                                    cur_g = -1  # pc written per-lane
                                     break
-                                bt = br_target[end]
-                                info = cbr_info[end]
-                                if bt < 0 and info is None:
-                                    cur_g = end  # control op: slow path next
-                                    break
-                                steps += 1  # folded BR/CBR
-                                if collector is not None:
-                                    collector.note_divergent_block(
-                                        warp_mask, cpi_list[end], 1
-                                    )
-                                if bt >= 0:
-                                    cur_g = bt
+                                if ran:
+                                    if cur_g >= 0:
+                                        pc[mask] = cur_g
                                     continue
-                                row, t_then, t_else = info
-                                vals = row[mask]
-                                first = vals[0]
-                                if (vals == first).all():
-                                    cur_g = t_then if first else t_else
-                                    continue
-                                pc[mask] = np.where(vals != 0, t_then, t_else)
-                                cur_g = -1  # pc written per-lane
-                                break
-                            if ran:
-                                if cur_g >= 0:
-                                    pc[mask] = cur_g
-                                continue
 
-                if not divergent:
-                    # ---- compiled fast path ------------------------------
-                    blk = blocks_get(cur)
-                    if blk is not None:
-                        fn, end, count, cycles = blk
-                        steps += count
+                    if not divergent:
+                        # ---- compiled fast path ------------------------------
+                        if full:
+                            region = regions_get(cur)
+                            if region is not None:
+                                entries += 1
+                                cur, steps = region(mask, steps, max_steps)
+                        blk = blocks_get(cur)
+                        if blk is not None:
+                            fn, end, count, cycles = blk
+                            steps += count
+                            if steps > max_steps:
+                                self.steps = steps
+                                raise DeviceTrap(
+                                    f"kernel {self.kernel.name!r} exceeded "
+                                    f"{max_steps} interpreter steps (livelock?)",
+                                    team=self.ctx.team_id,
+                                )
+                            if collector is not None:
+                                collector.note_uniform_block(cycles, count)
+                            fn(mask, full)
+                            dispatches += 1
+                            cur = end
+                        # ---- terminator / single instruction -----------------
+                        steps += 1
                         if steps > max_steps:
                             self.steps = steps
                             raise DeviceTrap(
@@ -845,10 +1020,48 @@ class CompiledBlockExecutor(BlockExecutor):
                                 team=self.ctx.team_id,
                             )
                         if collector is not None:
-                            collector.note_uniform_block(cycles, count)
-                        fn(mask, full)
-                        cur = end
-                    # ---- terminator / single instruction -----------------
+                            collector.note_uniform(cpi_list[cur])
+                        bt = br_target[cur]
+                        if bt >= 0:  # unconditional branch
+                            cur = bt
+                            continue
+                        info = cbr_info[cur]
+                        if info is not None:  # conditional branch
+                            row, t_then, t_else = info
+                            vals = row if full else row[mask]
+                            nz = count_nonzero(vals)
+                            if nz == 0 or nz == vals.size:
+                                cur = t_then if nz else t_else
+                                continue
+                            pc[mask] = np.where(vals != 0, t_then, t_else)
+                            divergent = True
+                            if collector is not None:
+                                collector.end_uniform()
+                            continue
+                        if is_control[cur]:
+                            if stay_uniform[cur]:
+                                # barrier/reduction on a uniform runnable set:
+                                # converged by construction, runnable set and
+                                # PCs unchanged — no need to re-derive the
+                                # schedule (the handler reads neither)
+                                handlers[cur](mask)
+                                cur += 1
+                                continue
+                            pc[mask] = cur  # flush logical PCs
+                            if collector is not None:
+                                collector.end_uniform()
+                            advanced = handlers[cur](mask)
+                            if not advanced:
+                                pc[mask] = cur + 1
+                            runnable = status == RUNNABLE
+                            nrun = int(runnable.sum())
+                            divergent = True
+                            continue
+                        handlers[cur](mask)  # mid-block entry: plain vector op
+                        cur += 1
+                        continue
+
+                    # ---- divergent slow path (inherited semantics) -----------
                     steps += 1
                     if steps > max_steps:
                         self.steps = steps
@@ -858,66 +1071,18 @@ class CompiledBlockExecutor(BlockExecutor):
                             team=self.ctx.team_id,
                         )
                     if collector is not None:
-                        collector.note_uniform(cpi_list[cur])
-                    bt = br_target[cur]
-                    if bt >= 0:  # unconditional branch
-                        cur = bt
-                        continue
-                    info = cbr_info[cur]
-                    if info is not None:  # conditional branch
-                        row, t_then, t_else = info
-                        vals = row if full else row[mask]
-                        first = vals[0]
-                        if (vals == first).all():
-                            cur = t_then if first else t_else
-                            continue
-                        pc[mask] = np.where(vals != 0, t_then, t_else)
-                        divergent = True
-                        if collector is not None:
-                            collector.end_uniform()
-                        continue
+                        warp_mask = mask.reshape(self.num_warps, ws).any(axis=1)
+                        collector.on_instr(code[cur].op, warp_mask)
+                    advanced = handlers[cur](mask)
+                    if not advanced:
+                        pc[mask] = cur + 1
                     if is_control[cur]:
-                        if stay_uniform[cur]:
-                            # barrier/reduction on a uniform runnable set:
-                            # converged by construction, runnable set and
-                            # PCs unchanged — no need to re-derive the
-                            # schedule (the handler reads neither)
-                            handlers[cur](mask)
-                            cur += 1
-                            continue
-                        pc[mask] = cur  # flush logical PCs
-                        if collector is not None:
-                            collector.end_uniform()
-                        advanced = handlers[cur](mask)
-                        if not advanced:
-                            pc[mask] = cur + 1
                         runnable = status == RUNNABLE
                         nrun = int(runnable.sum())
-                        divergent = True
-                        continue
-                    handlers[cur](mask)  # mid-block entry: plain vector op
-                    cur += 1
-                    continue
-
-                # ---- divergent slow path (inherited semantics) -----------
-                steps += 1
-                if steps > max_steps:
-                    self.steps = steps
-                    raise DeviceTrap(
-                        f"kernel {self.kernel.name!r} exceeded "
-                        f"{max_steps} interpreter steps (livelock?)",
-                        team=self.ctx.team_id,
-                    )
-                if collector is not None:
-                    warp_mask = mask.reshape(self.num_warps, ws).any(axis=1)
-                    collector.on_instr(code[cur].op, warp_mask)
-                advanced = handlers[cur](mask)
-                if not advanced:
-                    pc[mask] = cur + 1
-                if is_control[cur]:
-                    runnable = status == RUNNABLE
-                    nrun = int(runnable.sum())
-        self.steps = steps
+            self.steps = steps
+        finally:
+            self.block_dispatches = dispatches
+            self.region_entries = entries
 
 
 __all__ = [

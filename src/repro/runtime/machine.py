@@ -10,7 +10,9 @@ Lowering performs:
 * **register bank assignment**: virtual registers split into an i64 bank
   and an f64 bank with dense indices;
 * **branch resolution**: labels become absolute instruction indices;
-* rejection of leftover ``call`` instructions (the inliner must have run).
+* rejection of leftover ``call`` instructions (the inliner must have run);
+* **loop discovery**: the function's natural loops, recorded as PC sets
+  for the compiled backend's loop regions.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class LoweredKernel:
     #: block-table program), built lazily on first use and shared by
     #: every executor of this kernel.
     backend_cache: dict = field(default_factory=dict)
+    #: The function's natural loops as ``(header pc, body pcs)``, loops
+    #: sharing a header merged (:func:`repro.analysis.loops.natural_loops`).
+    loops: tuple[tuple[int, frozenset[int]], ...] = ()
 
     @property
     def num_regs(self) -> int:
@@ -88,9 +93,13 @@ def _rpo_order(fn: Function) -> list[str]:
 
 
 def lower_kernel(
-    fn: Function, *, tracer=None, metrics=None
+    fn: Function, *, tracer=None, metrics=None, loops: bool = True
 ) -> LoweredKernel:
     """Lower a call-free function into executable form.
+
+    ``loops=False`` leaves :attr:`LoweredKernel.loops` empty: only the
+    compiled backend's loop regions read it, and the safety analysis,
+    which lowers every kernel of every cold compile, need not pay for it.
 
     With an enabled :class:`~repro.obs.Tracer` the lowering is recorded
     as a wall-clock span on the ``compiler`` track; with a
@@ -100,16 +109,16 @@ def lower_kernel(
     """
     if tracer is not None and tracer.enabled:
         with tracer.span(f"lower {fn.name}", track="compiler", cat="lowering"):
-            kern = _lower_kernel(fn)
+            kern = _lower_kernel(fn, loops)
     else:
-        kern = _lower_kernel(fn)
+        kern = _lower_kernel(fn, loops)
     if metrics is not None:
         metrics.counter("lower.kernels").inc()
         metrics.counter("lower.instructions").inc(len(kern.code))
     return kern
 
 
-def _lower_kernel(fn: Function) -> LoweredKernel:
+def _lower_kernel(fn: Function, loops: bool) -> LoweredKernel:
     # --- register banks ----------------------------------------------------
     imap: dict[int, int] = {}
     fmap: dict[int, int] = {}
@@ -166,6 +175,9 @@ def _lower_kernel(fn: Function) -> LoweredKernel:
                     loc=instr.meta.get("loc"),
                 )
             )
+    from repro.analysis.loops import natural_loops
+
+    natural = natural_loops(fn) if loops else ()
     return LoweredKernel(
         name=fn.name,
         code=code,
@@ -174,4 +186,18 @@ def _lower_kernel(fn: Function) -> LoweredKernel:
         param_slots=param_slots,
         uses_parallel=uses_parallel,
         source_instructions=len(code),
+        loops=tuple(
+            (
+                pcs[lp.header],
+                frozenset(
+                    pc
+                    for label in lp.body
+                    for pc in range(
+                        pcs[label], pcs[label] + len(fn.blocks[label].instrs)
+                    )
+                ),
+            )
+            for lp in natural
+            if lp.body <= pcs.keys()  # unreachable blocks are not laid out
+        ),
     )

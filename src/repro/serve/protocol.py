@@ -62,6 +62,11 @@ LOADER_OPT_KEYS = frozenset(
     {"heap_bytes", "allow_races", "team_local_globals", "opt_level", "pack"}
 )
 
+#: ``loader_opts`` keys whose values must be ints (a bool is not one);
+#: the other keys take bools.  The loader checks the ranges, except
+#: ``pack``'s, which never reaches it as a number.
+_INT_LOADER_OPTS = frozenset({"heap_bytes", "opt_level", "pack"})
+
 
 # ---------------------------------------------------------------------------
 # framing
@@ -172,6 +177,24 @@ class Submission:
             raise wire.WireError(
                 f"Submission: unsupported loader_opts "
                 f"{sorted(unknown)} (allowed: {allowed})",
+                code=wire.E_BAD_REQUEST,
+            )
+        for key, value in self.loader_opts.items():
+            if key in _INT_LOADER_OPTS:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+                want = "an int"
+            else:
+                ok = isinstance(value, bool)
+                want = "a bool"
+            if not ok:
+                raise wire.WireError(
+                    f"Submission: loader_opts[{key!r}] must be {want}, "
+                    f"got {value!r}",
+                    code=wire.E_BAD_REQUEST,
+                )
+        if self.loader_opts.get("pack", 1) < 1:
+            raise wire.WireError(
+                "Submission: loader_opts['pack'] must be >= 1",
                 code=wire.E_BAD_REQUEST,
             )
         if self.priority < 0:

@@ -1,5 +1,6 @@
-"""The compiled (threaded-code) backend: block lowering, caching, the
-backend-selection API, and trap parity with the interpreter."""
+"""The compiled (threaded-code) backend: block lowering, loop regions,
+caching, the backend-selection API, and trap parity with the
+interpreter."""
 
 import pytest
 
@@ -9,8 +10,10 @@ from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.backend import (
     DEFAULT_BACKEND,
+    SAFETY_MODES,
     Backend,
     CompiledBackend,
     InterpreterBackend,
@@ -36,7 +39,7 @@ def _compiled_entry(kernel):
     return (None, program) if program is not None else None
 from repro.tools.safety_check import BROKEN
 from tests.oracle import ORACLE, Config, check, source_input
-from tests.util import SMALL_DEVICE
+from tests.util import SMALL_DEVICE, trace_fields
 
 
 def _loader(src, **kw):
@@ -134,9 +137,12 @@ class TestCompilation:
             for k in rsbench_loader.image.lowered.values()
             if _compiled_entry(k) is not None
         )
-        src = _compiled_entry(kernel)[1].source
-        assert "def _blk0(mask, full" in src
-        assert "if full:" in src
+        program = _compiled_entry(kernel)[1]
+        assert "def _blk0(mask, full" in program.source
+        assert "if full:" in program.source
+        assert program.regions
+        for header in program.regions:
+            assert f"def _loop{header}(mask, steps, cap" in program.source
 
 
     def test_pool_lowers_and_generates_once_per_kernel(self, monkeypatch):
@@ -224,3 +230,161 @@ class TestEndToEnd:
                 loader.image, ENSEMBLE_KERNEL, num_teams=1, thread_limit=32,
                 backend="jit",
             )
+
+
+#: One parallel region whose every lane runs an inner loop of ``trips``
+#: iterations adding ``term`` (``j`` is the trip, ``t`` the lane).
+LOOP = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64(32)
+    for t in dgpu.parallel_range(32):
+        acc = 0
+        for j in range({trips}):
+            acc = acc + {term}
+        buf[t] = acc
+    total = malloc_i64(1)
+    total[0] = 0
+    for j in range(32):
+        total[0] = total[0] + buf[j]
+    return total[0] & 255
+"""
+
+#: The inner loop of :data:`LOOP` with a barrier and a team reduction in
+#: its body: control ops, so it must stay on block dispatch.
+SYNC_LOOP = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64(32)
+    for t in dgpu.parallel_range(32):
+        acc = 0
+        for j in range(6):
+            acc = acc + dgpu.reduce_add(j * t)
+            dgpu.barrier()
+        buf[t] = acc
+    return buf[3] & 255
+"""
+
+#: Two nested uniform loops: only the inner one is a region, entered
+#: once per outer trip.
+NESTED = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64(32)
+    for t in dgpu.parallel_range(32):
+        acc = 0
+        for a in range(4):
+            for b in range(5):
+                acc = acc + a * b + t
+        buf[t] = acc
+    return buf[7] & 255
+"""
+
+ALL_MODES = [Config("compiled", safety_mode=m) for m in SAFETY_MODES]
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every compiled-backend block executor built during the test."""
+    made = []
+    real = CompiledBackend.executor
+
+    def executor(self, kernel, ctx):
+        made.append(real(self, kernel, ctx))
+        return made[-1]
+
+    monkeypatch.setattr(CompiledBackend, "executor", executor)
+    return made
+
+
+def _entries(executors) -> int:
+    return sum(ex.region_entries for ex in executors)
+
+
+def _run_compiled(src, *, regions=True, max_steps=None, metrics=None):
+    """One timed compiled launch of ``src`` with loop regions on or off;
+    returns the run (or its trap text), the team's executor and its
+    finalized trace."""
+    from repro.runtime.compiled import CompiledBlockExecutor
+
+    made = []
+
+    class Spy(CompiledBackend):
+        def executor(self, kernel, ctx):
+            made.append(CompiledBlockExecutor(kernel, ctx))
+            if not regions:
+                made[-1]._regions = {}
+            return made[-1]
+
+    loader = _loader(src, allow_unsafe=True)
+    loader.device.metrics = metrics
+    kw = {} if max_steps is None else {"max_steps": max_steps}
+    spec = LaunchSpec([[]], thread_limit=32, collect_timing=True, **kw)
+    real = loader.device.launch
+    loader.device.launch = lambda *a, **k: real(*a, **dict(k, backend=Spy()))
+    try:
+        outcome = loader.run(spec)
+    except DeviceTrap as exc:
+        outcome = str(exc)
+    (ex,) = made
+    return outcome, ex, trace_fields(ex.ctx.collector.finalize())
+
+
+class TestLoopRegions:
+    """Warp-uniform innermost loops run as one generated ``while``; every
+    observable matches block dispatch and the interpreter."""
+
+    def test_uniform_loop_diverges_mid_loop(self, executors):
+        # odd lanes take one more trip: the latch CBR diverges at j == 8
+        src = LOOP.format(trips="8 + t % 2", term="j * t")
+        check(source_input(src, timed=True), ALL_MODES)
+        assert _entries(executors) == len(ALL_MODES)
+        on, off = _run_compiled(src), _run_compiled(src, regions=False)
+        assert on[1].region_entries == 1 and off[1].region_entries == 0
+        assert on[0].launch.interpreter_steps == off[0].launch.interpreter_steps
+        assert on[2] == off[2]
+
+    def test_memory_fault_inside_region(self, executors):
+        # every lane reads below the null guard on trip 5 (argc == 1)
+        src = LOOP.format(trips=8, term="buf[t - (j // 5) * argc * 1099511627776]")
+        runs = check(source_input(src, timed=True, allow_unsafe=True), ALL_MODES)
+        assert "null guard" in runs[ORACLE].obs.trap
+        assert _entries(executors) == len(ALL_MODES)
+        # the trapping team's trace, block by block and region alike:
+        # the trapping block counts whole
+        on, off = _run_compiled(src), _run_compiled(src, regions=False)
+        assert on[0] == off[0] == runs[ORACLE].obs.trap
+        assert on[1].region_entries == 1
+        assert on[2] == off[2]
+
+    @pytest.mark.parametrize("cap, retired", [(5000, 5001), (5002, 5004)])
+    def test_livelock_inside_region(self, executors, cap, retired):
+        """The trap retires what block dispatch retires: the pinned counts
+        are those of the compiled backend before loop regions existed."""
+        src = LOOP.format(trips=1000, term="j * t")
+        check(source_input(src, timed=True), ALL_MODES)
+        runs = [_run_compiled(src, max_steps=cap, regions=r) for r in (True, False)]
+        for outcome, ex, _ in runs:
+            assert f"exceeded {cap} interpreter steps" in outcome
+            assert ex.steps == retired
+        assert [ex.region_entries for _, ex, _ in runs] == [1, 0]
+        assert runs[0][2] == runs[1][2]
+
+    def test_sync_in_loop_body_stays_on_block_dispatch(self, executors):
+        check(source_input(SYNC_LOOP, timed=True), ALL_MODES)
+        assert executors and _entries(executors) == 0
+        executors.clear()
+        # the same loop without the barrier and reduction is a region
+        check(source_input(LOOP.format(trips=6, term="j * t")), ALL_MODES)
+        assert _entries(executors) == len(ALL_MODES)
+
+    def test_nested_loop_only_inner_is_a_region(self, executors):
+        check(source_input(NESTED, timed=True), ALL_MODES)
+        assert [ex.region_entries for ex in executors] == [4] * len(ALL_MODES)
+
+    def test_dispatch_counters_published_per_launch(self):
+        metrics = MetricsRegistry()
+        src = LOOP.format(trips=50, term="j * t")
+        _, ex, _ = _run_compiled(src, metrics=metrics)
+        (entries,) = metrics.series("exec.region_entries")
+        (blocks,) = metrics.series("exec.block_dispatches")
+        assert dict(entries.labels)["backend"] == "compiled"
+        assert entries.value == ex.region_entries == 1
+        assert blocks.value == ex.block_dispatches > 0

@@ -89,6 +89,25 @@ class TestSubmission:
         with pytest.raises(wire.WireError):
             Submission.from_wire(doc)
 
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            {"pack": "x"},
+            {"pack": 0},
+            {"pack": True},
+            {"heap_bytes": "x"},
+            {"opt_level": 1.0},
+            {"allow_races": 1},
+            {"team_local_globals": "yes"},
+        ],
+    )
+    def test_rejects_ill_typed_loader_opts(self, opts):
+        """Checked at submit, so a bad value never reaches a worker."""
+        with pytest.raises(wire.WireError) as exc:
+            Submission(app="pagerank", spec=small_spec(1), loader_opts=opts)
+        assert exc.value.code == wire.E_BAD_REQUEST
+        assert next(iter(opts)) in str(exc.value)
+
     def test_pack_translates_to_mapping(self):
         from repro.host.mapping import OneInstancePerTeam, PackedMapping
 

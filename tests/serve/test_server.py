@@ -22,6 +22,7 @@ from repro.host.results import Observables
 from repro.sched import DevicePool, JobState, Scheduler
 from repro.serve.client import Client
 from repro.serve.harness import ServerThread
+from repro.serve.protocol import Submission
 from repro.serve.server import CampaignServer, ServeConfig
 
 from tests.oracle import Config, Input, check
@@ -113,7 +114,7 @@ class TestFaultIsolation:
         direct = one_shot(small_spec(2))
         assert Observables.of(clean_result) == Observables.of(direct)
 
-    @pytest.mark.parametrize("opts", [{"heap_bytes": -1}, {"pack": "x"}])
+    @pytest.mark.parametrize("opts", [{"heap_bytes": -1}, {"opt_level": 7}])
     def test_bad_loader_option_fails_only_its_job(self, server, opts):
         """A tenant's invalid loader option fails that tenant's job; the
         pump keeps serving every other tenant.  The client's socket
@@ -129,6 +130,19 @@ class TestFaultIsolation:
             events = list(good.stream())
             assert events[-1]["event"] == "result"
             assert good.result().all_succeeded
+
+
+    def test_ill_typed_loader_option_rejected_at_submit(self, server):
+        """A loader option of the wrong type is refused when the server
+        decodes the submission, before a worker ever builds a loader.  The
+        raw document bypasses the client's own check."""
+        doc = Submission(app="pagerank", spec=small_spec(1)).to_wire()
+        doc["loader_opts"] = {"pack": "x"}
+        with Client(server.address, timeout=30.0) as client:
+            with pytest.raises(ServeError) as exc:
+                client._request("submit", submission=doc)
+        assert exc.value.code == wire.E_BAD_REQUEST
+        assert "pack" in str(exc.value)
 
 
 class TestMultiTenant:
