@@ -1752,7 +1752,7 @@ def certify_module(module, *, tracer=None, work: dict | None = None) -> dict:
     :func:`analyze_kernel` work counts.
     """
     from repro.errors import DeviceError, IRError
-    from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
+    from repro.runtime.kernel import ENSEMBLE_KERNEL
     from repro.runtime.machine import lower_kernel
 
     globals_info = {g.name: g.nbytes for g in module.globals.values()}
@@ -1765,7 +1765,7 @@ def certify_module(module, *, tracer=None, work: dict | None = None) -> dict:
         done: dict = {}
         kw = dict(
             globals_info=globals_info,
-            wrapper=fn.name in (ENSEMBLE_KERNEL, SINGLE_KERNEL),
+            wrapper=fn.name == ENSEMBLE_KERNEL,
             work=done,
         )
         if tracer is not None and tracer.enabled:

@@ -25,7 +25,7 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.passes.globals_to_shared import globals_to_shared_pass
 from repro.passes.pipeline import compile_for_device, finalize_executable
-from repro.runtime.kernel import build_ensemble_kernel, build_single_kernel
+from repro.runtime.kernel import build_ensemble_kernel
 
 #: ``module.metadata`` key marking a fully finalized executable module.
 EXECUTABLE_META = "executable"
@@ -60,6 +60,16 @@ def source_fingerprint(module: Module) -> str:
     return "src:" + h.hexdigest()[:32]
 
 
+def run_frontend(program, *, tracer=None) -> Module:
+    """``program.compile()``: the frontend half of a cold build.  With an
+    enabled :class:`~repro.obs.Tracer` it is one ``frontend`` span on the
+    ``compiler`` track, beside the spans :func:`build_executable` records."""
+    if tracer is not None and tracer.enabled:
+        with tracer.span("frontend", track="compiler", cat="frontend"):
+            return program.compile()
+    return program.compile()
+
+
 def build_executable(
     module: Module,
     *,
@@ -72,14 +82,15 @@ def build_executable(
     """Run the full device compile chain on a program module, in place.
 
     Mirrors exactly what :class:`~repro.host.loader.Loader` historically
-    did inline: front half (:func:`compile_for_device`), kernel wrapper
-    construction, the optional globals-to-shared promotion, then
+    did inline: front half (:func:`compile_for_device`), construction of
+    the one entry kernel (``__ensemble_entry``, which every loader
+    launches, :meth:`Loader.run <repro.host.loader.Loader.run>` with
+    NI = 1), the optional globals-to-shared promotion, then
     :func:`finalize_executable`.  The result is stamped
     ``metadata["executable"] = True``.
     """
     obs_kw = dict(tracer=tracer, metrics=metrics)
     module = compile_for_device(module, **obs_kw)
-    build_single_kernel(module)
     build_ensemble_kernel(module)
     if team_local_globals:
         globals_to_shared_pass(module, shared_mem_budget=shared_mem_budget)
@@ -97,5 +108,6 @@ __all__ = [
     "DIGEST_META",
     "build_executable",
     "is_executable",
+    "run_frontend",
     "source_fingerprint",
 ]

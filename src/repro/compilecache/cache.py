@@ -47,6 +47,7 @@ from repro.compilecache.build import (
     DIGEST_META,
     build_executable,
     is_executable,
+    run_frontend,
     source_fingerprint,
 )
 
@@ -128,7 +129,7 @@ class CachedExecutable:
         return box.footprint
 
 
-def _resolve_source(program):
+def _resolve_source(program, tracer=None):
     """Normalize a cacheable program into ``(source_hash, builder)``.
 
     ``program`` may be a :class:`Program`, a pre-compilation
@@ -136,16 +137,16 @@ def _resolve_source(program):
     lazy form — only invoked on a miss, which is what lets a warm cache
     skip the frontend entirely).  Program hashes are memoized on the
     object, so repeated lookups of the same Program also skip the
-    frontend after the first.
+    frontend after the first (a later miss runs it in the build).
     """
     if isinstance(program, Program):
         source_hash = getattr(program, "_compilecache_source_hash", None)
         if source_hash is None:
-            module = program.compile()
+            module = run_frontend(program, tracer=tracer)
             source_hash = source_fingerprint(module)
             program._compilecache_source_hash = source_hash
             return source_hash, lambda: module
-        return source_hash, program.compile
+        return source_hash, lambda: program
     if isinstance(program, Module):
         if is_executable(program):
             raise CacheError(
@@ -251,7 +252,7 @@ class ExecutableCache:
         elif source_hash is not None:
             _, builder = _resolve_source_for_override(program)
         else:
-            source_hash, builder = _resolve_source(program)
+            source_hash, builder = _resolve_source(program, tracer)
 
         key = self.key_for(
             source_hash,
@@ -321,7 +322,7 @@ class ExecutableCache:
         self._count("misses", "cache.misses")
         module = builder()
         if isinstance(module, Program):
-            module = module.compile()
+            module = run_frontend(module, tracer=tracer)
         if not isinstance(module, Module):
             raise CacheError(
                 f"program builder returned {type(module).__name__}, "
@@ -454,7 +455,7 @@ def _resolve_source_for_override(program):
     """A Program/Module paired with an explicit source_hash: reuse the
     normal builder but trust the caller's identity."""
     if isinstance(program, Program):
-        return None, program.compile
+        return None, lambda: program
     if isinstance(program, Module):
         if is_executable(program):
             raise CacheError(

@@ -458,6 +458,7 @@ class GPUDevice:
                     collector=collector,
                     safety_mode=safety_mode,
                     shared_range=shared_range,
+                    tracer=self.tracer,
                 )
                 executor = engine.executor(kern, ctx)
                 try:

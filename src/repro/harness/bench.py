@@ -21,18 +21,22 @@ both execution backends at ``-O1`` and ``-O2`` and records:
   comparison is skipped.
 
 Wall times, timed and untimed alike, are the minimum over ``repeats``
-*interleaved* interp/compiled pairs after one warm-up run each, so
-background load drifts hit both backends equally and the ratios stay
-meaningful on a noisy machine.
+*interleaved* interp/compiled pairs after one warm-up run each.  The
+compiled/interp speedup is not a ratio of those minima: a loaded host
+slows the interpreter and the compiled engine by different factors, and
+a minimum may come from a quiet moment for one backend and not the
+other.  Each interleaved pair gives one interp/compiled wall ratio, and
+an app's speedup is the median of its pairs' ratios.
 
 The regression gate (``check_regression``) is deliberately built on
 **machine-independent ratios**: absolute steps/sec swings wildly between
 hosts (and between runs on a loaded CI box), but the compiled/interp
 speedup on interleaved runs does not.  The gate fails when
 
-* the aggregate compiled/interp speedup at some opt level drops more
-  than ``tolerance`` (default 10%) below the committed baseline's
-  speedup over the same apps, or
+* the aggregate compiled/interp speedup at some opt level (the apps'
+  median pair ratios, weighted by their interp walls) drops more than
+  ``tolerance`` (default 10%) below the committed baseline's speedup
+  over the same apps, or
 * the compiled backend is outright slower than the interpreter on the
   smoke campaign (aggregate speedup < 1.0), or
 * the compiled backend's aggregate timed/untimed ratio exceeds
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -65,7 +70,9 @@ from repro.runtime.backend import DEFAULT_SAFETY_MODE
 #: v2: per-app checked-vs-unchecked safety comparison (``safety`` section).
 #: v3: timed wall is best-of-repeats like the untimed one; per-record
 #: ``timed_over_untimed``.
-SCHEMA = 3
+#: v4: per-record ``repeat_walls_s``; the speedup is the median ratio of
+#: interleaved pairs, not the ratio of the best walls.
+SCHEMA = 4
 
 #: The Figure-6 smoke campaign: every figure-6 benchmark, 4 instances,
 #: the paper's t=32 panel.
@@ -100,6 +107,9 @@ class BenchRecord:
     timed_wall_s: float  #: best timed wall time (same protocol as wall_s)
     cycles_per_sec: float
     timed_over_untimed: float  #: timed_wall_s / wall_s
+    #: untimed wall of each interleaved repeat, in run order (schema v4;
+    #: empty in older reports)
+    repeat_walls_s: list = field(default_factory=list)
 
 
 @dataclass
@@ -139,13 +149,42 @@ class BenchReport:
         untimed = sum(r.wall_s for r in rows)
         return sum(r.timed_wall_s for r in rows) / untimed if untimed else 0.0
 
+    def pair_speedup(self, app: str, opt_level: int) -> float:
+        """One app's compiled/interp speedup: the median, over its
+        interleaved repeats, of interp wall / compiled wall (repeat k of
+        one backend pairs with repeat k of the other).  A record without
+        repeat walls (schema < 4) pairs its best walls."""
+        interp, compiled = (
+            next(
+                r
+                for r in self.records
+                if (r.app, r.backend, r.opt_level) == (app, b, opt_level)
+            )
+            for b in BACKENDS
+        )
+        return statistics.median(
+            wi / wc
+            for wi, wc in zip(
+                interp.repeat_walls_s or [interp.wall_s],
+                compiled.repeat_walls_s or [compiled.wall_s],
+            )
+        )
+
     def speedup(self, opt_level: int, apps=None) -> float:
-        """Aggregate compiled/interp speedup at one opt level: the ratio
-        of summed wall times, which weights each app by its runtime."""
-        compiled = self.wall("compiled", opt_level, apps)
-        if compiled == 0:
-            return 0.0
-        return self.wall("interp", opt_level, apps) / compiled
+        """Aggregate compiled/interp speedup at one opt level: each app's
+        :meth:`pair_speedup` weighted by its interp wall (summed interp
+        walls over the summed compiled walls those speedups imply), so a
+        long-running app counts for more."""
+        interp = implied = 0.0
+        for r in self.records:
+            if (
+                r.backend == "interp"
+                and r.opt_level == opt_level
+                and (apps is None or r.app in apps)
+            ):
+                interp += r.wall_s
+                implied += r.wall_s / self.pair_speedup(r.app, opt_level)
+        return interp / implied if implied else 0.0
 
     def summary(self) -> dict:
         opts = sorted({r.opt_level for r in self.records})
@@ -298,14 +337,15 @@ def run_bench(
                 _, run = _timed_once(loaders[b], timed[b])
                 cycles[b] = run.cycles or 0.0
             # interleaved repeats: one interp run, one compiled run, ...
-            best = {b: float("inf") for b in BACKENDS}
-            best_timed = dict(best)
+            walls = {b: [] for b in BACKENDS}
+            best_timed = {b: float("inf") for b in BACKENDS}
             for _ in range(repeats):
                 for b in BACKENDS:
                     wall, _ = _timed_once(loaders[b], untimed[b])
-                    best[b] = min(best[b], wall)
+                    walls[b].append(round(wall, 6))
                     wall, _ = _timed_once(loaders[b], timed[b])
                     best_timed[b] = min(best_timed[b], wall)
+            best = {b: min(walls[b]) for b in BACKENDS}
             if opt == 2 and safety_mode == "unchecked":
                 checked_spec = LaunchSpec(
                     lines,
@@ -343,6 +383,7 @@ def run_bench(
                         timed_wall_s=round(best_timed[b], 6),
                         cycles_per_sec=round(cycles[b] / best_timed[b], 1),
                         timed_over_untimed=round(best_timed[b] / best[b], 3),
+                        repeat_walls_s=walls[b],
                     )
                 )
             if progress:

@@ -9,7 +9,12 @@ Responsibilities (§2.2 of the paper):
 * load the image onto the device and install the device heap,
 * map the program arguments into device memory (``argc``/``argv`` with
   C-style NUL-terminated strings and a NULL-terminated pointer array),
-* launch the wrapper kernel and collect the exit code and host-RPC output.
+* launch the entry kernel and collect the exit code and host-RPC output.
+
+The only entry kernel is the enhanced loader's ``__ensemble_entry``
+(Figure 4): at NI = 1 it runs ``Ret[0] = __user_main(Argc[0], Argv[0])``
+in one team, which is exactly the prior-work main wrapper, so a
+single-instance run launches it too.
 
 :class:`~repro.host.ensemble_loader.EnsembleLoader` builds on the same
 machinery for multi-instance execution.
@@ -27,6 +32,7 @@ from repro.compilecache.build import (
     DIGEST_META,
     build_executable,
     is_executable,
+    run_frontend,
 )
 from repro.config import DEFAULT_DEVICE, DEFAULT_SIM
 from repro.errors import DeviceOutOfMemory, DeviceTrap, LoaderError
@@ -37,7 +43,7 @@ from repro.gpu.timing import KernelTiming
 from repro.host.launch import LaunchSpec
 from repro.host.rpc_host import RPCHost
 from repro.ir.module import Module
-from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
+from repro.runtime.kernel import ENSEMBLE_KERNEL
 from repro.runtime.libc import HEAP_CURSOR, HEAP_END
 from repro.runtime.teams import TeamGeometry
 
@@ -127,7 +133,11 @@ class Loader:
             module = entry.module
             self._cache_entry = entry
         else:
-            module = program.compile() if isinstance(program, Program) else program
+            module = (
+                run_frontend(program, tracer=self.device.tracer)
+                if isinstance(program, Program)
+                else program
+            )
             module = build_executable(
                 module,
                 team_local_globals=team_local_globals,
@@ -347,7 +357,8 @@ class Loader:
         ``spec`` is a single-instance :class:`~repro.host.launch.LaunchSpec`,
         or a bare argv *tail*, which means ``LaunchSpec([argv])``.
         ``argv[0]`` is the program name, added automatically, exactly like
-        the enhanced loader does in Figure 4.
+        the enhanced loader does in Figure 4.  The run is one launch of
+        ``__ensemble_entry`` with NI = 1 in one team.
         """
         if not isinstance(spec, LaunchSpec):
             spec = LaunchSpec([list(spec or [])])
@@ -364,7 +375,7 @@ class Loader:
         block = self._marshal_instances([[self.app_name] + lines[0]])
         try:
             launch = self._launch(
-                SINGLE_KERNEL,
+                ENSEMBLE_KERNEL,
                 block,
                 spec,
                 TeamGeometry(1, spec.thread_limit),
@@ -389,4 +400,4 @@ class Loader:
         self.device.unload_image(self.image)
 
 
-__all__ = ["Loader", "RunResult", "SINGLE_KERNEL", "ENSEMBLE_KERNEL"]
+__all__ = ["Loader", "RunResult", "ENSEMBLE_KERNEL"]

@@ -38,8 +38,9 @@ from repro.passes.rpc_lowering import rpc_lowering_pass
 #: Bump on any semantic change to a pass that is not reflected in the
 #: pass *names* below (a fixed bug, a sharpened analysis...).  The
 #: compile cache folds this into every key, so stale executables from an
-#: older pipeline can never be served after an upgrade.
-PIPELINE_VERSION = 1
+#: older pipeline can never be served after an upgrade.  Version 2:
+#: executables carry one entry kernel, ``__ensemble_entry``.
+PIPELINE_VERSION = 2
 
 #: Pass names of :func:`compile_for_device`, in run order.
 DEVICE_PASS_NAMES: tuple[str, ...] = (

@@ -26,7 +26,10 @@ overhead for straight-line code:
   the header, and takes over again when the loop exits, a CBR's lanes
   disagree (one ``count_nonzero`` of the condition row tells) or the
   step cap is near.  Steps, livelock checks and issue cycles are those
-  of block dispatch, summed in locals and noted once per region.
+  of block dispatch, summed in locals and noted once per region.  A
+  region's code is generated on its first entry (many loops, such as
+  argument parsing, never run with every lane runnable), then kept on
+  the kernel's program like the block code.
 * **Shared everything else** — this class *is* a
   :class:`~repro.runtime.interpreter.BlockExecutor` subclass: memory
   model, RPC ring, fault-injection points, divergent-path scheduling,
@@ -49,12 +52,16 @@ Compiled artifacts are cached on
 :attr:`~repro.runtime.machine.LoweredKernel.backend_cache`, so the
 codegen + ``compile()`` cost is paid once per kernel, not per team; so
 are the dispatch tables and the names each team's namespace binds
-(:class:`_StaticTables`).
+(:class:`_StaticTables`).  With an enabled tracer, each generation is a
+``codegen <kernel>`` span on the ``compiler`` track (a region's carries
+its header as ``region``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -144,14 +151,34 @@ class CompiledProgram:
     — the straight-line body ``[leader, end_pc)`` plus its precomputed
     trace contribution.  ``end_pc`` always lands on a branch/control
     instruction, which the run loop handles with the interpreter's own
-    uniform logic.  ``regions`` lists the headers of the loops compiled
-    as one ``_loop{header}`` function each (see :func:`_emit_region`).
+    uniform logic.  ``regions`` maps the header of each loop that runs
+    as one ``_loop{header}`` function to its member leaders (see
+    :func:`_emit_region`); ``full_src`` keeps each block's full-row body
+    for them.  A region's source and code object are generated by
+    :func:`region_code` on first request and kept in ``region_source``
+    and ``region_code``.
     """
 
     source: str
     code: object
     blocks: dict[int, tuple[int, int, float]]
-    regions: tuple[int, ...]
+    regions: dict[int, list[int]]
+    full_src: dict[int, list[str]]
+    region_source: dict[int, str] = field(default_factory=dict)
+    region_code: dict[int, object] = field(default_factory=dict)
+
+
+@contextmanager
+def _codegen_span(tracer, kernel: LoweredKernel, **args):
+    """One ``codegen <kernel>`` span on the ``compiler`` track when
+    ``tracer`` records, else nothing."""
+    if tracer is None or not tracer.enabled:
+        yield
+        return
+    with tracer.span(
+        f"codegen {kernel.name}", track="compiler", cat="codegen", **args
+    ):
+        yield
 
 
 def _reg(operand: tuple[bool, int]) -> str:
@@ -470,8 +497,10 @@ def compile_kernel(
     *,
     cert=None,
     safety_mode: str,
+    tracer=None,
 ) -> CompiledProgram:
-    """Generate + ``compile()`` the block and region functions for one kernel.
+    """Generate + ``compile()`` the block functions for one kernel and
+    find its loop regions (whose code :func:`region_code` generates).
 
     The artifact is kernel-level (not executor-level): generated names
     (``I3``, ``H``, ``_mem``...) are free variables bound as keyword
@@ -499,6 +528,15 @@ def compile_kernel(
         cached_cert, cached_program = cached
         if cached_cert is cert:
             return cached_program
+    with _codegen_span(tracer, kernel, mode=safety_mode):
+        program = _generate(kernel, cert, safety_mode)
+    kernel.backend_cache[cache_key] = (
+        program if safety_mode == "checked" else (cert, program)
+    )
+    return program
+
+
+def _generate(kernel: LoweredKernel, cert, safety_mode: str) -> CompiledProgram:
     sites = cert.sites if cert is not None else {}
 
     from repro.gpu.timing import cpi_of
@@ -546,42 +584,63 @@ def compile_kernel(
         lines.append("    else:")
         lines.extend(f"        {ln}" for ln in masked_lines)
 
-    regions = _loop_regions(kernel, ends)
-    for header, members in regions:
-        lines.extend(_emit_region(header, members, code, blocks, full_src))
-
     source = "\n".join(lines) + "\n"
-    program = CompiledProgram(
+    return CompiledProgram(
         source=source,
         code=compile(source, f"<compiled kernel {kernel.name}>", "exec"),
         blocks=blocks,
-        regions=tuple(header for header, _ in regions),
+        regions=_loop_regions(kernel, ends),
+        full_src=full_src,
     )
-    kernel.backend_cache[cache_key] = (
-        program if safety_mode == "checked" else (cert, program)
-    )
-    return program
+
+
+def region_code(
+    program: CompiledProgram, kernel: LoweredKernel, header: int, *, tracer=None
+):
+    """The code object defining ``_loop{header}``, generated and
+    ``compile()``d on the first request and kept on ``program`` (so once
+    per kernel, safety mode and certificate, like the block code).  Two
+    threads racing here generate the same source, as in
+    :func:`compile_kernel`."""
+    code = program.region_code.get(header)
+    if code is None:
+        with _codegen_span(tracer, kernel, region=header):
+            source = "\n".join(
+                _emit_region(
+                    header,
+                    program.regions[header],
+                    kernel.code,
+                    program.blocks,
+                    program.full_src,
+                )
+            ) + "\n"
+            code = compile(
+                source, f"<compiled kernel {kernel.name} loop {header}>", "exec"
+            )
+        program.region_source[header] = source
+        program.region_code[header] = code
+    return code
 
 
 def _loop_regions(
     kernel: LoweredKernel, ends: dict[int, int]
-) -> list[tuple[int, list[int]]]:
+) -> dict[int, list[int]]:
     """The kernel's innermost natural loops that contain no control op,
-    as ``(header, member leaders in PC order)``.
+    as header -> member leaders in PC order.
 
     Lowering lays blocks out in reverse postorder, so inside an innermost
     loop every edge but the back edges to the header runs to a higher PC:
     one pass over the members in PC order runs one iteration.
     """
     headers = {header for header, _ in kernel.loops}
-    regions = []
-    for header, body in kernel.loops:
+    regions = {}
+    for header, body in sorted(kernel.loops):
         members = sorted(body.intersection(ends))
         if headers.intersection(members) == {header} and all(
             kernel.code[ends[m]].op in (Opcode.BR, Opcode.CBR) for m in members
         ):
-            regions.append((header, members))
-    return sorted(regions)
+            regions[header] = members
+    return regions
 
 
 def _emit_region(
@@ -789,20 +848,34 @@ class CompiledBlockExecutor(BlockExecutor):
             for s in tables.cbr_static
         ]
         self._handlers = _LazyHandlers(self)
-        program = compile_kernel(
+        program = self._program = compile_kernel(
             kernel,
             cert=kernel.backend_cache.get(SAFETY_CERT_KEY),
             safety_mode=ctx.safety_mode,
+            tracer=ctx.tracer,
         )
-        ns = self._bind_namespace(tables)
+        ns = self._ns = self._bind_namespace(tables)
         exec(program.code, ns)
         self._blocks = {
             leader: (ns[f"_blk{leader}"], end, count, cycles)
             for leader, (end, count, cycles) in program.blocks.items()
         }
-        self._regions = {h: ns[f"_loop{h}"] for h in program.regions}
+        # header -> its _loop function; a stub until the first entry
+        self._regions = {
+            h: partial(self._first_entry, h) for h in program.regions
+        }
         self.block_dispatches = 0
         self.region_entries = 0
+
+    def _first_entry(self, header: int, mask, steps: int, cap: int):
+        """Bind region ``header``'s function into this team's namespace
+        (generating its code if no team has yet), then run it."""
+        code = region_code(
+            self._program, self.kernel, header, tracer=self.ctx.tracer
+        )
+        exec(code, self._ns)
+        fn = self._regions[header] = self._ns[f"_loop{header}"]
+        return fn(mask, steps, cap)
 
     def _bind_namespace(self, tables: _StaticTables) -> dict:
         """The per-executor environment the generated functions close over."""
@@ -1090,4 +1163,5 @@ __all__ = [
     "CompiledProgram",
     "SAFETY_CERT_KEY",
     "compile_kernel",
+    "region_code",
 ]

@@ -27,7 +27,7 @@ to run the full Figure-6 sweep in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from repro.ir.types import MemType
 from repro.runtime.backend import DEFAULT_MAX_STEPS, DEFAULT_SAFETY_MODE
 from repro.runtime.machine import LInstr, LoweredKernel
 from repro.runtime.trace import TraceCollector
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
 
 RUNNABLE = 0
 PARKED = 1
@@ -81,6 +84,9 @@ class BlockContext:
     this team (the team-local globals region).  Accesses inside it are
     SRAM traffic: the trace collector counts them separately and they never
     reach the L2/DRAM models."""
+    tracer: Tracer | None = None
+    """Where backends that generate code at launch record it
+    (``codegen <kernel>`` spans on the ``compiler`` track)."""
 
 
 _INT_BIN_FUNCS = {

@@ -1,17 +1,17 @@
-"""Kernel builders used by the host loaders.
+"""The entry kernel the host loaders launch.
 
-These generate, directly in IR, the two host-side entry kernels of the
-direct-compilation framework:
+:func:`build_ensemble_kernel` generates, directly in IR, this paper's
+enhanced loader (Figure 4): a ``target teams distribute`` over ``NI``
+instances, each iteration executed by one team (or one packed
+sub-instance slot), i.e.::
 
-* :func:`build_single_kernel` — the original main wrapper of [26]: run one
-  application instance (one team), i.e.
-  ``*ret = __user_main(argc, argv)``.
-* :func:`build_ensemble_kernel` — this paper's enhanced loader (Figure 4):
-  a ``target teams distribute`` over ``NI`` instances, each iteration
-  executed by one team (or one packed sub-instance slot), i.e.::
+    for (I = slot_id; I < NI; I += num_slots)
+        Ret[I] = __user_main(Argc[I], &Argv[I][0]);
 
-      for (I = slot_id; I < NI; I += num_slots)
-          Ret[I] = __user_main(Argc[I], &Argv[I][0]);
+It is the only kernel an executable contains.  At NI = 1 in one team it
+runs ``Ret[0] = __user_main(Argc[0], Argv[0])`` once, which is the
+original main wrapper of [26], so :meth:`Loader.run
+<repro.host.loader.Loader.run>` launches it too.
 
 Kernel parameters (bound at launch):
 
@@ -22,9 +22,8 @@ Kernel parameters (bound at launch):
  1    device address of i64 Argc[NI]
  2    device address of i64 Argv[NI] (each entry a char** address)
  3    device address of i64 Ret[NI]
+ 4    total instance slots (num_teams * instances per team)
 ====  =======================================================
-
-The single-instance kernel uses the same layout with NI == 1.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.ir.types import I64, MemType, ScalarType
 from repro.passes.rename_main import USER_MAIN
 
 ENSEMBLE_KERNEL = "__ensemble_entry"
+#: The retired prior-work wrapper (see :func:`build_single_kernel`).
 SINGLE_KERNEL = "__single_entry"
 
 
@@ -51,7 +51,12 @@ class KernelSpec:
 
 
 def build_single_kernel(module: Module) -> KernelSpec:
-    """Add the prior-work single-instance wrapper kernel to ``module``."""
+    """Add the prior-work single-instance wrapper kernel to ``module``.
+
+    Nothing in ``repro`` builds or launches this kernel any more: kept
+    only because ``perfbench/workloads.py`` imports it, and to be deleted
+    with that import when the benchmark is next redefined.
+    """
     fn = Function(SINGLE_KERNEL, [], ScalarType.VOID, is_kernel=True)
     b = IRBuilder(fn)
     b.set_block(fn.add_block("entry"))

@@ -22,7 +22,7 @@ import sys
 from repro.ir.module import Module
 from repro.ir.printer import print_function, print_module
 from repro.passes import compile_for_device, finalize_executable
-from repro.runtime.kernel import build_ensemble_kernel, build_single_kernel
+from repro.runtime.kernel import build_ensemble_kernel
 
 STAGES = ("frontend", "device", "final")
 
@@ -35,7 +35,6 @@ def module_at_stage(program, stage: str) -> Module:
     module = compile_for_device(module)
     if stage == "device":
         return module
-    build_single_kernel(module)
     build_ensemble_kernel(module)
     return finalize_executable(module)
 

@@ -9,13 +9,12 @@ import inspect
 
 from repro.analysis import analyze_module
 from repro.passes import compile_for_device, finalize_executable
-from repro.runtime.kernel import build_ensemble_kernel, build_single_kernel
+from repro.runtime.kernel import build_ensemble_kernel
 from tests.analysis.fixtures import racy_counter_program
 
 
 def finalized_at(opt_level):
     module = compile_for_device(racy_counter_program().compile())
-    build_single_kernel(module)
     build_ensemble_kernel(module)
     return finalize_executable(module, opt_level=opt_level)
 

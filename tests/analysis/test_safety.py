@@ -25,7 +25,14 @@ from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
 from repro.obs import Observability
-from repro.runtime.kernel import SINGLE_KERNEL
+from repro.passes import compile_for_device, finalize_executable
+from repro.runtime.kernel import (
+    ENSEMBLE_KERNEL,
+    SINGLE_KERNEL,
+    build_ensemble_kernel,
+    build_single_kernel,
+)
+from repro.runtime.machine import lower_kernel
 from repro.tools.safety_check import (
     BROKEN,
     bound_loops,
@@ -64,7 +71,7 @@ class TestCertificates:
     def test_build_stamps_certificates(self):
         module = _module(SAFE)
         certs = module.metadata[SAFETY_META]
-        assert sorted(certs) == ["__ensemble_entry", "__single_entry"]
+        assert list(certs) == [ENSEMBLE_KERNEL]
         for cert in certs.values():
             assert cert.analyzer_version == ANALYZER_VERSION
             assert cert.sites  # at least the buffer loads/stores
@@ -74,7 +81,7 @@ class TestCertificates:
             assert cert.disproven() == []
 
     def test_safe_program_memory_sites_mostly_proven(self):
-        cert = certify_module(_module(SAFE))["__single_entry"]
+        cert = certify_module(_module(SAFE))[ENSEMBLE_KERNEL]
         s = cert.summary()
         assert s["mem_sites"] > 0
         assert s["coverage"] >= 0.6  # the acceptance bar for registry apps
@@ -94,7 +101,7 @@ class TestCertificates:
         )
 
     def test_site_proof_dict_shape(self):
-        cert = certify_module(_module(SAFE))["__single_entry"]
+        cert = certify_module(_module(SAFE))[ENSEMBLE_KERNEL]
         for proof in cert.mem_sites():
             d = proof.to_dict()
             assert d["verdict"] in ("PROVEN", "UNPROVEN", "DISPROVEN")
@@ -152,7 +159,7 @@ class TestSafetyModes:
         loader = _loader(SAFE)
         with pytest.raises(LaunchError, match="safety_mode"):
             loader.device.launch(
-                loader.image, SINGLE_KERNEL, num_teams=1, thread_limit=8,
+                loader.image, ENSEMBLE_KERNEL, num_teams=1, thread_limit=8,
                 safety_mode="yolo",
             )
 
@@ -191,8 +198,27 @@ def _registry_module(app: str, opt_level: int):
     )
 
 
-#: What the two wrapper kernels of one executable must agree on.
+#: What two wrapper kernels of one program must agree on.
 TWIN_COUNTS = ("proven", "guard_free", "index_free", "disproven", "unproven", "sites")
+
+
+def _twin_certificates(app: str, opt_level: int) -> dict:
+    """Wrapper certificates of ``app`` built the way ``build_executable``
+    builds it, plus the prior-work ``__single_entry`` wrapper, which
+    executables no longer carry, added to the same module."""
+    module = compile_for_device(APPS[app].build_program().compile())
+    build_single_kernel(module)
+    build_ensemble_kernel(module)
+    module = finalize_executable(module, opt_level=opt_level)
+    globals_info = {g.name: g.nbytes for g in module.globals.values()}
+    return {
+        name: safety.analyze_kernel(
+            lower_kernel(module.functions[name], loops=False),
+            globals_info=globals_info,
+            wrapper=True,
+        )
+        for name in (SINGLE_KERNEL, ENSEMBLE_KERNEL)
+    }
 
 
 class TestDeterminism:
@@ -203,12 +229,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("opt_level", [0, 1, 2])
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_twin_kernels_certify_alike(self, app, opt_level):
-        certs = _registry_module(app, opt_level).metadata[SAFETY_META]
+        certs = _twin_certificates(app, opt_level)
         single, ensemble = (
             {k: certs[name].summary()[k] for k in TWIN_COUNTS}
-            for name in ("__single_entry", "__ensemble_entry")
+            for name in (SINGLE_KERNEL, ENSEMBLE_KERNEL)
         )
         assert single == ensemble
+        # the added kernel leaves the executable's own proof as it is
+        built = _registry_module(app, opt_level).metadata[SAFETY_META]
+        assert certs[ENSEMBLE_KERNEL].to_dict() == built[ENSEMBLE_KERNEL].to_dict()
 
     @pytest.mark.parametrize("opt_level", [1, 2])
     @pytest.mark.parametrize("app", sorted(APPS))
@@ -238,21 +267,36 @@ class TestObservability:
             metrics=obs.metrics,
         )
         spans = [e for e in obs.tracer.events if e.cat == "safety"]
-        assert sorted(e.name for e in spans) == [
-            "safety __ensemble_entry",
-            "safety __single_entry",
-        ]
+        assert [e.name for e in spans] == [f"safety {ENSEMBLE_KERNEL}"]
         for span in spans:
             assert span.track == "compiler"
             assert set(span.args) == {"sweeps", "joins", "sites", "memo"}
             assert span.args["sites"] > 0
-        # the twin kernels differ, so neither proof comes from the memo
+        # the memo was cleared, so the proof is computed
         assert not any(span.args["memo"] for span in spans)
         sweeps = sum(span.args["sweeps"] for span in spans)
         joins = sum(span.args["joins"] for span in spans)
         assert sweeps > 0 and joins > 0
         assert obs.metrics.value("safety.sweeps") == sweeps
         assert obs.metrics.value("safety.joins") == joins
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["loader", "cache"])
+    def test_traced_cold_build_spans_each_layer_once(self, cached):
+        """A cold build runs the frontend once and proves one kernel."""
+        from repro.compilecache import ExecutableCache
+
+        device = GPUDevice(SMALL_DEVICE)
+        obs = Observability.enabled()
+        device.tracer, device.metrics = obs.tracer, obs.metrics
+        cache = ExecutableCache() if cached else None
+        Loader(Program.from_source(SAFE), device, heap_bytes=1 << 20, cache=cache)
+        compiler = [e.name for e in obs.tracer.events if e.track == "compiler"]
+        assert compiler.count("frontend") == 1
+        assert [n for n in compiler if n.startswith("safety ")] == [
+            f"safety {ENSEMBLE_KERNEL}"
+        ]
+        (frontend,) = (e for e in obs.tracer.events if e.name == "frontend")
+        assert frontend.cat == "frontend" and frontend.end > frontend.start
 
     def test_a_memo_hit_does_no_analysis_work(self):
         module = _module(SAFE)  # certified once already: the memo answers

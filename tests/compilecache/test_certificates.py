@@ -37,8 +37,16 @@ from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
+import repro.compilecache.build as build_mod
+import repro.passes.pipeline as pipeline
 from repro.passes.pipeline import pipeline_fingerprint
 from repro.runtime.compiled import SAFETY_CERT_KEY
+from repro.runtime.kernel import (
+    ENSEMBLE_KERNEL,
+    SINGLE_KERNEL,
+    build_ensemble_kernel,
+    build_single_kernel,
+)
 from repro.tools.safety_check import BROKEN
 from tests.util import SMALL_DEVICE
 
@@ -76,6 +84,39 @@ def test_analyzer_version_bump_moves_fingerprint_and_key(monkeypatch):
     monkeypatch.setattr(safety, "ANALYZER_VERSION", ANALYZER_VERSION + 1)
     assert pipeline_fingerprint(2) != base_fp
     assert cache.key_for("src:abc", opt_level=2).digest() != base_key
+
+
+def test_entry_from_the_two_kernel_pipeline_misses_and_is_rebuilt(
+    monkeypatch, tmp_path
+):
+    """Executables written under pipeline version 1 still carry the
+    retired ``__single_entry`` and its certificate; a current cache over
+    the same directory must not serve them, but build the one-kernel
+    executable a cold compile gives."""
+
+    def both_kernels(module):
+        build_single_kernel(module)
+        return build_ensemble_kernel(module)
+
+    with monkeypatch.context() as old:
+        old.setattr(pipeline, "PIPELINE_VERSION", 1)
+        old.setattr(build_mod, "build_ensemble_kernel", both_kernels)
+        stale = ExecutableCache(str(tmp_path)).get_or_build(
+            Program.from_source(SRC)
+        )
+    assert sorted(stale.module.metadata[SAFETY_META]) == [
+        ENSEMBLE_KERNEL, SINGLE_KERNEL,
+    ]
+
+    cache = ExecutableCache(str(tmp_path))
+    entry = cache.get_or_build(Program.from_source(SRC))
+    assert entry.tier == "build" and entry.digest != stale.digest
+    assert cache.stats()["misses"] == 1 and cache.stats()["hits_disk"] == 0
+    assert [fn.name for fn in entry.module.kernels()] == [ENSEMBLE_KERNEL]
+    assert sorted(entry.module.metadata[SAFETY_META]) == [ENSEMBLE_KERNEL]
+    # the rebuilt entry is what the disk tier serves from now on
+    again = ExecutableCache(str(tmp_path)).get_or_build(Program.from_source(SRC))
+    assert again.tier == "disk" and again.digest == entry.digest
 
 
 def _rewrite_entry(path, mutate):

@@ -78,11 +78,11 @@ class TestLocSurvival:
     def test_inliner_preserves_locs(self):
         """Locations survive the full pipeline into the finalized kernel."""
         from repro.passes import compile_for_device, finalize_executable
-        from repro.runtime.kernel import build_single_kernel
+        from repro.runtime.kernel import build_ensemble_kernel
 
         prog, lines = build_program_and_lines()
         module = compile_for_device(prog.compile())
-        build_single_kernel(module)
+        build_ensemble_kernel(module)
         module = finalize_executable(module)
         kernel = next(f for f in module.functions.values() if f.is_kernel)
         recorded = {

@@ -15,7 +15,7 @@ from repro.gpu.device import GPUDevice
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
-from repro.runtime.kernel import ENSEMBLE_KERNEL, SINGLE_KERNEL
+from repro.runtime.kernel import ENSEMBLE_KERNEL
 from tests.oracle import ORACLE, Config, Input, check
 from tests.util import SMALL_DEVICE
 
@@ -53,9 +53,8 @@ def make_loader():
 
 def test_kernels_generated_implicitly():
     loader = make_loader()
-    assert SINGLE_KERNEL in loader.module.functions
-    assert ENSEMBLE_KERNEL in loader.module.functions
-    assert loader.module.functions[SINGLE_KERNEL].is_kernel
+    assert [fn.name for fn in loader.module.kernels()] == [ENSEMBLE_KERNEL]
+    assert loader.module.functions[ENSEMBLE_KERNEL].is_kernel
     # and the user's main is no longer `main`
     assert "main" not in loader.module.functions
     assert "__user_main" in loader.module.functions

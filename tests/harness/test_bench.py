@@ -17,6 +17,7 @@ from repro.harness.bench import (
 )
 from repro.harness.figure6 import Figure6Workload
 from repro.host.loader import Loader
+from repro.runtime.kernel import ENSEMBLE_KERNEL
 from tests.util import SMALL_DEVICE
 
 #: Miniature workloads so a real bench run stays test-sized.
@@ -32,7 +33,7 @@ TINY = {
 }
 
 
-def record(app, backend, opt, wall, steps=1000, timed_wall=None):
+def record(app, backend, opt, wall, steps=1000, timed_wall=None, repeats=()):
     timed_wall = wall if timed_wall is None else timed_wall
     return BenchRecord(
         app=app, backend=backend, opt_level=opt, instances=2,
@@ -40,6 +41,7 @@ def record(app, backend, opt, wall, steps=1000, timed_wall=None):
         steps_per_sec=steps / wall, cycles=500.0, timed_wall_s=timed_wall,
         cycles_per_sec=500.0 / timed_wall,
         timed_over_untimed=timed_wall / wall,
+        repeat_walls_s=list(repeats),
     )
 
 
@@ -61,6 +63,30 @@ class TestReport:
         assert rep.speedup(2) == pytest.approx(3.0)
         assert rep.speedup(2, apps=["a"]) == pytest.approx(2.0)
         assert rep.wall("interp", 2) == pytest.approx(6.0)
+
+    def test_speedup_is_the_median_pair_ratio(self):
+        """One repeat that a loaded host slowed for one backend only moves
+        a ratio of best walls, not the median of the pairs' ratios."""
+        rep = BenchReport(schema=4, config={})
+        rep.records = [
+            record("a", "interp", 2, 2.0, repeats=[2.0, 3.0, 2.2]),
+            record("a", "compiled", 2, 0.5, repeats=[1.0, 0.5, 1.1]),
+        ]
+        # pair ratios 2.0, 6.0, 2.0; the best walls' ratio would read 4.0
+        assert rep.pair_speedup("a", 2) == pytest.approx(2.0)
+        assert rep.speedup(2) == pytest.approx(2.0)
+
+    def test_aggregate_weights_pair_speedups_by_interp_wall(self):
+        rep = BenchReport(schema=4, config={})
+        rep.records = [
+            record("a", "interp", 2, 2.0, repeats=[2.0, 2.0]),
+            record("a", "compiled", 2, 1.0, repeats=[1.0, 1.0]),  # 2x
+            record("b", "interp", 2, 6.0, repeats=[6.0, 6.0]),
+            record("b", "compiled", 2, 2.0, repeats=[2.0, 2.0]),  # 3x
+        ]
+        assert rep.speedup(2) == pytest.approx(8.0 / 3.0)
+        clone = BenchReport.from_json(json.loads(json.dumps(rep.to_json())))
+        assert clone.records == rep.records
 
     def test_summary_keys(self):
         rep = report_with({("a", 1): (2.0, 1.0), ("a", 2): (3.0, 1.0)})
@@ -185,8 +211,8 @@ class TestRealRun:
 
         monkeypatch.setattr(safety._KernelAnalyzer, "run", counted)
         measure_compile_walls(("stream",), (1,))
-        kernels = sorted(fn.name for fn in loader.module.kernels())
-        assert len(kernels) == 2 and sorted(analyzed) == kernels
+        kernels = [fn.name for fn in loader.module.kernels()]
+        assert kernels == [ENSEMBLE_KERNEL] and analyzed == kernels
 
     def test_tiny_bench_produces_both_backends(self):
         rep = run_bench(

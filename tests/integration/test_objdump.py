@@ -25,10 +25,9 @@ def test_final_stage_has_callfree_kernels():
     from repro.apps import rsbench
 
     m = module_at_stage(rsbench.build_program(), "final")
-    kernels = m.kernels()
-    assert len(kernels) == 2
-    for k in kernels:
-        assert k.called_symbols() == set()
+    (kernel,) = m.kernels()
+    assert kernel.name == "__ensemble_entry"
+    assert kernel.called_symbols() == set()
 
 
 def test_stats(capsys):
@@ -61,4 +60,4 @@ def test_stats_of_counts():
     m = module_at_stage(rsbench.build_program(), "final")
     s = stats_of(m)
     assert s["instructions_total"] == sum(s["instructions_per_function"].values())
-    assert set(s["kernels"]) == {"__single_entry", "__ensemble_entry"}
+    assert s["kernels"] == ["__ensemble_entry"]

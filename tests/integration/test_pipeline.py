@@ -11,7 +11,7 @@ from repro.gpu.device import GPUDevice
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.ir.instructions import Opcode
 from repro.passes import compile_for_device, finalize_executable
-from repro.runtime.kernel import build_ensemble_kernel, build_single_kernel
+from repro.runtime.kernel import ENSEMBLE_KERNEL, build_ensemble_kernel
 from repro.host.launch import LaunchSpec
 from tests.util import SMALL_DEVICE
 
@@ -53,10 +53,9 @@ def test_stagewise_pipeline_contracts():
     user_main = module.functions["__user_main"]
     assert any(i.op is Opcode.RPC for i in user_main.iter_instrs())
 
-    # stage 3: loader kernels (main wrapper / ensemble wrapper)
-    build_single_kernel(module)
+    # stage 3: the loader's entry kernel (the ensemble wrapper)
     build_ensemble_kernel(module)
-    assert len(module.kernels()) == 2
+    assert [k.name for k in module.kernels()] == [ENSEMBLE_KERNEL]
 
     # stage 4: LTO finalization -> call-free executable
     module = finalize_executable(module)
@@ -85,15 +84,13 @@ def test_rpc_counts_scale_with_instances():
 def test_optimization_reduces_instruction_count():
     prog = legacy_app()
     m1 = compile_for_device(prog.compile())
-    build_single_kernel(m1)
     build_ensemble_kernel(m1)
     unopt = finalize_executable(m1, opt_level=0)
-    size_unopt = unopt.functions["__single_entry"].instruction_count()
+    size_unopt = unopt.functions[ENSEMBLE_KERNEL].instruction_count()
 
     prog2 = legacy_app()
     m2 = compile_for_device(prog2.compile())
-    build_single_kernel(m2)
     build_ensemble_kernel(m2)
     opt = finalize_executable(m2, opt_level=1)
-    size_opt = opt.functions["__single_entry"].instruction_count()
+    size_opt = opt.functions[ENSEMBLE_KERNEL].instruction_count()
     assert size_opt < size_unopt

@@ -230,10 +230,9 @@ class TestRepeatedHoisting:
         preheader label."""
         from repro.apps import stream
         from repro.passes import compile_for_device, finalize_executable
-        from repro.runtime.kernel import build_ensemble_kernel, build_single_kernel
+        from repro.runtime.kernel import build_ensemble_kernel
 
         module = compile_for_device(stream.build_program().compile())
-        build_single_kernel(module)
         build_ensemble_kernel(module)
         module = finalize_executable(module, opt_level=2)
         verify_module(module)

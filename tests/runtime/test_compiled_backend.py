@@ -10,6 +10,7 @@ from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.backend import (
     DEFAULT_BACKEND,
@@ -140,9 +141,16 @@ class TestCompilation:
         program = _compiled_entry(kernel)[1]
         assert "def _blk0(mask, full" in program.source
         assert "if full:" in program.source
-        assert program.regions
-        for header in program.regions:
-            assert f"def _loop{header}(mask, steps, cap" in program.source
+        # a region's code is generated on its first entry: the run above
+        # entered some, and skipped others
+        entered = set(program.region_source)
+        assert entered and entered < set(program.regions)
+        assert set(program.region_code) == entered
+        for header in entered:
+            assert program.region_source[header].startswith(
+                f"def _loop{header}(mask, steps, cap"
+            )
+        assert "def _loop" not in program.source
 
 
     def test_pool_lowers_and_generates_once_per_kernel(self, monkeypatch):
@@ -354,10 +362,11 @@ class TestLoopRegions:
         assert on[1].region_entries == 1
         assert on[2] == off[2]
 
-    @pytest.mark.parametrize("cap, retired", [(5000, 5001), (5002, 5004)])
+    @pytest.mark.parametrize("cap, retired", [(5000, 5002), (5002, 5003)])
     def test_livelock_inside_region(self, executors, cap, retired):
         """The trap retires what block dispatch retires: the pinned counts
-        are those of the compiled backend before loop regions existed."""
+        are those block dispatch (``regions=False``) retires in the
+        ``__ensemble_entry`` wrapper."""
         src = LOOP.format(trips=1000, term="j * t")
         check(source_input(src, timed=True), ALL_MODES)
         runs = [_run_compiled(src, max_steps=cap, regions=r) for r in (True, False)]
@@ -378,6 +387,27 @@ class TestLoopRegions:
     def test_nested_loop_only_inner_is_a_region(self, executors):
         check(source_input(NESTED, timed=True), ALL_MODES)
         assert [ex.region_entries for ex in executors] == [4] * len(ALL_MODES)
+
+    def test_region_code_is_generated_on_first_entry_only(self):
+        """One ``codegen`` span for the kernel's blocks, then one per
+        region as it is first entered; a region no team enters is never
+        generated, and a second launch generates nothing."""
+        obs = Observability.enabled()
+        loader = _loader(LOOP.format(trips=6, term="j * t"))
+        loader.device.tracer = obs.tracer
+        spec = LaunchSpec([[]], thread_limit=32, collect_timing=False)
+        first = loader.run(spec)
+        assert loader.run(spec).exit_code == first.exit_code
+        _, program = _compiled_entry(loader.image.lowered[ENSEMBLE_KERNEL])
+        entered = sorted(program.region_source)
+        assert entered and set(entered) < set(program.regions)
+        spans = [e for e in obs.tracer.events if e.cat == "codegen"]
+        assert {(e.name, e.track) for e in spans} == {
+            (f"codegen {ENSEMBLE_KERNEL}", "compiler")
+        }
+        assert [e.args for e in spans] == [{"mode": "unchecked"}] + [
+            {"region": h} for h in entered
+        ]
 
     def test_dispatch_counters_published_per_launch(self):
         metrics = MetricsRegistry()
