@@ -6,6 +6,8 @@ The framework layer (usable by passes and tools alike):
 * :class:`~repro.analysis.cfg.CFG` — explicit control-flow graph,
 * :func:`~repro.analysis.dominators.dominators` /
   :func:`~repro.analysis.dominators.postdominators`,
+* :func:`~repro.analysis.loops.natural_loops` — natural loops over
+  ``CFG`` + ``dominators``,
 * :mod:`~repro.analysis.dataflow` — generic gen/kill solver plus liveness,
   reaching definitions, use-before-def, parallel-region depths, and
   register-taint propagation.
@@ -20,10 +22,12 @@ The interprocedural layer (``-O2`` and static packing are built on it):
   loops, counted-loop matching, and interval abstract interpretation
   propagated across calls,
 * :mod:`~repro.analysis.footprint` — static per-instance heap bounds for
-  ensemble packing,
-* :mod:`~repro.analysis.manager` — the cached
-  :class:`~repro.analysis.manager.AnalysisManager` with pass-driven
-  invalidation.
+  ensemble packing.
+
+These are the only derivations of predecessors, reachability, dominators
+and natural loops from IR; every pass and checker takes them from here.
+Nothing is cached across passes: a consumer computes what it needs on the
+IR it is handed.
 
 The checker layer emits structured
 :class:`~repro.analysis.diagnostics.Diagnostic` records:
@@ -77,7 +81,6 @@ from repro.analysis.loops import (
     match_counted_loop,
     natural_loops,
 )
-from repro.analysis.manager import AnalysisManager
 from repro.analysis.pointsto import MemObject, MemSpace, PointsTo
 from repro.analysis.races import check_races, summarize_global_accesses
 from repro.analysis.ranges import Interval, ValueRanges, trip_bound
@@ -135,7 +138,6 @@ def analyze_module(
 
 __all__ = [
     "AllocSite",
-    "AnalysisManager",
     "CFG",
     "CHECKERS",
     "CallGraph",

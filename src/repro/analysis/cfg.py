@@ -15,6 +15,8 @@ those problems with proper diagnostics.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.ir.instructions import Opcode
 from repro.ir.module import Function
 
@@ -45,28 +47,25 @@ class CFG:
         self.entry: str = fn.block_order[0]
         self.succs: dict[str, tuple[str, ...]] = {}
         self.preds: dict[str, list[str]] = {label: [] for label in fn.block_order}
+        returns: list[str] = []
+        traps: list[str] = []
         for label in fn.block_order:
-            succ = tuple(
-                t for t in fn.blocks[label].successors() if t in fn.blocks
-            )
+            term = fn.blocks[label].terminator
+            if term is None:
+                self.succs[label] = ()
+                continue
+            succ = tuple(t for t in term.targets if t in fn.blocks)
             self.succs[label] = succ
             for s in succ:
                 self.preds[s].append(label)
+            if term.op in (Opcode.RET, Opcode.RETVAL):
+                returns.append(label)
+            elif term.op is Opcode.TRAP:
+                traps.append(label)
 
         self.reachable: frozenset[str] = frozenset(self.reachable_from(self.entry))
-        self.rpo: list[str] = self._reverse_postorder()
-        self.return_blocks: frozenset[str] = frozenset(
-            label
-            for label in self.reachable
-            if (term := fn.blocks[label].terminator) is not None
-            and term.op in (Opcode.RET, Opcode.RETVAL)
-        )
-        self.trap_blocks: frozenset[str] = frozenset(
-            label
-            for label in self.reachable
-            if (term := fn.blocks[label].terminator) is not None
-            and term.op is Opcode.TRAP
-        )
+        self.return_blocks: frozenset[str] = self.reachable.intersection(returns)
+        self.trap_blocks: frozenset[str] = self.reachable.intersection(traps)
 
     # ------------------------------------------------------------------
     def reachable_from(self, label: str) -> set[str]:
@@ -92,7 +91,10 @@ class CFG:
                     stack.append(p)
         return seen
 
-    def _reverse_postorder(self) -> list[str]:
+    @cached_property
+    def rpo(self) -> list[str]:
+        """Reachable labels in reverse postorder, computed on first use
+        (from :attr:`succs`, so still a snapshot of construction time)."""
         order: list[str] = []
         seen: set[str] = set()
         # Iterative DFS with an explicit "exit" marker so large CFGs do not

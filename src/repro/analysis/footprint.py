@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
+from repro.analysis.cfg import CFG
+from repro.analysis.dominators import dominators
 from repro.analysis.loops import (
     Loop,
-    dominators,
     enclosing_loops,
     match_counted_loop,
     natural_loops,
@@ -142,23 +143,14 @@ class StaticFootprint:
         return "\n".join(lines)
 
 
-def _exit_blocks(fn: Function) -> list[str]:
-    out = []
-    for block in fn.iter_blocks():
-        term = block.terminator
-        if term is not None and term.op in (Opcode.RET, Opcode.RETVAL):
-            out.append(block.label)
-    return out
-
-
 def _site_count(
     vr: ValueRanges,
     fn: Function,
     label: str,
     loops_of: dict[str, list[Loop]],
     counted_cache: dict[str, int | None],
-    dom: dict[str, set[str]],
-    exits: list[str],
+    dom: dict[str, frozenset[str]],
+    exits: frozenset[str],
 ) -> Interval:
     """Bound how often one instruction in ``label`` executes per call of
     ``fn``: the product of the trip bounds of every enclosing loop."""
@@ -199,8 +191,8 @@ def compute_footprint(
     # Per-function structural facts, computed once.
     loops_of: dict[str, dict[str, list[Loop]]] = {}
     counted: dict[str, dict[str, int | None]] = {}
-    doms: dict[str, dict[str, set[str]]] = {}
-    exits: dict[str, list[str]] = {}
+    doms: dict[str, dict[str, frozenset[str]]] = {}
+    exits: dict[str, frozenset[str]] = {}
     for name in reachable:
         if name not in module.functions or name in ALLOCATORS:
             continue
@@ -208,8 +200,9 @@ def compute_footprint(
         lps = natural_loops(fn)
         loops_of[name] = enclosing_loops(fn, lps)
         counted[name] = {}
-        doms[name] = dominators(fn)
-        exits[name] = _exit_blocks(fn)
+        cfg = CFG(fn)
+        doms[name] = dominators(cfg)
+        exits[name] = cfg.return_blocks
 
     def local_count(name: str, label: str) -> Interval:
         fn = module.functions[name]

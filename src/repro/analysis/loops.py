@@ -33,6 +33,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.cfg import CFG
+from repro.analysis.dominators import dominators
 from repro.ir.instructions import Opcode
 from repro.ir.module import Function
 from repro.ir.types import Reg
@@ -74,74 +76,34 @@ class CountedLoop:
     strict: bool
 
 
-def predecessors(fn: Function) -> dict[str, list[str]]:
-    """Block label -> predecessor labels."""
-    preds: dict[str, list[str]] = {lbl: [] for lbl in fn.block_order}
-    for block in fn.iter_blocks():
-        for succ in block.successors():
-            preds[succ].append(block.label)
-    return preds
-
-
-def dominators(fn: Function, preds: dict[str, list[str]] | None = None) -> dict[str, set[str]]:
-    """Iterative dataflow dominator sets (fine at our CFG sizes)."""
-    if preds is None:
-        preds = predecessors(fn)
-    labels = fn.block_order
-    entry = labels[0]
-    all_set = set(labels)
-    dom = {lbl: set(all_set) for lbl in labels}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for lbl in labels:
-            if lbl == entry:
-                continue
-            ps = [p for p in preds[lbl] if p in dom]
-            if not ps:
-                continue
-            new = set.intersection(*(dom[p] for p in ps)) | {lbl}
-            if new != dom[lbl]:
-                dom[lbl] = new
-                changed = True
-    return dom
-
-
 def natural_loops(fn: Function) -> list[Loop]:
     """All natural loops of ``fn``, loops sharing a header merged,
-    innermost (smallest body) first."""
-    preds = predecessors(fn)
-    dom = dominators(fn, preds)
+    innermost (smallest body) first.
+
+    Only reachable blocks take part: an edge out of an unreachable block
+    is never a back edge, and a loop body never absorbs an unreachable
+    predecessor."""
+    cfg = CFG(fn)
+    dom = dominators(cfg)
     merged: dict[str, set[str]] = defaultdict(set)
-    for block in fn.iter_blocks():
-        for succ in block.successors():
-            if succ in dom[block.label]:  # back edge block -> succ (header)
-                body = {succ, block.label}
-                stack = [block.label]
-                while stack:
-                    cur = stack.pop()
-                    if cur == succ:
-                        continue
-                    for p in preds[cur]:
-                        if p not in body:
-                            body.add(p)
-                            stack.append(p)
-                merged[succ] |= body
+    for label in cfg.rpo:
+        for header in cfg.succs[label]:
+            if header not in dom[label]:
+                continue
+            body = {header, label}
+            stack = [label]
+            while stack:
+                cur = stack.pop()
+                if cur == header:
+                    continue
+                for p in cfg.preds[cur]:
+                    if p not in body and p in cfg.reachable:
+                        body.add(p)
+                        stack.append(p)
+            merged[header] |= body
     loops = [Loop(h, frozenset(b)) for h, b in merged.items()]
     loops.sort(key=lambda lp: (len(lp.body), lp.header))
     return loops
-
-
-def loop_depths(fn: Function, loops: list[Loop] | None = None) -> dict[str, int]:
-    """Block label -> number of loops whose body contains it."""
-    if loops is None:
-        loops = natural_loops(fn)
-    depth = {lbl: 0 for lbl in fn.block_order}
-    for loop in loops:
-        for lbl in loop.body:
-            depth[lbl] += 1
-    return depth
 
 
 def enclosing_loops(fn: Function, loops: list[Loop] | None = None) -> dict[str, list[Loop]]:
@@ -263,10 +225,7 @@ def match_counted_loop(fn: Function, loop: Loop) -> CountedLoop | None:
 __all__ = [
     "CountedLoop",
     "Loop",
-    "dominators",
     "enclosing_loops",
-    "loop_depths",
     "match_counted_loop",
     "natural_loops",
-    "predecessors",
 ]

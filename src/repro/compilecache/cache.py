@@ -473,12 +473,8 @@ def _analyze(module: Module):
     schedulers can pack batches without re-deriving it."""
     try:
         from repro.analysis.footprint import compute_footprint
-        from repro.analysis.manager import AnalysisManager
 
-        am = AnalysisManager(module)
-        return compute_footprint(
-            module, callgraph=am.get("callgraph"), ranges=am.get("ranges")
-        )
+        return compute_footprint(module)
     except ReproError:
         return None
 

@@ -10,7 +10,9 @@ both execution backends at ``-O1`` and ``-O2`` and records:
 * **simulated-cycles/sec** — simulation throughput with the timing model
   armed (``collect_timing=True``),
 * **timed/untimed** — the timed run's wall time over the untimed run's:
-  what producing Figure 6's cycles costs on top of plain execution,
+  what producing Figure 6's cycles costs on top of plain execution;
+  each repeat runs the timed launch right after the untimed one, and a
+  record's ratio is the median over its repeats' ratios,
 * **smoke-campaign wall time** — the summed untimed wall time per
   backend, i.e. how long the Figure-6 smoke campaign takes end to end,
 * **checked vs unchecked** (schema v2) — per app at ``-O2``, the
@@ -39,7 +41,8 @@ speedup on interleaved runs does not.  The gate fails when
   over the same apps, or
 * the compiled backend is outright slower than the interpreter on the
   smoke campaign (aggregate speedup < 1.0), or
-* the compiled backend's aggregate timed/untimed ratio exceeds
+* the compiled backend's aggregate timed/untimed ratio (the records'
+  median repeat ratios, weighted by their untimed walls) exceeds
   ``TIMED_OVER_UNTIMED_MAX`` (trace collection must stay cheap).
 
 Run as a module::
@@ -72,7 +75,9 @@ from repro.runtime.backend import DEFAULT_SAFETY_MODE
 #: ``timed_over_untimed``.
 #: v4: per-record ``repeat_walls_s``; the speedup is the median ratio of
 #: interleaved pairs, not the ratio of the best walls.
-SCHEMA = 4
+#: v5: per-record ``repeat_timed_walls_s``; timed/untimed is the median
+#: ratio of each repeat's timed wall to its untimed wall.
+SCHEMA = 5
 
 #: The Figure-6 smoke campaign: every figure-6 benchmark, 4 instances,
 #: the paper's t=32 panel.
@@ -110,6 +115,19 @@ class BenchRecord:
     #: untimed wall of each interleaved repeat, in run order (schema v4;
     #: empty in older reports)
     repeat_walls_s: list = field(default_factory=list)
+    #: timed wall of each repeat, paired with ``repeat_walls_s`` (schema
+    #: v5; empty in older reports)
+    repeat_timed_walls_s: list = field(default_factory=list)
+
+    def paired_timed_over_untimed(self) -> float:
+        """Median over the repeats of timed wall / untimed wall (repeat k
+        with repeat k).  A record without per-repeat timed walls (schema
+        < 5) pairs its best walls."""
+        if not self.repeat_timed_walls_s:
+            return self.timed_wall_s / self.wall_s
+        return statistics.median(
+            t / u for t, u in zip(self.repeat_timed_walls_s, self.repeat_walls_s)
+        )
 
 
 @dataclass
@@ -139,15 +157,17 @@ class BenchReport:
         )
 
     def timed_over_untimed(self, backend: str, apps=None) -> float:
-        """Summed timed wall over summed untimed wall for one backend
-        (every opt level), optionally restricted to ``apps``."""
-        rows = [
-            r
-            for r in self.records
-            if r.backend == backend and (apps is None or r.app in apps)
-        ]
-        untimed = sum(r.wall_s for r in rows)
-        return sum(r.timed_wall_s for r in rows) / untimed if untimed else 0.0
+        """Aggregate timed/untimed ratio for one backend (every opt
+        level), optionally restricted to ``apps``: each record's
+        :meth:`BenchRecord.paired_timed_over_untimed` weighted by its
+        untimed wall (the summed timed walls those ratios imply over the
+        summed untimed walls)."""
+        untimed = implied = 0.0
+        for r in self.records:
+            if r.backend == backend and (apps is None or r.app in apps):
+                untimed += r.wall_s
+                implied += r.wall_s * r.paired_timed_over_untimed()
+        return implied / untimed if untimed else 0.0
 
     def pair_speedup(self, app: str, opt_level: int) -> float:
         """One app's compiled/interp speedup: the median, over its
@@ -338,14 +358,15 @@ def run_bench(
                 cycles[b] = run.cycles or 0.0
             # interleaved repeats: one interp run, one compiled run, ...
             walls = {b: [] for b in BACKENDS}
-            best_timed = {b: float("inf") for b in BACKENDS}
+            timed_walls = {b: [] for b in BACKENDS}
             for _ in range(repeats):
                 for b in BACKENDS:
                     wall, _ = _timed_once(loaders[b], untimed[b])
                     walls[b].append(round(wall, 6))
                     wall, _ = _timed_once(loaders[b], timed[b])
-                    best_timed[b] = min(best_timed[b], wall)
+                    timed_walls[b].append(round(wall, 6))
             best = {b: min(walls[b]) for b in BACKENDS}
+            best_timed = {b: min(timed_walls[b]) for b in BACKENDS}
             if opt == 2 and safety_mode == "unchecked":
                 checked_spec = LaunchSpec(
                     lines,
@@ -384,6 +405,7 @@ def run_bench(
                         cycles_per_sec=round(cycles[b] / best_timed[b], 1),
                         timed_over_untimed=round(best_timed[b] / best[b], 3),
                         repeat_walls_s=walls[b],
+                        repeat_timed_walls_s=timed_walls[b],
                     )
                 )
             if progress:

@@ -25,7 +25,7 @@ program module and :func:`~repro.passes.pipeline.finalize_executable` after
 the loader has linked in its kernel.
 """
 
-from repro.passes.pass_manager import PassManager, mutates_only, preserves_ir
+from repro.passes.pass_manager import PassManager
 from repro.passes.linker import link_modules
 from repro.passes.alias_opt import alias_dce_pass
 from repro.passes.barrier_elim import redundant_barrier_elim_pass
@@ -51,8 +51,6 @@ __all__ = [
     "PassManager",
     "alias_dce_pass",
     "link_modules",
-    "mutates_only",
-    "preserves_ir",
     "redundant_barrier_elim_pass",
     "declare_target_pass",
     "rename_main_pass",

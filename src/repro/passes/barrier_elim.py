@@ -28,6 +28,7 @@ and we keep every barrier that could order anything.
 
 from __future__ import annotations
 
+from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import par_depths
 from repro.analysis.pointsto import (
     READ_ADDR_POS,
@@ -71,7 +72,8 @@ def _process_function(fn: Function, pt: PointsTo) -> int:
     ]
     if not barriers:
         return 0
-    depths = par_depths(fn)
+    cfg = CFG(fn)
+    depths = par_depths(fn, cfg)
     doomed: list[tuple[str, int]] = []
     for label, idx in barriers:
         if label not in depths.depth_in:
@@ -79,8 +81,8 @@ def _process_function(fn: Function, pt: PointsTo) -> int:
         if depths.depth_before(label, idx, fn) == 0:
             doomed.append((label, idx))  # single-threaded region
             continue
-        before = _window(fn, label, idx, forward=False)
-        after = _window(fn, label, idx, forward=True)
+        before = _window(fn, cfg, label, idx, forward=False)
+        after = _window(fn, cfg, label, idx, forward=True)
         if not _communicates(pt, fn.name, before, after):
             doomed.append((label, idx))
     # Delete back-to-front so earlier indices stay valid.
@@ -89,7 +91,9 @@ def _process_function(fn: Function, pt: PointsTo) -> int:
     return len(doomed)
 
 
-def _window(fn: Function, label: str, idx: int, *, forward: bool) -> list[Instr]:
+def _window(
+    fn: Function, cfg: CFG, label: str, idx: int, *, forward: bool
+) -> list[Instr]:
     """Instructions reachable from the barrier at ``(label, idx)`` without
     crossing a synchronization cut, in the given direction."""
     out: list[Instr] = []
@@ -106,9 +110,9 @@ def _window(fn: Function, label: str, idx: int, *, forward: bool) -> list[Instr]
     tail = block.instrs[idx + 1 :] if forward else block.instrs[:idx][::-1]
     if scan(tail):
         return out
-    edges = _succs(fn) if forward else _preds(fn)
+    edges = cfg.succs if forward else cfg.preds
     seen = {label}
-    work = [n for n in edges[label]]
+    work = list(edges[label])
     while work:
         cur = work.pop()
         if cur in seen:
@@ -118,18 +122,6 @@ def _window(fn: Function, label: str, idx: int, *, forward: bool) -> list[Instr]
         if not scan(instrs if forward else list(reversed(instrs))):
             work.extend(edges[cur])
     return out
-
-
-def _succs(fn: Function) -> dict[str, list[str]]:
-    return {b.label: list(b.successors()) for b in fn.iter_blocks()}
-
-
-def _preds(fn: Function) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {lbl: [] for lbl in fn.block_order}
-    for b in fn.iter_blocks():
-        for s in b.successors():
-            preds[s].append(b.label)
-    return preds
 
 
 def _shared(pt: PointsTo, objs) -> frozenset:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.ir.instructions import Instr, Opcode
+from repro.analysis.cfg import CFG
+from repro.ir.instructions import Opcode
 from repro.ir.module import Function, Module
 
 
@@ -12,22 +11,15 @@ def cfg_simplify_pass(module: Module) -> None:
     """Thread jumps, fold constant branches, drop unreachable blocks."""
     for fn in module.functions.values():
         _thread_jumps(fn)
-        _drop_unreachable(fn)
+        # Folding only removes edges, so one sweep afterwards drops every
+        # block either step made unreachable.
         _fold_constant_branches(fn)
         _drop_unreachable(fn)
 
 
 def _drop_unreachable(fn: Function) -> None:
-    entry = fn.block_order[0]
-    seen = {entry}
-    queue = deque([entry])
-    while queue:
-        label = queue.popleft()
-        for succ in fn.blocks[label].successors():
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    for label in [l for l in fn.block_order if l not in seen]:
+    reachable = CFG(fn).reachable
+    for label in [l for l in fn.block_order if l not in reachable]:
         del fn.blocks[label]
         fn.block_order.remove(label)
 
@@ -43,10 +35,7 @@ def _thread_jumps(fn: Function) -> None:
     2x slower in both interpreter steps and modeled issue cycles (real
     GPUs lose reconvergence points the same way when compilers over-thread
     branches)."""
-    pred_count: dict[str, int] = {lbl: 0 for lbl in fn.block_order}
-    for block in fn.iter_blocks():
-        for succ in block.successors():
-            pred_count[succ] += 1
+    preds = CFG(fn).preds
 
     def final_target(label: str, hops: int = 0) -> str:
         block = fn.blocks[label]
@@ -55,7 +44,7 @@ def _thread_jumps(fn: Function) -> None:
         if (
             len(block.instrs) == 1
             and block.instrs[0].op is Opcode.BR
-            and pred_count[label] <= 1
+            and len(preds[label]) <= 1
         ):
             return final_target(block.instrs[0].targets[0], hops + 1)
         return label

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.analysis.cfg import CFG
+from repro.analysis.loops import natural_loops
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.module import Block, Function, Module
 from repro.ir.types import Reg
@@ -149,75 +151,10 @@ def _readonly_load_candidates(module: Module, fn, pt) -> frozenset[int]:
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# CFG analyses
-# ---------------------------------------------------------------------------
-
-
-def _predecessors(fn: Function) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {lbl: [] for lbl in fn.block_order}
-    for block in fn.iter_blocks():
-        for succ in block.successors():
-            preds[succ].append(block.label)
-    return preds
-
-
-def _dominators(fn: Function, preds: dict[str, list[str]]) -> dict[str, set[str]]:
-    """Iterative dataflow dominator computation (fine at our CFG sizes)."""
-    labels = fn.block_order
-    entry = labels[0]
-    all_set = set(labels)
-    dom = {lbl: set(all_set) for lbl in labels}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for lbl in labels:
-            if lbl == entry:
-                continue
-            ps = [p for p in preds[lbl] if p in dom]
-            if not ps:
-                continue
-            new = set.intersection(*(dom[p] for p in ps)) | {lbl}
-            if new != dom[lbl]:
-                dom[lbl] = new
-                changed = True
-    return dom
-
-
-def _natural_loops(
-    fn: Function, preds: dict[str, list[str]], dom: dict[str, set[str]]
-) -> dict[str, set[str]]:
-    """header -> set of body labels (merging loops sharing a header)."""
-    loops: dict[str, set[str]] = defaultdict(set)
-    for block in fn.iter_blocks():
-        for succ in block.successors():
-            if succ in dom[block.label]:  # back edge block -> succ(header)
-                body = {succ, block.label}
-                stack = [block.label]
-                while stack:
-                    cur = stack.pop()
-                    if cur == succ:
-                        continue
-                    for p in preds[cur]:
-                        if p not in body:
-                            body.add(p)
-                            stack.append(p)
-                loops[succ] |= body
-    return dict(loops)
-
-
-# ---------------------------------------------------------------------------
-# hoisting
-# ---------------------------------------------------------------------------
-
-
 def _licm_function(fn: Function, hoistable_loads: frozenset[int] = frozenset()) -> None:
     if len(fn.blocks) < 2:
         return
-    preds = _predecessors(fn)
-    dom = _dominators(fn, preds)
-    loops = _natural_loops(fn, preds, dom)
+    loops = natural_loops(fn)
     if not loops:
         return
 
@@ -229,18 +166,24 @@ def _licm_function(fn: Function, hoistable_loads: frozenset[int] = frozenset()) 
     for reg in fn.param_regs:
         def_count[reg.id] += 1
 
-    # process larger (outer) loops last so inner-hoisted code can keep
-    # moving outward across runs of the pass
-    for header in sorted(loops, key=lambda h: len(loops[h])):
-        _hoist_loop(fn, header, loops[header], preds, def_count, hoistable_loads)
-        preds = _predecessors(fn)  # preheader insertion changed the CFG
+    # Headers are distinct, and a preheader only takes over edges into its
+    # own header, so no hoist changes another header's predecessors.
+    preds = CFG(fn).preds
+
+    # natural_loops lists inner (smaller) loops first, so inner-hoisted
+    # code can keep moving outward across runs of the pass
+    for loop in loops:
+        _hoist_loop(
+            fn, loop.header, loop.body, preds[loop.header], def_count,
+            hoistable_loads,
+        )
 
 
 def _hoist_loop(
     fn: Function,
     header: str,
-    body: set[str],
-    preds: dict[str, list[str]],
+    body: frozenset[str],
+    header_preds: list[str],
     def_count: dict[int, int],
     hoistable_loads: frozenset[int] = frozenset(),
 ) -> None:
@@ -298,7 +241,7 @@ def _hoist_loop(
     pos = fn.block_order.index(header)
     fn.block_order.insert(pos, pre.label)
 
-    for plbl in preds[header]:
+    for plbl in header_preds:
         if plbl in body:
             continue  # back edges keep pointing at the header
         term = fn.blocks[plbl].terminator

@@ -1,18 +1,5 @@
-"""Minimal pass manager: ordered module passes with optional verification
-and analysis-cache bookkeeping.
-
-When constructed with an :class:`~repro.analysis.manager.AnalysisManager`,
-the manager fingerprints every function around each pass and
-
-* drops exactly the cache entries the pass invalidated (mutated
-  functions for function-scoped analyses, everything for module-scoped
-  ones), and
-* *verifies declarations*: a pass marked :func:`preserves_ir` that
-  nevertheless mutated the IR, or a pass whose :func:`mutates_only`
-  list did not cover a function it changed, raises
-  :class:`~repro.errors.PassError` immediately — a stale-analysis bug
-  becomes a loud compile-time failure instead of a miscompile.
-"""
+"""Minimal pass manager: ordered module passes, one span per pass, and
+:class:`~repro.errors.PassError` attribution for a pass that fails."""
 
 from __future__ import annotations
 
@@ -20,25 +7,8 @@ from typing import Callable
 
 from repro.errors import PassError
 from repro.ir.module import Module
-from repro.ir.verifier import verify_module
 
 ModulePass = Callable[[Module], Module | None]
-
-
-def preserves_ir(p: ModulePass) -> ModulePass:
-    """Declare that a pass never mutates the IR (analysis/reporting only)."""
-    p.preserves_ir = True  # type: ignore[attr-defined]
-    return p
-
-
-def mutates_only(*names: str) -> Callable[[ModulePass], ModulePass]:
-    """Declare the only functions a pass may mutate (by name)."""
-
-    def mark(p: ModulePass) -> ModulePass:
-        p.mutates_only = frozenset(names)  # type: ignore[attr-defined]
-        return p
-
-    return mark
 
 
 class PassManager:
@@ -46,15 +16,12 @@ class PassManager:
 
     A pass is a callable taking a :class:`~repro.ir.module.Module` and
     returning either ``None`` (in-place mutation) or a replacement module.
-    With ``verify_each=True`` the IR verifier runs after every pass, which
-    pinpoints the pass that broke an invariant.  With ``am=`` set, analysis
-    caches are kept honest as described in the module docstring.
+    An exception other than :class:`~repro.errors.PassError` is re-raised
+    as one naming the pass.
     """
 
-    def __init__(self, *, verify_each: bool = False, am=None):
+    def __init__(self) -> None:
         self.passes: list[tuple[str, ModulePass]] = []
-        self.verify_each = verify_each
-        self.am = am
 
     def add(self, p: ModulePass, name: str | None = None) -> "PassManager":
         self.passes.append((name or getattr(p, "__name__", "pass"), p))
@@ -64,13 +31,7 @@ class PassManager:
         """Run every pass in order; with an enabled tracer each pass is
         recorded as a wall-clock span on the ``compiler`` track."""
         tracing = tracer is not None and tracer.enabled
-        am = self.am
-        if am is not None and am.module is not module:
-            raise PassError(
-                "PassManager's AnalysisManager was built for a different module"
-            )
         for name, p in self.passes:
-            snap = am.snapshot() if am is not None else None
             try:
                 if tracing:
                     with tracer.span(name, track="compiler", cat="pass"):
@@ -82,38 +43,8 @@ class PassManager:
             except Exception as exc:  # wrap for attribution
                 raise PassError(f"pass {name!r} failed: {exc}") from exc
             if result is not None:
-                if am is not None and result is not module:
-                    # A replacement module orphans every cached analysis.
-                    am.invalidate_all()
-                    am.module = result
-                    snap = None
                 module = result
-            if am is not None:
-                self._reconcile_caches(am, name, p, snap)
-            if self.verify_each:
-                verify_module(module)
         return module
-
-    @staticmethod
-    def _reconcile_caches(am, name: str, p: ModulePass, snap) -> None:
-        if snap is None:
-            return
-        changed = am.changed_since(snap)
-        if not changed:
-            return
-        what = ", ".join(sorted(n or "<module shape>" for n in changed))
-        if getattr(p, "preserves_ir", False):
-            raise PassError(
-                f"pass {name!r} is declared preserves_ir but mutated: {what}"
-            )
-        declared = getattr(p, "mutates_only", None)
-        if declared is not None and not changed <= declared:
-            extra = ", ".join(sorted((changed - declared) - {""}))
-            raise PassError(
-                f"pass {name!r} mutated function(s) it did not declare: "
-                f"{extra or '<module shape>'} (declared: {sorted(declared)})"
-            )
-        am.refresh(changed)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PassManager {[n for n, _ in self.passes]}>"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.analysis.pointsto import PointsTo
 from repro.errors import PassError
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
@@ -39,8 +40,10 @@ from repro.passes.rpc_lowering import rpc_lowering_pass
 #: pass *names* below (a fixed bug, a sharpened analysis...).  The
 #: compile cache folds this into every key, so stale executables from an
 #: older pipeline can never be served after an upgrade.  Version 2:
-#: executables carry one entry kernel, ``__ensemble_entry``.
-PIPELINE_VERSION = 2
+#: executables carry one entry kernel, ``__ensemble_entry``.  Version 3:
+#: LICM no longer treats an edge out of an unreachable block as a back
+#: edge (it used to hoist that block's code onto the live path).
+PIPELINE_VERSION = 3
 
 #: Pass names of :func:`compile_for_device`, in run order.
 DEVICE_PASS_NAMES: tuple[str, ...] = (
@@ -151,38 +154,30 @@ def finalize_executable(
     * ``0`` — inline only;
     * ``1`` — the classic intraprocedural sweep (constfold/DCE/LICM/CFG
       simplification iterated twice), the default;
-    * ``2`` — everything in ``1`` plus the interprocedural stage: an
-      :class:`~repro.analysis.manager.AnalysisManager` (kept honest by the
-      pass manager's fingerprint invalidation) feeds points-to facts into
+    * ``2`` — everything in ``1`` plus the interprocedural stage:
       :mod:`~repro.passes.barrier_elim`, alias-sharpened dead-store
-      elimination, and read-only-global load hoisting, followed by one
-      more cleanup round.
+      elimination and read-only-global load hoisting, each fed by a
+      :class:`~repro.analysis.pointsto.PointsTo` solved on the IR it
+      transforms, followed by one more cleanup round.
 
     ``tracer``/``metrics`` behave as in :func:`compile_for_device`.
     """
     names = finalize_pass_names(opt_level)  # validates opt_level
-    am = None
-    if opt_level >= 2:
-        from repro.analysis.manager import AnalysisManager
-
-        # The analysis manager caches one points-to solution across the
-        # stage; the pass manager re-fingerprints after every pass and
-        # recomputes it only when a pass actually mutated a function.
-        am = AnalysisManager(module)
 
     def _resolve(name: str):
         if name == "rpc-lowering":  # idempotent; covers loader code
             return rpc_lowering_pass
         if name == "inline-all":
             return inline_all_pass
+        # Each -O2 consumer solves points-to on the IR it is handed
+        # (barrier-elim and alias-dce do when given none), so no fact can
+        # outlive the pass that invalidated it.
         if name == "licm.ro-loads":
-            return lambda m: licm_pass(m, am.get("pointsto"))
+            return lambda m: licm_pass(m, PointsTo(m))
         if name == "barrier-elim":
-            return lambda m: redundant_barrier_elim_pass(
-                m, am.get("pointsto"), metrics
-            )
+            return lambda m: redundant_barrier_elim_pass(m, metrics=metrics)
         if name == "alias-dce":
-            return lambda m: alias_dce_pass(m, am.get("pointsto"), metrics)
+            return lambda m: alias_dce_pass(m, metrics=metrics)
         if name == "licm":
             return licm_pass
         base = name.split(".", 1)[0]
@@ -196,13 +191,10 @@ def finalize_executable(
 
     # Built from the *name list* so pipeline_fingerprint() — and with it
     # every compile-cache key — is honest by construction.
-    pm = PassManager(am=am)
+    pm = PassManager()
     for name in names:
         pm.add(_resolve(name), name)
     module = _run_pipeline(pm, module, "finalize_executable", tracer, metrics)
     module.metadata["opt_level"] = opt_level
-    if am is not None and metrics is not None:
-        metrics.counter("analysis.cache.hits").inc(am.hits)
-        metrics.counter("analysis.cache.misses").inc(am.misses)
     verify_module(module)
     return module

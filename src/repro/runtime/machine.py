@@ -198,6 +198,5 @@ def _lower_kernel(fn: Function, loops: bool) -> LoweredKernel:
                 ),
             )
             for lp in natural
-            if lp.body <= pcs.keys()  # unreachable blocks are not laid out
         ),
     )

@@ -33,7 +33,10 @@ TINY = {
 }
 
 
-def record(app, backend, opt, wall, steps=1000, timed_wall=None, repeats=()):
+def record(
+    app, backend, opt, wall, steps=1000, timed_wall=None, repeats=(),
+    timed_repeats=(),
+):
     timed_wall = wall if timed_wall is None else timed_wall
     return BenchRecord(
         app=app, backend=backend, opt_level=opt, instances=2,
@@ -42,6 +45,7 @@ def record(app, backend, opt, wall, steps=1000, timed_wall=None, repeats=()):
         cycles_per_sec=500.0 / timed_wall,
         timed_over_untimed=timed_wall / wall,
         repeat_walls_s=list(repeats),
+        repeat_timed_walls_s=list(timed_repeats),
     )
 
 
@@ -196,6 +200,25 @@ class TestRegressionGate:
         assert any("timed runs take 1.60x" in p for p in problems)
 
 
+    def test_timed_over_untimed_is_the_median_repeat_ratio(self):
+        """A repeat whose untimed run caught a quiet moment and whose timed
+        run did not moves a ratio of best walls, not the median of each
+        repeat's own timed/untimed ratio."""
+        base = report_with({("a", 2): (2.0, 1.0)})
+        cur = BenchReport(schema=5, config={})
+        cur.records = [
+            record("a", "interp", 2, 2.0),
+            record(
+                "a", "compiled", 2, 0.6, timed_wall=1.2,
+                repeats=[1.0, 0.6, 1.0], timed_repeats=[1.3, 1.5, 1.2],
+            ),
+        ]
+        # repeat ratios 1.3, 2.5, 1.2; the best walls' ratio would read 2.0
+        assert cur.records[1].paired_timed_over_untimed() == pytest.approx(1.3)
+        assert cur.timed_over_untimed("compiled") == pytest.approx(1.3)
+        assert not any("timed runs" in p for p in check_regression(cur, base))
+
+
 class TestRealRun:
     def test_cold_compile_runs_the_analyzer_after_a_warm_memo(self, monkeypatch):
         """A loader has already certified the app's kernels in this
@@ -226,6 +249,7 @@ class TestRealRun:
             assert r.steps > 0 and r.wall_s > 0 and r.steps_per_sec > 0
             assert r.cycles > 0 and r.cycles_per_sec > 0
             assert r.timed_wall_s > 0
+            assert r.timed_wall_s == min(r.repeat_timed_walls_s)
             assert r.timed_over_untimed == pytest.approx(
                 r.timed_wall_s / r.wall_s, abs=2e-3
             )

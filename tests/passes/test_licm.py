@@ -239,3 +239,44 @@ class TestRepeatedHoisting:
         for f in module.functions.values():
             assert len(f.block_order) == len(set(f.block_order))
             assert set(f.block_order) == set(f.blocks)
+
+
+class TestUnreachableBlocks:
+    """An edge out of an unreachable block is not a back edge, even though
+    every label vacuously "dominates" a block the entry cannot reach."""
+
+    def dead_pred_module(self):
+        """k: entry -> join; join: out = 1; ret.  Unreachable dead: 5*7;
+        br join."""
+        m = Module("m")
+        m.add_global(GlobalVar("out", MemType.I64, 1))
+        fn = Function("k", [], ScalarType.VOID, is_kernel=True)
+        b = IRBuilder(fn)
+        b.set_block(fn.add_block("entry"))
+        join = b.create_block("join")
+        dead = b.create_block("dead")
+        b.br(join)
+        b.set_block(join)
+        b.store(b.gaddr("out"), b.const_i(1), MemType.I64)
+        b.ret()
+        b.set_block(dead)
+        b.binop(Opcode.MUL, b.const_i(5), b.const_i(7))
+        b.br(join)
+        m.add_function(fn)
+        return m, fn, join.label, dead.label
+
+    def test_no_loop_through_an_unreachable_block(self):
+        from repro.analysis.loops import natural_loops
+
+        _, fn, _, _ = self.dead_pred_module()
+        assert natural_loops(fn) == []
+
+    def test_dead_code_stays_off_the_live_path(self):
+        m, fn, join, dead = self.dead_pred_module()
+        dead_ops = [i.op for i in fn.blocks[dead].instrs]
+        licm_pass(m)
+        verify_module(m)
+        assert not any(lbl.startswith("licm.") for lbl in fn.block_order)
+        assert [i.op for i in fn.blocks[dead].instrs] == dead_ops
+        assert fn.blocks["entry"].terminator.targets == (join,)
+        assert execute_out_single(m) == 1

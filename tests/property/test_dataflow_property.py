@@ -11,13 +11,21 @@ invariants the rest of the analysis subsystem leans on:
 * a register is live into the entry block iff the use-before-def analysis
   reports a read of it (the two analyses answer the same question through
   different lattices);
+* every natural loop lives in reachable code: each body block is
+  reachable and dominated by the loop header;
 * dataflow results are deterministic across recomputation.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import CFG, dominators, liveness, postdominators
+from repro.analysis import (
+    CFG,
+    dominators,
+    liveness,
+    natural_loops,
+    postdominators,
+)
 from repro.analysis.dataflow import uninitialized_uses
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Instr, Opcode
@@ -117,6 +125,18 @@ def test_dominator_blocks_all_entry_paths(spec):
                         seen.add(s)
                         stack.append(s)
             assert b_label not in seen
+
+
+@given(cfg_strategy)
+@settings(max_examples=60, deadline=None)
+def test_natural_loops_are_reachable_and_header_dominated(spec):
+    fn = build_function(spec)
+    cfg = CFG(fn)
+    dom = dominators(cfg)
+    for loop in natural_loops(fn):
+        for label in loop.body:
+            assert label in cfg.reachable
+            assert loop.header in dom[label]
 
 
 @given(cfg_strategy)
