@@ -43,6 +43,16 @@ that defined it.  Facts and comparisons mentioning an origin are killed
 when its defining pc re-executes, and every fact mentioning a leader's
 merge origins is killed at that leader's join.
 
+What a state carries: only what can change.  A register not live at pc
+0 whose one definition writes the same atom whatever the state (``MOVI
+k``, a global's address, a launch parameter, a lane identity) holds that
+atom wherever it is read: a path from pc 0 to a read that skipped the
+definition would make the register live at pc 0, so the definition
+dominates every read.  Such registers sit in one per-analyzer table,
+never in a state; one read on a path that skips its definition stays in
+the states.  A join drops the comparison records of registers dead
+there: each is redefined, which drops its record, before it is read.
+
 Trusted platform contracts (documented in ``docs/safety.md``):
 
 * ``DeviceAllocator`` returns 256-aligned addresses ``>= NULL_GUARD``;
@@ -61,6 +71,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -111,18 +122,11 @@ class SiteProof:
     def verdict(self) -> Verdict:
         """Overall verdict: DISPROVEN if any check fails statically;
         PROVEN when the dynamic guard can be elided; else UNPROVEN."""
-        checks = (
-            (self.null, self.align, self.bounds)
-            if self.is_mem
-            else (self.trap,)
-        )
-        if Verdict.DISPROVEN in checks:
+        if not self.is_mem:
+            return self.trap
+        if Verdict.DISPROVEN in (self.null, self.align, self.bounds):
             return Verdict.DISPROVEN
-        if self.is_mem:
-            if self.null is Verdict.PROVEN and self.align is Verdict.PROVEN:
-                return Verdict.PROVEN
-            return Verdict.UNPROVEN
-        return self.trap
+        return min(self.null, self.align)  # PROVEN when both are
 
     @property
     def guard_free(self) -> bool:
@@ -173,9 +177,6 @@ class SafetyCertificate:
             for p in sorted(self.sites.values(), key=lambda p: p.pc)
             if p.verdict is Verdict.DISPROVEN
         ]
-
-    def proof_for(self, pc: int) -> SiteProof | None:
-        return self.sites.get(pc)
 
     def counts(self) -> dict[str, int]:
         c = {"proven": 0, "unproven": 0, "disproven": 0}
@@ -304,6 +305,15 @@ _ZERO = _Expr(0)
 _UNK_F = (None, None)  # unknown float range
 
 
+def _fneg(r: tuple) -> tuple:
+    return (None if r[1] is None else -r[1], None if r[0] is None else -r[0])
+
+
+def _fzip(f, a: tuple, b: tuple) -> tuple:
+    """Float ranges combined end by end; an unbounded end stays so."""
+    return tuple(None if x is None or y is None else f(x, y) for x, y in zip(a, b))
+
+
 @dataclass
 class _Origin:
     """One symbolic unknown: interval, value alignment, allocation tag."""
@@ -371,11 +381,6 @@ def _mentions(form: tuple, key) -> bool:
     return any(k == key for k, _ in form)
 
 
-def _has_merge(form: tuple) -> bool:
-    """``form`` mentions some join's merge origin."""
-    return any(k[0] == "m" for k, _ in form)
-
-
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
@@ -404,14 +409,29 @@ def _form_mentions_leader(form, leader: int) -> bool:
 # the analyzer
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = frozenset(
+#: where ``lhs - rhs`` lies on the taken and the other edge of a branch
+#: on ``lhs op rhs``
+_ORDER_EDGES = {
+    Opcode.ICMP_SLT: (Interval(None, -1), Interval(0, None)),
+    Opcode.ICMP_SLE: (Interval(None, 0), Interval(1, None)),
+    Opcode.ICMP_SGT: (Interval(1, None), Interval(None, 0)),
+    Opcode.ICMP_SGE: (Interval(0, None), Interval(None, -1)),
+}
+
+_CMP_OPS = frozenset(_ORDER_EDGES) | {Opcode.ICMP_EQ, Opcode.ICMP_NE}
+
+#: ops whose result is one atom whatever the state (``_fixed_values``)
+_ATOM_OPS = frozenset(
     {
-        Opcode.ICMP_EQ,
-        Opcode.ICMP_NE,
-        Opcode.ICMP_SLT,
-        Opcode.ICMP_SLE,
-        Opcode.ICMP_SGT,
-        Opcode.ICMP_SGE,
+        Opcode.MOVI,
+        Opcode.GADDR,
+        Opcode.KPARAM,
+        Opcode.TID,
+        Opcode.CTAID,
+        Opcode.LANEID,
+        Opcode.INSTANCE,
+        Opcode.NTID,
+        Opcode.NCTAID,
     }
 )
 
@@ -446,9 +466,14 @@ class _KernelAnalyzer:
         self._dirty = False
         self._leaders = self._find_leaders()
         self._rpo_index = {pc: i for i, pc in enumerate(self._leaders)}
+        #: registers fixed at their one definition (soundness notes):
+        #: read from here, never carried in a state
+        self._fixed: dict[int, _Expr] = {}
         self._live_iregs: dict[int, list[int]] = {}
+        self._live_imask: dict[int, int] = {}
         self._live_fregs: dict[int, list[int]] = {}
         self._liveness()
+        self._phi_regs: dict[int, int] = {}  # leader -> bitmask of phi regs
 
     # -- cfg ------------------------------------------------------------
     def _find_leaders(self) -> list[int]:
@@ -468,12 +493,15 @@ class _KernelAnalyzer:
         return len(self.code)
 
     def _liveness(self) -> None:
-        """Per-block live-in register bitmasks (one int per bank).
+        """Per-block live-in registers (one bitmask per bank), less the
+        fixed-value registers.
 
-        Joins only fold registers live at the join: wrapper kernels
-        write hundreds of registers but only a handful cross any given
-        block boundary, so pruning dead ones shrinks every merge, copy
-        and convergence comparison by an order of magnitude.
+        Joins only fold registers live at the join.  Wrapper kernels
+        write hundreds of registers, and on average 84-107 integer ones
+        are live into each block of a Figure-6 ``__ensemble_entry``
+        (-O1), mostly constants and global addresses LICM hoisted to the
+        top of the inlined ``main``.  Those go to the fixed table, which
+        leaves 17-18 per block.
         """
         n = len(self._leaders)
         succs: list[list[int]] = []
@@ -526,9 +554,28 @@ class _KernelAnalyzer:
                 if ni != live_i[bi] or nf != live_f[bi]:
                     live_i[bi], live_f[bi] = ni, nf
                     changed = True
+        self._fixed = self._fixed_values(live_i[0])
+        keep = ~sum(1 << r for r in self._fixed)
         for bi, leader in enumerate(self._leaders):
-            self._live_iregs[leader] = _bits(live_i[bi])
+            self._live_imask[leader] = live = live_i[bi] & keep
+            self._live_iregs[leader] = _bits(live)
             self._live_fregs[leader] = _bits(live_f[bi])
+
+    def _fixed_values(self, live_at_entry: int) -> dict:
+        """Integer registers not live at pc 0 whose only definition writes
+        one atom whatever the state, each mapped to that atom (the
+        definition's transfer run on a scratch state; the origins it
+        names are still made when the flow reaches it)."""
+        defs: dict = {}
+        for pc, li in enumerate(self.code):
+            if li.dest >= 0 and not li.dest_f:
+                defs[li.dest] = (pc, li) if li.dest not in defs else None
+        st, origins, self.origins = _State(), self.origins, {}
+        for r, d in defs.items():
+            if d and d[1].op in _ATOM_OPS and not live_at_entry >> r & 1:
+                self._step(st, *d, None)
+        self.origins = origins
+        return st.ir
 
     # -- origins --------------------------------------------------------
     def _ensure(self, key, **attrs) -> object:
@@ -638,7 +685,8 @@ class _KernelAnalyzer:
         is_f, idx = arg
         if is_f:
             return _Expr.of(("f", idx))  # float-typed: opaque, no origin
-        return st.ir.get(idx, _ZERO)
+        # expressions are always truthy: a miss falls to the fixed table
+        return st.ir.get(idx) or self._fixed.get(idx, _ZERO)
 
     def _frange_of(self, st: _State, arg):
         is_f, idx = arg
@@ -691,32 +739,13 @@ class _KernelAnalyzer:
             taken = if_true if taken else not if_true
             op, lhs, rhs = inner
             diff = lhs.sub(rhs)
-        if op is Opcode.ICMP_EQ:
-            if taken:
+        if op not in _ORDER_EDGES:  # ICMP_EQ / ICMP_NE
+            if taken == (op is Opcode.ICMP_EQ):
                 self._add_fact(st, diff, Interval.const(0))
             else:
                 st.neqz.add((diff.form(self._rkeys), diff.const))
-        elif op is Opcode.ICMP_NE:
-            if taken:
-                st.neqz.add((diff.form(self._rkeys), diff.const))
-            else:
-                self._add_fact(st, diff, Interval.const(0))
-        elif op is Opcode.ICMP_SLT:
-            self._add_fact(
-                st, diff, Interval(None, -1) if taken else Interval(0, None)
-            )
-        elif op is Opcode.ICMP_SLE:
-            self._add_fact(
-                st, diff, Interval(None, 0) if taken else Interval(1, None)
-            )
-        elif op is Opcode.ICMP_SGT:
-            self._add_fact(
-                st, diff, Interval(1, None) if taken else Interval(None, 0)
-            )
-        elif op is Opcode.ICMP_SGE:
-            self._add_fact(
-                st, diff, Interval(0, None) if taken else Interval(None, -1)
-            )
+        else:
+            self._add_fact(st, diff, _ORDER_EDGES[op][not taken])
 
     # -- entry state ----------------------------------------------------
     def _entry_state(self) -> _State:
@@ -747,7 +776,7 @@ class _KernelAnalyzer:
 
     # -- transfer -------------------------------------------------------
     def _set_ireg(self, st: _State, li, expr: _Expr) -> None:
-        if li.dest >= 0 and not li.dest_f:
+        if li.dest >= 0 and not li.dest_f and li.dest not in self._fixed:
             st.ir[li.dest] = expr
             st.cmp.pop(li.dest, None)
 
@@ -767,7 +796,8 @@ class _KernelAnalyzer:
         argc_link=None,
     ):
         key = ("pc", pc)
-        self._kill_origin(st, key)
+        if key in self.origins:  # else no state can mention it yet
+            self._kill_origin(st, key)
         self._ensure(
             key,
             name=f"v{pc}",
@@ -1049,18 +1079,8 @@ class _KernelAnalyzer:
             a = self._frange_of(st, li.args[0])
             b = self._frange_of(st, li.args[1])
             if op is Opcode.FSUB:
-                b = (
-                    None if b[1] is None else -b[1],
-                    None if b[0] is None else -b[0],
-                )
-            self._set_freg(
-                st,
-                li,
-                (
-                    None if a[0] is None or b[0] is None else a[0] + b[0],
-                    None if a[1] is None or b[1] is None else a[1] + b[1],
-                ),
-            )
+                b = _fneg(b)
+            self._set_freg(st, li, _fzip(operator.add, a, b))
         elif op is Opcode.FMUL:
             a = self._frange_of(st, li.args[0])
             b = self._frange_of(st, li.args[1])
@@ -1070,15 +1090,7 @@ class _KernelAnalyzer:
                 prods = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
                 self._set_freg(st, li, (min(prods), max(prods)))
         elif op is Opcode.FNEG:
-            a = self._frange_of(st, li.args[0])
-            self._set_freg(
-                st,
-                li,
-                (
-                    None if a[1] is None else -a[1],
-                    None if a[0] is None else -a[0],
-                ),
-            )
+            self._set_freg(st, li, _fneg(self._frange_of(st, li.args[0])))
         elif op is Opcode.FABS:
             a = self._frange_of(st, li.args[0])
             if None in a:
@@ -1089,15 +1101,7 @@ class _KernelAnalyzer:
         elif op in (Opcode.FMIN, Opcode.FMAX):
             a = self._frange_of(st, li.args[0])
             b = self._frange_of(st, li.args[1])
-            pick = min if op is Opcode.FMIN else max
-            self._set_freg(
-                st,
-                li,
-                (
-                    None if a[0] is None or b[0] is None else pick(a[0], b[0]),
-                    None if a[1] is None or b[1] is None else pick(a[1], b[1]),
-                ),
-            )
+            self._set_freg(st, li, _fzip(min if op is Opcode.FMIN else max, a, b))
         elif op in (Opcode.SIN, Opcode.COS):
             a = self._frange_of(st, li.args[0])
             finite = (
@@ -1182,7 +1186,6 @@ class _KernelAnalyzer:
             and org.space is not None
             and org.space[0] == "argvec"
             and org.argc_link is not None
-            and boundsv is Verdict.PROVEN
         ):
             # an in-range argv slot (index < argc) is a marshalled,
             # non-null string pointer
@@ -1199,7 +1202,9 @@ class _KernelAnalyzer:
     def _mem_site(self, st: _State, pc: int, li, kind: str, record):
         """Bounds-check one memory site; returns ``(bounds verdict, base
         origin key)``.  The null and alignment verdicts feed only the
-        certificate, so they are computed only when ``record`` is set."""
+        certificate, so they are computed only when ``record`` is set;
+        without it, the bounds verdict only where ``_load`` reads it
+        (``_reads_bounds``; ``_eval_wf`` is pure, so skipping is exact)."""
         size = li.mty.size if li.mty is not None else 1
         addr = self._expr_of(st, li.args[0]).add_const(li.offset)
 
@@ -1214,7 +1219,9 @@ class _KernelAnalyzer:
         if len(spaced) == 1 and spaced[0][1] == 1:
             src = spaced[0][0]
             ext = self.origins[src].extent
-            if ext is not None:
+            if ext is not None and (
+                record is not None or self._reads_bounds(self.origins[src])
+            ):
                 delta = addr.drop(src)
                 dl = self._eval_wf(delta, st.facts)
                 rem = self._eval_wf(
@@ -1273,6 +1280,12 @@ class _KernelAnalyzer:
             loc=li.loc,
         )
         return boundsv, src
+
+    @staticmethod
+    def _reads_bounds(org: _Origin) -> bool:
+        """``_load`` reads a bounds verdict only for a load from a
+        marshalling table or an argv vector."""
+        return org.space[0] in ("table", "argvec")
 
     def _trap_site(self, st: _State, pc: int, li, record) -> None:
         op = li.op
@@ -1351,46 +1364,57 @@ class _KernelAnalyzer:
         vocabulary; normalising both edges' forms lets the same
         invariant intersect verbatim at the join.
         """
-        if not self.phi_val:
+        if not self._phi_stale(facts):
             return facts
         out: dict = {}
         for form, iv in facts.items():
-            if _has_merge(form):
-                e = self._phi_norm(_Expr(0, dict(form)))
-                form = e.form(self._rkeys)
-                if not form:
-                    continue
-                if e.const:
-                    iv = iv.sub(Interval.const(e.const))
+            e = self._phi_norm(_Expr(0, dict(form)))
+            form = e.form(self._rkeys)
+            if not form:
+                continue
+            if e.const:
+                iv = iv.sub(Interval.const(e.const))
             prev = out.get(form)
             out[form] = iv if prev is None else _meet(prev, iv)
         return out
 
     def _norm_neqz(self, neqz: set) -> set:
-        if not self.phi_val:
+        if not self._phi_stale(fc[0] for fc in neqz):
             return neqz
         out = set()
         for fc in neqz:
-            if _has_merge(fc[0]):
-                e = self._phi_norm(_Expr(fc[1], dict(fc[0])))
-                fc = (e.form(self._rkeys), e.const)
-            out.add(fc)
+            e = self._phi_norm(_Expr(fc[1], dict(fc[0])))
+            out.add((e.form(self._rkeys), e.const))
         return out
+
+    def _phi_stale(self, forms) -> bool:
+        """Some form mentions a merge origin ``phi_val`` rewrites."""
+        phi_val = self.phi_val
+        return any(k[0] == "m" and k in phi_val for f in forms for k, _ in f)
 
     def _join_states(self, leader: int, ins: list) -> _State:
         """Fold the sweep's incoming edge states for one leader.
 
         Each edge state comes fresh from one ``_flow`` and feeds only
         this leader, so the first one is pruned to the live registers in
-        place rather than copied."""
+        place rather than copied.  A join keeps only what both edges
+        share, so that prunes the whole fold."""
         st = ins[0]
         ir, fr = st.ir, st.fr
         st.ir = {i: ir[i] for i in self._live_iregs[leader] if i in ir}
         st.fr = {i: fr[i] for i in self._live_fregs[leader] if i in fr}
+        st.cmp = self._live_cmp(leader, st.cmp)
         folded: set = set()  # regs that became real merges in this fold
         for inc in ins[1:]:
             st = self._merge_pair(leader, st, inc, folded)
         return st
+
+    def _live_cmp(self, leader: int, cmp: dict) -> dict:
+        """``cmp`` less the records of registers dead at ``leader`` (each
+        is redefined, dropping its record, before it is read); records
+        keyed by a comparison's origin stay."""
+        live = self._live_imask[leader]
+        return {r: c for r, c in cmp.items() if type(r) is not int or live >> r & 1}
 
     def _merge_pair(
         self, leader: int, cur: _State, inc: _State, folded: set
@@ -1408,15 +1432,22 @@ class _KernelAnalyzer:
         phi_upd: dict = {}
         phi_val = self.phi_val
         cir, iir = cur.ir, inc.ir
-        for i in self._live_iregs[leader]:
-            a = cir.get(i)
-            b = iir.get(i)
-            if a is None:
-                if b is None:
-                    continue
-                a = _ZERO
-            elif b is None:
-                b = _ZERO
+        iget = iir.get
+        # ``cur`` carries only live registers, and most hold the same
+        # merge-free object on both edges and have no phi: those pass
+        # through as they are, and the walk visits the rest
+        merged.ir = dict(cir)
+        phis = self._phi_regs.get(leader, 0)
+        walk = [
+            i
+            for i, a in cir.items()
+            if iget(i) is not a or a.has_merge or phis >> i & 1
+        ]
+        live = self._live_imask[leader]
+        walk += [i for i in iir.keys() - cir.keys() if live >> i & 1]
+        for i in walk:
+            a = cir.get(i, _ZERO)
+            b = iget(i, _ZERO)
             equal = a is b or a == b
             mkey = ("m", leader, i)
             if equal and not a.has_merge:
@@ -1460,6 +1491,7 @@ class _KernelAnalyzer:
                 self._ensure(
                     mkey, name=f"phi{leader}.{i}", iv=iv_in, align=al_in
                 )
+                self._phi_regs[leader] = phis = phis | 1 << i
             else:
                 niv = org.iv.widen(org.iv.join(iv_in))
                 nal = math.gcd(org.align, al_in) or 1
@@ -1475,7 +1507,7 @@ class _KernelAnalyzer:
         for mkey, e in phi_upd.items():
             if e is None:
                 phi_val.pop(mkey, None)
-            else:
+            elif mkey in self.origins:  # no expression mentions any other
                 phi_val[mkey] = e
 
         cfr, ifr = cur.fr, inc.fr
@@ -1557,7 +1589,10 @@ class _KernelAnalyzer:
             # substitute merged registers in register order, however the
             # join walked them
             subs = sorted(subs.items())
+            pivots = {k for _, e in subs for k, c in e.terms.items() if c in (1, -1)}
             for form in facts:
+                if not any(k in pivots for k, _ in form):
+                    continue  # nothing to eliminate: the form stays as it is
                 expr = _Expr(0, dict(form))
                 # best-effort translation: for every merged register,
                 # eliminate one +-1 pivot shared with its edge expression
@@ -1716,15 +1751,16 @@ def analyze_kernel(
     """Run the safety analysis over one lowered kernel (memoized on the
     lowered code, the referenced global extents and the analyzer
     version).  ``work`` (a dict), when given, receives the work this call
-    did: fixpoint ``sweeps``, pairwise ``joins``, and ``memo`` (whether
-    the memo answered, in which case both counts are 0)."""
+    did: fixpoint ``sweeps``, pairwise ``joins``, the number of ``fixed``
+    registers no state carried, and ``memo`` (whether the memo answered,
+    in which case all three counts are 0)."""
     key = _kernel_digest(kern, globals_info, wrapper)
     cert = _CERT_MEMO.get(key)
     if cert is not None and cert.analyzer_version != ANALYZER_VERSION:
         # Certificates are shared objects; one whose version field was
         # clobbered (a tampered holder) must never be served again.
         cert = None
-    sweeps = joins = 0
+    sweeps = joins = fixed = 0
     memo = cert is not None
     if not memo:
         analyzer = _KernelAnalyzer(
@@ -1732,11 +1768,12 @@ def analyze_kernel(
         )
         cert = analyzer.run()
         sweeps, joins = analyzer.sweeps, sum(analyzer.visits.values())
+        fixed = len(analyzer._fixed)
         if len(_CERT_MEMO) >= _CERT_MEMO_MAX:
             _CERT_MEMO.pop(next(iter(_CERT_MEMO)))
         _CERT_MEMO[key] = cert
     if work is not None:
-        work.update(sweeps=sweeps, joins=joins, memo=memo)
+        work.update(sweeps=sweeps, joins=joins, fixed=fixed, memo=memo)
     return cert
 
 

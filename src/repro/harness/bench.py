@@ -17,10 +17,11 @@ both execution backends at ``-O1`` and ``-O2`` and records:
   backend, i.e. how long the Figure-6 smoke campaign takes end to end,
 * **checked vs unchecked** (schema v2) — per app at ``-O2``, the
   compiled backend with every dynamic guard armed vs the
-  :mod:`~repro.analysis.safety` certificate fast path; the gate requires
-  the unchecked aggregate to be at least as fast.  ``--no-unchecked``
-  is the escape hatch: every compiled launch runs fully guarded and the
-  comparison is skipped.
+  :mod:`~repro.analysis.safety` certificate fast path, run as
+  interleaved checked/unchecked pairs; the gate requires the unchecked
+  aggregate to be at least as fast.  ``--no-unchecked`` is the escape
+  hatch: every compiled launch runs fully guarded and the comparison is
+  skipped.
 
 Wall times, timed and untimed alike, are the minimum over ``repeats``
 *interleaved* interp/compiled pairs after one warm-up run each.  The
@@ -43,7 +44,10 @@ speedup on interleaved runs does not.  The gate fails when
   smoke campaign (aggregate speedup < 1.0), or
 * the compiled backend's aggregate timed/untimed ratio (the records'
   median repeat ratios, weighted by their untimed walls) exceeds
-  ``TIMED_OVER_UNTIMED_MAX`` (trace collection must stay cheap).
+  ``TIMED_OVER_UNTIMED_MAX`` (trace collection must stay cheap), or
+* the aggregate unchecked/checked ratio (the apps' median pair ratios,
+  weighted by their checked walls) exceeds 1: guard elision must never
+  cost.
 
 Run as a module::
 
@@ -77,7 +81,9 @@ from repro.runtime.backend import DEFAULT_SAFETY_MODE
 #: interleaved pairs, not the ratio of the best walls.
 #: v5: per-record ``repeat_timed_walls_s``; timed/untimed is the median
 #: ratio of each repeat's timed wall to its untimed wall.
-SCHEMA = 5
+#: v6: per-app ``repeat_checked_walls_s`` / ``repeat_unchecked_walls_s``;
+#: unchecked/checked is the median ratio of each interleaved pair.
+SCHEMA = 6
 
 #: The Figure-6 smoke campaign: every figure-6 benchmark, 4 instances,
 #: the paper's t=32 panel.
@@ -140,9 +146,10 @@ class BenchReport:
     #: Summed compile wall over every (app, opt level): ``cold`` through
     #: an empty executable cache, ``warm`` through the same cache again.
     compile_wall_s: dict = field(default_factory=dict)
-    #: Per-app compiled-backend guard comparison at ``-O2``: wall times
-    #: with every dynamic guard armed (``checked``) vs the certificate
-    #: fast path (``unchecked``), and their ratio (schema v2).
+    #: Per-app compiled-backend guard comparison at ``-O2``: best wall
+    #: times with every dynamic guard armed (``checked``) vs the
+    #: certificate fast path (``unchecked``) and their ratio (schema v2),
+    #: and each interleaved pair's walls (schema v6).
     safety: dict = field(default_factory=dict)
 
     def wall(self, backend: str, opt_level: int, apps=None) -> float:
@@ -168,6 +175,24 @@ class BenchReport:
                 untimed += r.wall_s
                 implied += r.wall_s * r.paired_timed_over_untimed()
         return implied / untimed if untimed else 0.0
+
+    def unchecked_over_checked(self) -> float:
+        """Aggregate unchecked/checked wall ratio over the ``safety``
+        apps: each app's median, over its interleaved pairs, of the
+        unchecked wall over the checked wall of the same pair, weighted
+        by its checked wall.  An app without per-pair walls (schema < 6)
+        pairs its best walls."""
+        checked = implied = 0.0
+        for s in self.safety.values():
+            pairs = zip(
+                s.get("repeat_checked_walls_s") or [s["checked_wall_s"]],
+                s.get("repeat_unchecked_walls_s") or [s["unchecked_wall_s"]],
+            )
+            checked += s["checked_wall_s"]
+            implied += s["checked_wall_s"] * statistics.median(
+                un / ck for ck, un in pairs
+            )
+        return implied / checked if checked else 0.0
 
     def pair_speedup(self, app: str, opt_level: int) -> float:
         """One app's compiled/interp speedup: the median, over its
@@ -224,6 +249,9 @@ class BenchReport:
             summary["unchecked_speedup"] = {
                 app: s["unchecked_speedup"] for app, s in self.safety.items()
             }
+            summary["unchecked_over_checked"] = round(
+                self.unchecked_over_checked(), 3
+            )
         return summary
 
     def to_json(self) -> dict:
@@ -376,18 +404,21 @@ def run_bench(
                     safety_mode="checked",
                 )
                 _timed_once(loaders["compiled"], checked_spec)  # warm
-                best_ck = best_un = float("inf")
+                ck_walls, un_walls = [], []
                 for _ in range(repeats):
                     wall, _ = _timed_once(loaders["compiled"], checked_spec)
-                    best_ck = min(best_ck, wall)
+                    ck_walls.append(round(wall, 6))
                     wall, _ = _timed_once(
                         loaders["compiled"], untimed["compiled"]
                     )
-                    best_un = min(best_un, wall)
+                    un_walls.append(round(wall, 6))
+                best_ck, best_un = min(ck_walls), min(un_walls)
                 report.safety[app] = {
-                    "checked_wall_s": round(best_ck, 6),
-                    "unchecked_wall_s": round(best_un, 6),
+                    "checked_wall_s": best_ck,
+                    "unchecked_wall_s": best_un,
                     "unchecked_speedup": round(best_ck / best_un, 3),
+                    "repeat_checked_walls_s": ck_walls,
+                    "repeat_unchecked_walls_s": un_walls,
                 }
             for b in BACKENDS:
                 report.records.append(
@@ -484,18 +515,15 @@ def check_regression(
                 "— the executable cache is not earning its keep"
             )
     if current.safety:
-        # Guard elision must never cost: summed over the measured apps,
-        # the unchecked fast path has to be at least as fast as running
-        # every dynamic guard (a per-app ratio may wobble with noise; the
+        # Guard elision must never cost: over the measured apps, the
+        # unchecked fast path has to be at least as fast as running every
+        # dynamic guard (a per-app ratio may wobble with noise; the
         # aggregate may not).
-        checked = sum(s["checked_wall_s"] for s in current.safety.values())
-        unchecked = sum(
-            s["unchecked_wall_s"] for s in current.safety.values()
-        )
-        if unchecked > checked:
+        ratio = current.unchecked_over_checked()
+        if ratio > 1.0:
             problems.append(
                 f"unchecked compiled backend is slower than checked "
-                f"({unchecked:.3f}s > {checked:.3f}s over "
+                f"({ratio:.3f}x the checked wall over "
                 f"{', '.join(sorted(current.safety))})"
             )
     return problems

@@ -24,6 +24,10 @@ from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
 from repro.host.loader import Loader
+from repro.ir.builder import IRBuilder
+from repro.ir.instructions import Instr, Opcode
+from repro.ir.module import Function
+from repro.ir.types import I64, MemType, ScalarType
 from repro.obs import Observability
 from repro.passes import compile_for_device, finalize_executable
 from repro.runtime.kernel import (
@@ -39,7 +43,15 @@ from repro.tools.safety_check import (
     build_with_bound,
     loop_verdicts,
 )
-from tests.oracle import Config, check, source_input
+from tests.oracle import (
+    ALIGN_PROBES,
+    BOUNDS_PROBES,
+    Config,
+    align_probe,
+    bounds_probe,
+    check,
+    source_input,
+)
 from tests.util import SMALL_DEVICE
 
 SAFE = """
@@ -257,6 +269,114 @@ class TestDeterminism:
         assert got == want
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_module(kind: str, name: str, twin: bool):
+    probe = bounds_probe if kind == "bounds" else align_probe
+    return build_executable(probe(name, twin).program.compile(), opt_level=2)
+
+
+def _skip_kernel():
+    """``r = 8`` on one path only, then a load of ``g + r`` (``g`` one
+    i64): ``r`` is read on the path that skips its one ``MOVI``."""
+    fn = Function("k", [], ScalarType.VOID, is_kernel=True)
+    b = IRBuilder(fn)
+    b.set_block(fn.add_block("entry"))
+    r = fn.new_reg(I64)
+    setr, join = b.create_block("setr"), b.create_block("join")
+    b.cbr(b.binop(Opcode.ICMP_SLT, b.kparam(0), b.const_i(0)), setr, join)
+    b.set_block(setr)
+    b.emit(Instr(Opcode.MOVI, r, imm=8))
+    b.br(join)
+    b.set_block(join)
+    b.load(b.binop(Opcode.ADD, b.gaddr("g"), r), MemType.I64)
+    b.ret()
+    return lower_kernel(fn, loops=False)
+
+
+def _late_branch_kernel():
+    """``c = (n == 0)`` in one block, ``if c: load g + n`` in the next:
+    the comparison's register is live across the block boundary."""
+    fn = Function("k", [], ScalarType.VOID, is_kernel=True)
+    b = IRBuilder(fn)
+    b.set_block(fn.add_block("entry"))
+    n = b.kparam(0)
+    c = b.binop(Opcode.ICMP_EQ, n, b.const_i(0))
+    mid, then, done = (b.create_block(x) for x in ("mid", "then", "done"))
+    b.br(mid)
+    b.set_block(mid)
+    b.cbr(c, then, done)
+    b.set_block(then)
+    b.load(b.binop(Opcode.ADD, b.gaddr("g"), n), MemType.I64)
+    b.br(done)
+    b.set_block(done)
+    b.ret()
+    return lower_kernel(fn, loops=False)
+
+
+class TestSparseStates:
+    """What the states leave out changes nothing: the certificates and
+    the work counts equal those of an analyzer that carries every
+    register fixed at its one definition, keeps every comparison record
+    and computes every bounds verdict."""
+
+    @staticmethod
+    def _proofs(module, monkeypatch) -> dict:
+        monkeypatch.setattr(safety, "_CERT_MEMO", {})
+        work: dict = {}
+        certs = certify_module(module, work=work)
+        return {
+            name: (cert.to_dict(), work[name]["sweeps"], work[name]["joins"])
+            for name, cert in certs.items()
+        }
+
+    def _check_full_states_agree(self, module, monkeypatch) -> None:
+        sparse = self._proofs(module, monkeypatch)
+        analyzer = safety._KernelAnalyzer
+        monkeypatch.setattr(analyzer, "_fixed_values", lambda self, live: {})
+        monkeypatch.setattr(analyzer, "_live_cmp", lambda self, leader, cmp: cmp)
+        monkeypatch.setattr(analyzer, "_reads_bounds", staticmethod(lambda org: True))
+        assert self._proofs(module, monkeypatch) == sparse
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_registry_apps_certify_as_with_full_states(
+        self, monkeypatch, app, opt_level
+    ):
+        self._check_full_states_agree(_registry_module(app, opt_level), monkeypatch)
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["probe", "twin"])
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("bounds", n) for n in sorted(BOUNDS_PROBES)]
+        + [("align", n) for n in sorted(ALIGN_PROBES)],
+    )
+    def test_soundness_probes_certify_as_with_full_states(
+        self, monkeypatch, kind, name, twin
+    ):
+        self._check_full_states_agree(_probe_module(kind, name, twin), monkeypatch)
+
+    def test_a_register_read_before_its_definition_stays_in_the_state(self):
+        kern = _skip_kernel()
+        (movi,) = (li for li in kern.code if li.op is Opcode.MOVI and li.imm == 8)
+        (load,) = (pc for pc, li in enumerate(kern.code) if li.op is Opcode.LOAD)
+        analyzer = safety._KernelAnalyzer(kern, globals_info={"g": 8}, wrapper=False)
+        cert = analyzer.run()
+        join = analyzer.states[max(pc for pc in analyzer.states if pc <= load)]
+        assert movi.dest not in analyzer._fixed
+        assert movi.dest in join.ir
+        # ``g + 0`` on one path, ``g + 8`` (past the end) on the other
+        assert cert.sites[load].bounds is Verdict.UNPROVEN
+        # the registers fixed at a dominating definition leave the state
+        assert analyzer._fixed and not analyzer._fixed.keys() & join.ir.keys()
+
+    def test_a_comparison_live_across_a_block_keeps_its_record(self):
+        cert = safety.analyze_kernel(
+            _late_branch_kernel(), globals_info={"g": 8}, wrapper=False
+        )
+        (load,) = (p for p in cert.sites.values() if p.kind == "load")
+        assert load.bounds is Verdict.PROVEN  # from the edge fact n == 0
+
+
 class TestObservability:
     def test_build_records_one_safety_span_per_kernel(self, monkeypatch):
         monkeypatch.setattr(safety, "_CERT_MEMO", {})
@@ -270,8 +390,8 @@ class TestObservability:
         assert [e.name for e in spans] == [f"safety {ENSEMBLE_KERNEL}"]
         for span in spans:
             assert span.track == "compiler"
-            assert set(span.args) == {"sweeps", "joins", "sites", "memo"}
-            assert span.args["sites"] > 0
+            assert set(span.args) == {"sweeps", "joins", "sites", "memo", "fixed"}
+            assert span.args["sites"] > 0 and span.args["fixed"] > 0
         # the memo was cleared, so the proof is computed
         assert not any(span.args["memo"] for span in spans)
         sweeps = sum(span.args["sweeps"] for span in spans)
@@ -303,7 +423,8 @@ class TestObservability:
         work: dict = {}
         certify_module(module, work=work)
         assert work and all(
-            w == {"sweeps": 0, "joins": 0, "memo": True} for w in work.values()
+            w == {"sweeps": 0, "joins": 0, "fixed": 0, "memo": True}
+            for w in work.values()
         )
 
 

@@ -182,6 +182,34 @@ class TestRegressionGate:
         cur.safety["a"].update(unchecked_wall_s=0.8, unchecked_speedup=1.25)
         assert check_regression(cur, base) == []
 
+    def test_unchecked_over_checked_is_the_median_pair_ratio(self):
+        """A pair whose unchecked run caught a quiet moment moves a ratio
+        of best walls, not the median of each pair's own ratio."""
+        base = report_with({("a", 2): (2.0, 1.0)})
+        cur = report_with({("a", 2): (2.0, 1.0)})
+        cur.safety = {
+            "a": {
+                "checked_wall_s": 1.0,
+                "unchecked_wall_s": 0.5,
+                "unchecked_speedup": 2.0,
+                "repeat_checked_walls_s": [1.0, 1.1, 1.2],
+                "repeat_unchecked_walls_s": [1.2, 0.5, 1.32],
+            },
+            "b": {  # no per-pair walls: pairs its best walls
+                "checked_wall_s": 3.0,
+                "unchecked_wall_s": 3.0,
+                "unchecked_speedup": 1.0,
+            },
+        }
+        # pair ratios 1.2, 0.45, 1.1: median 1.1; the best walls read 0.5
+        assert cur.unchecked_over_checked() == pytest.approx(
+            (1.0 * 1.1 + 3.0 * 1.0) / 4.0
+        )
+        problems = check_regression(cur, base)
+        assert any("unchecked compiled backend is slower" in p for p in problems)
+        cur.safety["a"]["repeat_unchecked_walls_s"] = [0.9, 0.5, 1.32]
+        assert not any("unchecked" in p for p in check_regression(cur, base))
+
 
     def test_timed_over_untimed_gate_on_compiled_aggregate(self):
         base = report_with({("a", 2): (2.0, 1.0)})
@@ -260,7 +288,8 @@ class TestRealRun:
         assert cw["cold"] > 0
         assert cw["warm"] < 0.20 * cw["cold"]
         safety = rep.safety["rsbench"]
-        assert safety["checked_wall_s"] > 0
+        assert safety["checked_wall_s"] == min(safety["repeat_checked_walls_s"])
+        assert safety["unchecked_wall_s"] == min(safety["repeat_unchecked_walls_s"])
         assert safety["unchecked_wall_s"] > 0
         assert safety["unchecked_speedup"] > 0
         assert rep.summary()["unchecked_speedup"]["rsbench"] == \
