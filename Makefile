@@ -47,7 +47,7 @@ bench:
 # CI regression gate: quick slice of the bench, compared against the
 # committed baseline on machine-independent speedup ratios only.
 bench-check:
-	$(PYTHON) -m repro.harness.bench --quick --check BENCH_interpreter.json
+	$(PYTHON) -m repro.harness.bench --quick --repeats 5 --check BENCH_interpreter.json
 
 # Tracked server-path benchmark (docs/serve.md): repro.serve throughput
 # vs the direct scheduler; refreshes the committed baseline.

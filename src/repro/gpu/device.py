@@ -51,6 +51,16 @@ TRACE_TEAM_LIMIT = 64
 HW_REGS_PER_THREAD = 32
 
 
+#: Executor counters published per launch as ``exec.<name>`` by engines
+#: that keep them (compiled): row-path block and region calls, then the
+#: scalar tier's (docs/backends.md).
+_DISPATCH_COUNTERS = (
+    "block_dispatches",
+    "region_entries",
+    "scalar_dispatches",
+    "scalar_region_entries",
+)
+
 #: Serializes first-launch lowering, which may fill a dict shared by
 #: devices on several threads.
 _LOWER_LOCK = threading.Lock()
@@ -473,10 +483,12 @@ class GPUDevice:
                 if self.metrics is not None and hasattr(
                     executor, "region_entries"
                 ):
-                    blocks, regions = dispatch or (0, 0)
-                    dispatch = (
-                        blocks + executor.block_dispatches,
-                        regions + executor.region_entries,
+                    dispatch = tuple(
+                        total + getattr(executor, name)
+                        for total, name in zip(
+                            dispatch or (0,) * len(_DISPATCH_COUNTERS),
+                            _DISPATCH_COUNTERS,
+                        )
                     )
                 if collector is not None:
                     traces.append(collector.finalize())
@@ -499,11 +511,9 @@ class GPUDevice:
             if self.faults.enabled and self.faults.watches("device.launch"):
                 cycles = self._inject_team_stalls(timing, num_teams)
         if dispatch is not None:
-            for name, value in zip(
-                ("exec.block_dispatches", "exec.region_entries"), dispatch
-            ):
+            for name, value in zip(_DISPATCH_COUNTERS, dispatch):
                 self.metrics.counter(
-                    name, device=self.label, backend=engine.name
+                    f"exec.{name}", device=self.label, backend=engine.name
                 ).inc(value)
         self._publish_launch(kernel_name, num_teams, cycles, timing, total_steps)
         return LaunchResult(

@@ -10,14 +10,26 @@ overhead for straight-line code:
   the successor of every control instruction.  Each leader's maximal
   straight-line run (up to the next branch/control instruction) becomes
   one generated Python function, compiled once per kernel with
-  ``compile()`` and bound per executor with ``exec`` (threaded code:
-  the run loop jumps block to block through a dict keyed by PC).
+  ``compile()`` on the block's first call; a team makes it a function
+  over its own namespace (``types.FunctionType``, globals = the team's
+  register rows and views) on its own first call (threaded code: the
+  run loop jumps block to block through a dict keyed by PC).
 * **Warp-level vectorization** — each block function carries two bodies.
   When every lane of the padded block is runnable (``full``, the steady
   state inside parallel regions), operations run over whole register
   rows with ``out=`` ufuncs — no mask materialization at all.  Otherwise
   the body replays the interpreter's own pre-specialized handlers, so
   masked semantics are identical by construction.
+* **Scalar tier** — sequential code (argument parsing, libc, set-up
+  loops) runs on each instance's initial thread alone: one runnable
+  lane ``k``.  Then the run loop calls a third body, ``_blk1_{leader}``,
+  that keeps lane ``k``'s registers in Python locals as numpy
+  ``int64``/``float64`` scalars and reads or writes one element per
+  memory operation, under the same guards, ``on_mem`` events and step
+  accounting; loop regions get a one-lane twin, ``_loop1_{header}``,
+  with no divergence exit.  Every expression computes the masked
+  body's bits (docs/backends.md lists the hazards).  Scalar code is
+  generated per block and per region on first one-lane entry.
 * **Loop regions** — each innermost natural loop with no control op in
   it (a header, acyclic body blocks, back edges to the header) also
   becomes one generated ``_loop{header}`` function: a native ``while``
@@ -54,14 +66,18 @@ codegen + ``compile()`` cost is paid once per kernel, not per team; so
 are the dispatch tables and the names each team's namespace binds
 (:class:`_StaticTables`).  With an enabled tracer, each generation is a
 ``codegen <kernel>`` span on the ``compiler`` track (a region's carries
-its header as ``region``).
+its header as ``region``, a one-lane region's also ``scalar=True``, a
+one-lane block's its leader as ``scalar``).
 """
 
 from __future__ import annotations
 
+import builtins
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from types import FunctionType
 
 import numpy as np
 
@@ -69,6 +85,7 @@ from repro.analysis.safety import Verdict
 from repro.errors import DeviceTrap, MemoryFault
 from repro.gpu.memory import NULL_GUARD
 from repro.ir.instructions import Opcode
+from repro.ir.types import MemType
 from repro.runtime.interpreter import (
     RUNNABLE,
     _CONTROL_OPS,
@@ -145,27 +162,48 @@ _BINARY_OPS = (
 
 @dataclass
 class CompiledProgram:
-    """The per-kernel artifact: generated source + its code object.
+    """The per-kernel artifact: generated source, and code objects
+    compiled from it on first use.
 
     ``blocks`` maps each leader PC to ``(end_pc, n_instrs, issue_cycles)``
     — the straight-line body ``[leader, end_pc)`` plus its precomputed
     trace contribution.  ``end_pc`` always lands on a branch/control
     instruction, which the run loop handles with the interpreter's own
-    uniform logic.  ``regions`` maps the header of each loop that runs
-    as one ``_loop{header}`` function to its member leaders (see
-    :func:`_emit_region`); ``full_src`` keeps each block's full-row body
-    for them.  A region's source and code object are generated by
-    :func:`region_code` on first request and kept in ``region_source``
-    and ``region_code``.
+    uniform logic.  ``block_source`` holds each block's row function
+    (``source`` joins them); :func:`block_code` compiles one on its
+    first call into ``block_code``.  ``regions`` maps the header of each
+    loop that runs as one ``_loop{header}`` function to its member
+    leaders (see :func:`_emit_region`); ``full_src`` keeps each block's
+    full-row body for them.  A region's source and code object are
+    generated by :func:`region_code` on first request and kept in
+    ``region_source`` and ``region_code``.
+
+    The scalar tier (one runnable lane) is generated the same way, from
+    ``sites`` (the certificate's per-PC proofs) and ``safety_mode``:
+    :func:`block_code` with ``scalar=True`` keeps each block's
+    ``_blk1_{leader}`` in ``scalar_source``/``scalar_code``, and
+    :func:`region_code` with ``scalar=True`` each region's
+    ``_loop1_{header}`` in ``region1_source``/``region1_code``.
     """
 
-    source: str
-    code: object
+    block_source: dict[int, str]
     blocks: dict[int, tuple[int, int, float]]
     regions: dict[int, list[int]]
     full_src: dict[int, list[str]]
+    sites: dict
+    safety_mode: str
+    block_code: dict[int, tuple] = field(default_factory=dict)
     region_source: dict[int, str] = field(default_factory=dict)
     region_code: dict[int, object] = field(default_factory=dict)
+    region1_source: dict[int, str] = field(default_factory=dict)
+    region1_code: dict[int, tuple] = field(default_factory=dict)
+    scalar_source: dict[int, str] = field(default_factory=dict)
+    scalar_code: dict[int, tuple] = field(default_factory=dict)
+
+    @property
+    def source(self) -> str:
+        """Every block's row function, in leader order."""
+        return "".join(self.block_source.values())
 
 
 @contextmanager
@@ -492,6 +530,274 @@ def _emit_masked(
     out.append(f"H[{pc}](mask)")
 
 
+def _local(operand: tuple[bool, int]) -> str:
+    """The scalar tier's Python local for a register (``i3`` for ``I3``)."""
+    is_f, idx = operand
+    return f"f{idx}" if is_f else f"i{idx}"
+
+
+#: Binary ops whose numpy-scalar operator computes the masked ufunc's
+#: bits: int64 scalars wrap like int64 rows, float64 scalars round
+#: like float64 rows (and divide by zero to inf/nan without raising).
+_SCALAR_INFIX = {
+    Opcode.ADD: "+",
+    Opcode.SUB: "-",
+    Opcode.MUL: "*",
+    Opcode.AND: "&",
+    Opcode.OR: "|",
+    Opcode.XOR: "^",
+    Opcode.FADD: "+",
+    Opcode.FSUB: "-",
+    Opcode.FMUL: "*",
+    Opcode.FDIV: "/",
+}
+
+#: Comparisons; the scalar result is the int64 constant ``_ONE`` or
+#: ``_ZERO`` (a numpy bool in a local would add like a logical or).
+_SCALAR_CMP = {
+    Opcode.ICMP_EQ: "==",
+    Opcode.ICMP_NE: "!=",
+    Opcode.ICMP_SLT: "<",
+    Opcode.ICMP_SLE: "<=",
+    Opcode.ICMP_SGT: ">",
+    Opcode.ICMP_SGE: ">=",
+    Opcode.FCMP_EQ: "==",
+    Opcode.FCMP_NE: "!=",
+    Opcode.FCMP_LT: "<",
+    Opcode.FCMP_LE: "<=",
+    Opcode.FCMP_GT: ">",
+    Opcode.FCMP_GE: ">=",
+}
+
+#: A loaded element widened to its register's numpy scalar type: the
+#: masked body's assignment into an int64/float64 row does the same.
+#: ``_W8`` maps every int8 value to its int64 scalar.
+_SCALAR_WIDEN = {
+    MemType.I8: "_W8[{}]",
+    MemType.I32: "np.int64({})",
+    MemType.I64: "{}",
+    MemType.F32: "np.float64({})",
+    MemType.F64: "{}",
+}
+
+#: Narrowing integer stores: the stored value's range, and the cast the
+#: masked body's array assignment applies (scalar ``setitem`` raises
+#: ``OverflowError`` outside the range instead of wrapping).
+_SCALAR_NARROW = {
+    MemType.I8: (-(1 << 7), (1 << 7) - 1, "np.int8"),
+    MemType.I32: (-(1 << 31), (1 << 31) - 1, "np.int32"),
+}
+
+_W8 = [np.int64(v) for v in range(128)] + [np.int64(v) for v in range(-128, 0)]
+
+
+def _emit_scalar(
+    li: LInstr,
+    pc: int,
+    out: list[str],
+    consts: dict,
+    proof=None,
+    mode: str = "checked",
+) -> None:
+    """Append the one-lane body for one instruction: the same operation
+    on lane ``k``'s register values, held in Python locals as numpy
+    int64/float64 scalars (see :func:`_local`).
+
+    Guards, trap texts, fault messages and ``on_mem`` lane/address sets
+    are the masked body's for a one-lane mask; every expression computes
+    the bits the masked body's ufunc or cast does (docs/backends.md lists
+    the hazards).  Constants go to ``consts`` as ``_c{pc}`` -> numpy
+    scalar; they become the function's defaults.  Ops without a scalar
+    spelling spill their operands to the register rows, call the
+    interpreter handler and reload their result.
+    """
+    op = li.op
+    d = _local((li.dest_f, li.dest)) if li.dest >= 0 else None
+    args = [_local(a) for a in li.args]
+    if op in _SCALAR_INFIX:
+        out.append(f"{d} = {args[0]} {_SCALAR_INFIX[op]} {args[1]}")
+        return
+    if op in _SCALAR_CMP:
+        a, b = args
+        out.append(f"{d} = _ONE if {a} {_SCALAR_CMP[op]} {b} else _ZERO")
+        return
+    if op in (Opcode.IMIN, Opcode.IMAX):
+        a, b = args
+        cmp = "<=" if op is Opcode.IMIN else ">="
+        out.append(f"{d} = {a} if {a} {cmp} {b} else {b}")
+        return
+    if op in _BINARY_OPS:  # FMIN/FMAX (NaN rules), FPOW: the same ufunc
+        out.append(f"{d} = {_UFUNC_NAMES[op]}({args[0]}, {args[1]})")
+        return
+    if op in (Opcode.FNEG, Opcode.INEG):
+        out.append(f"{d} = -{args[0]}")
+        return
+    if op is Opcode.BNOT:
+        out.append(f"{d} = ~{args[0]}")
+        return
+    if op in _UNARY_OPS:  # transcendentals and rounding: the same ufunc
+        out.append(f"{d} = {_UFUNC_NAMES[op]}({args[0]})")
+        return
+    if op in (Opcode.SHL, Opcode.ASHR):
+        sh = "<<" if op is Opcode.SHL else ">>"
+        out.append(f"{d} = {args[0]} {sh} ({args[1]} & 63)")
+        return
+    if op in (Opcode.SDIV, Opcode.SREM):
+        a, b = args
+        if not _trap_elidable(proof, mode):
+            pfx = _trap_prefix(proof, mode)
+            out.append(f"if {b} == 0:")
+            out.append(f'    _trap({pfx}"integer division by zero", mask)')
+        # sign(a) * sign(b) * (|a| // |b|), with |MIN| wrapping to MIN
+        # as np.abs does: a zero quotient is its own negation
+        out.append(f"_q = abs({a}) // abs({b})")
+        out.append(f"if ({a} < 0) != ({b} < 0):")
+        out.append("    _q = -_q")
+        out.append(f"{d} = {a} - _q * {b}" if op is Opcode.SREM else f"{d} = _q")
+        return
+    if op is Opcode.FPTOSI:
+        a = args[0]
+        if not _trap_elidable(proof, mode):
+            pfx = _trap_prefix(proof, mode)
+            out.append(f"if not _ISFIN({a}):")
+            out.append(
+                f'    _trap({pfx}"float-to-int conversion of non-finite value", mask)'
+            )
+        out.append("try:")
+        out.append(f"    {d} = np.int64(int({a}))")
+        out.append("except OverflowError:  # beyond int64: the rows' cast")
+        out.append(f"    {d} = np.trunc({a}).astype(np.int64)")
+        return
+    if op is Opcode.SITOFP:
+        out.append(f"{d} = np.float64({args[0]})")
+        return
+    if op in (Opcode.MOVI, Opcode.MOVF):
+        consts[f"_c{pc}"] = (
+            np.int64(int(li.imm)) if op is Opcode.MOVI else np.float64(li.imm)
+        )
+        out.append(f"{d} = _c{pc}")
+        return
+    if op is Opcode.MOV:
+        out.append(f"{d} = {args[0]}")
+        return
+    if op is Opcode.SELECT:
+        c, a, b = args[:3]
+        out.append(f"{d} = {a} if {c} else {b}")
+        return
+    if op in (Opcode.LOAD, Opcode.STORE):
+        addr = f"{args[0]} + {li.offset}" if li.offset else args[0]
+        out.append(f"_adr = {addr}")
+        _emit_scalar_memop(li, pc, out, d, args, proof, mode)
+        return
+    if op is Opcode.GADDR:
+        out.append(f"{d} = np.int64(_resolve({li.sym!r}))")
+        return
+    if op is Opcode.KPARAM:
+        out.append(f"{d} = _kp{pc}")
+        return
+    if op is Opcode.TID:
+        out.append(f"{d} = _lii[k]")
+        return
+    if op is Opcode.NTID:
+        out.append(f"{d} = _tpi")
+        return
+    if op is Opcode.CTAID:
+        out.append(f"{d} = _team")
+        return
+    if op is Opcode.NCTAID:
+        out.append(f"{d} = _nteams")
+        return
+    if op is Opcode.LANEID:
+        out.append(f"{d} = _lids[k] % _ws")
+        return
+    if op is Opcode.INSTANCE:
+        out.append(f"{d} = _gi[k]")
+        return
+    # SALLOC, atomics, shuffles, RPC, MEMCPY/MEMSET: the interpreter
+    # handler reads and writes the rows.
+    out.extend(f"{_reg(a)}[k] = {_local(a)}" for a in li.args)
+    out.append(f"H[{pc}](mask)")
+    if d is not None:
+        out.append(f"{d} = {_reg((li.dest_f, li.dest))}[k]")
+
+
+def _emit_scalar_memop(
+    li: LInstr,
+    pc: int,
+    out: list[str],
+    d: str | None,
+    args: list[str],
+    proof,
+    mode: str,
+) -> None:
+    """The one-lane LOAD/STORE tail (``_adr`` already assigned): the
+    guards and elisions of :func:`_emit_memop` on one address; a firing
+    guard re-runs the access check on a one-element array, so the fault
+    text is the masked body's."""
+    mty = li.mty
+    size = mty.size
+    idx = f"_adr >> {size.bit_length() - 1}" if size > 1 else "_adr"
+    elem = f"_mv{pc}[{idx}]"
+    if li.op is Opcode.LOAD:
+        access = f"{d} = {_SCALAR_WIDEN[mty].format(elem)}"
+    else:
+        value = args[1]
+        narrow = _SCALAR_NARROW.get(mty)
+        if narrow is not None:
+            lo, hi, cast = narrow
+            out.append(
+                f"_sv = {value} if {lo} <= {value} <= {hi} "
+                f"else {value}.astype({cast})"
+            )
+            value = "_sv"
+        access = f"{elem} = {value}"
+    proven = (
+        proof is not None
+        and proof.null is Verdict.PROVEN
+        and proof.align is Verdict.PROVEN
+    )
+    bounds_proven = proven and proof.bounds is Verdict.PROVEN
+    one = "np.array([_adr])"
+    if mode == "unchecked" and proven:
+        if bounds_proven:
+            out.append(access)
+        else:
+            out.append("try:")
+            out.append(f"    {access}")
+            out.append("except IndexError:")
+            out.append(f"    _trap(_mem._beyond_end({one}).message, mask)")
+    else:
+        g_pfx = _VIOLATED if mode == "assert" and proven else ""
+        b_pfx = _VIOLATED if mode == "assert" and bounds_proven else ""
+        align = f" or _adr & {size - 1}" if size > 1 else ""
+        out.append(f"if _adr < {NULL_GUARD}{align}:")
+        out.append("    try:")
+        out.append(f"        _mem._indices({one}, _mty{pc})")
+        out.append("    except _MF as _exc:")
+        out.append(f"        _trap({g_pfx}_exc.message, mask)")
+        out.append("try:")
+        out.append(f"    {access}")
+        out.append("except IndexError:")
+        out.append(f"    _trap({b_pfx}_mem._beyond_end({one}).message, mask)")
+    out.append("if _C is not None:")
+    out.append(f"    _C.on_mem(_lids[k : k + 1], {one}, {size})")
+
+
+def _scalar_registers(code: list[LInstr], pcs) -> tuple[list, list]:
+    """Registers the instructions at ``pcs`` read before writing them,
+    and those they write, each in first-use order."""
+    read: dict = {}
+    written: dict = {}
+    for pc in pcs:
+        li = code[pc]
+        for a in li.args:
+            if a not in written:
+                read.setdefault(a, None)
+        if li.dest >= 0:
+            written.setdefault((li.dest_f, li.dest), None)
+    return list(read), list(written)
+
+
 def compile_kernel(
     kernel: LoweredKernel,
     *,
@@ -499,14 +805,16 @@ def compile_kernel(
     safety_mode: str,
     tracer=None,
 ) -> CompiledProgram:
-    """Generate + ``compile()`` the block functions for one kernel and
-    find its loop regions (whose code :func:`region_code` generates).
+    """Generate the block functions' source for one kernel and find its
+    loop regions; :func:`block_code` and :func:`region_code` compile
+    them on first use.
 
     The artifact is kernel-level (not executor-level): generated names
-    (``I3``, ``H``, ``_mem``...) are free variables bound as keyword
-    defaults when the code object is ``exec``'d into a per-executor
-    namespace — the classic threaded-code trick giving local-variable
-    lookup speed inside each block.
+    (``I3``, ``H``, ``_mem``...) are free variables, the globals of the
+    per-executor namespace a block function is made over (a full-row
+    region binds them as keyword defaults when its code is ``exec``'d
+    there — the classic threaded-code trick giving local-variable lookup
+    speed inside each loop).
 
     ``cert`` (a :class:`~repro.analysis.safety.SafetyCertificate`) plus
     ``safety_mode`` (one of :data:`~repro.runtime.backend.SAFETY_MODES`,
@@ -559,7 +867,7 @@ def _generate(kernel: LoweredKernel, cert, safety_mode: str) -> CompiledProgram:
         if end < n:
             ends[leader] = end
 
-    lines: list[str] = ["import numpy as np  # bound via defaults; see exec"]
+    block_source: dict[int, str] = {}
     blocks: dict[int, tuple[int, int, float]] = {}
     full_src: dict[int, list[str]] = {}
     for leader, end in ends.items():
@@ -576,50 +884,135 @@ def _generate(kernel: LoweredKernel, cert, safety_mode: str) -> CompiledProgram:
             _emit_full(li, leader + off, full_lines, proof, safety_mode)
             _emit_masked(li, leader + off, masked_lines, proof, safety_mode)
 
-        names = sorted(_free_names(full_lines + masked_lines))
-        defaults = "".join(f", {nm}={nm}" for nm in names)
-        lines.append(f"def _blk{leader}(mask, full{defaults}):")
-        lines.append("    if full:")
-        lines.extend(f"        {ln}" for ln in full_lines)
-        lines.append("    else:")
-        lines.extend(f"        {ln}" for ln in masked_lines)
+        block_source[leader] = "\n".join(
+            [
+                f"def _blk{leader}(mask, full):",
+                "    if full:",
+                *(f"        {ln}" for ln in full_lines),
+                "    else:",
+                *(f"        {ln}" for ln in masked_lines),
+            ]
+        ) + "\n"
 
-    source = "\n".join(lines) + "\n"
     return CompiledProgram(
-        source=source,
-        code=compile(source, f"<compiled kernel {kernel.name}>", "exec"),
+        block_source=block_source,
         blocks=blocks,
         regions=_loop_regions(kernel, ends),
         full_src=full_src,
+        sites=sites,
+        safety_mode=safety_mode,
     )
 
 
 def region_code(
-    program: CompiledProgram, kernel: LoweredKernel, header: int, *, tracer=None
+    program: CompiledProgram,
+    kernel: LoweredKernel,
+    header: int,
+    *,
+    scalar: bool = False,
+    tracer=None,
 ):
-    """The code object defining ``_loop{header}``, generated and
-    ``compile()``d on the first request and kept on ``program`` (so once
-    per kernel, safety mode and certificate, like the block code).  Two
-    threads racing here generate the same source, as in
-    :func:`compile_kernel`."""
-    code = program.region_code.get(header)
+    """Region ``header``'s code, generated and ``compile()``d on the
+    first request and kept on ``program`` (so once per kernel, safety
+    mode and certificate, like the block code).  Two threads racing here
+    generate the same source, as in :func:`compile_kernel`.
+
+    Full-row: a module code object defining ``_loop{header}``, ``exec``'d
+    into each team's namespace.  With ``scalar``: ``(code, defaults)``
+    for the one-lane ``_loop1_{header}``, as :func:`block_code` returns
+    for a block.
+    """
+    codes = program.region1_code if scalar else program.region_code
+    code = codes.get(header)
     if code is None:
-        with _codegen_span(tracer, kernel, region=header):
-            source = "\n".join(
-                _emit_region(
-                    header,
-                    program.regions[header],
-                    kernel.code,
-                    program.blocks,
-                    program.full_src,
-                )
-            ) + "\n"
+        span = {"region": header, "scalar": True} if scalar else {"region": header}
+        with _codegen_span(tracer, kernel, **span):
+            lines, consts = _emit_region(header, program, kernel.code, scalar)
+            source = "\n".join(lines) + "\n"
             code = compile(
                 source, f"<compiled kernel {kernel.name} loop {header}>", "exec"
             )
-        program.region_source[header] = source
-        program.region_code[header] = code
+            if scalar:
+                code = (
+                    _function_code(code, f"_loop1_{header}"),
+                    tuple(consts.values()),
+                )
+        sources = program.region1_source if scalar else program.region_source
+        sources[header] = source
+        codes[header] = code
     return code
+
+
+def block_code(
+    program: CompiledProgram,
+    kernel: LoweredKernel,
+    leader: int,
+    *,
+    scalar: bool = False,
+    tracer=None,
+):
+    """``(code, defaults)`` of block ``leader``'s function, ``compile()``d
+    on the first request and kept on ``program`` like
+    :func:`region_code`'s: the row function ``_blk{leader}(mask, full)``
+    (its source generated with the kernel's, in ``block_source``) or,
+    with ``scalar``, the one-lane ``_blk1_{leader}(mask, k)`` (source
+    generated here, kept in ``scalar_source``).
+
+    ``code`` is the function's own code object.  A team makes it a
+    function with its namespace as globals (``types.FunctionType``), so
+    binding one costs no ``exec``; ``defaults`` are the one-lane body's
+    ``_c{pc}`` numpy constants (trailing parameters).
+
+    The one-lane body runs on lane ``k``'s register values in Python
+    locals: the registers it reads before writing are loaded on entry,
+    those it writes are stored on return.  A trap leaves the rest
+    unstored; the team is over then, and nothing reads its registers.
+    """
+    codes = program.scalar_code if scalar else program.block_code
+    code = codes.get(leader)
+    if code is None:
+        span = {"scalar": leader} if scalar else {"block": leader}
+        with _codegen_span(tracer, kernel, **span):
+            consts: dict = {}
+            if scalar:
+                name = f"_blk1_{leader}"
+                source = _scalar_block_source(program, kernel.code, leader, consts)
+            else:
+                name = f"_blk{leader}"
+                source = program.block_source[leader]
+            module = compile(
+                source, f"<compiled kernel {kernel.name} block {leader}>", "exec"
+            )
+            code = (_function_code(module, name), tuple(consts.values()))
+        if scalar:
+            program.scalar_source[leader] = source
+        codes[leader] = code
+    return code
+
+
+def _scalar_block_source(
+    program: CompiledProgram, code: list[LInstr], leader: int, consts: dict
+) -> str:
+    end = program.blocks[leader][0]
+    body: list[str] = []
+    for pc in range(leader, end):
+        _emit_scalar(
+            code[pc], pc, body, consts, program.sites.get(pc), program.safety_mode
+        )
+    read, written = _scalar_registers(code, range(leader, end))
+    return "\n".join(
+        [
+            f"def _blk1_{leader}(mask, k{''.join(f', {c}' for c in consts)}):",
+            *(f"    {_local(r)} = {_reg(r)}[k]" for r in read),
+            *(f"    {ln}" for ln in body),
+            *(f"    {_reg(r)}[k] = {_local(r)}" for r in written),
+        ]
+    ) + "\n"
+
+
+def _function_code(module, name: str):
+    """The code object of function ``name`` defined by ``module``."""
+    return next(c for c in module.co_consts if getattr(c, "co_name", None) == name)
 
 
 def _loop_regions(
@@ -644,30 +1037,37 @@ def _loop_regions(
 
 
 def _emit_region(
-    header: int,
-    members: list[int],
-    code: list[LInstr],
-    blocks: dict[int, tuple[int, int, float]],
-    full_src: dict[int, list[str]],
-) -> list[str]:
-    """Source of ``_loop{header}(mask, steps, cap)``: one region run on
+    header: int, program: CompiledProgram, code: list[LInstr], scalar: bool
+) -> tuple[list[str], dict]:
+    """Source lines of ``_loop{header}(mask, steps, cap)``: one region run on
     the full-row path, returning ``(pc, steps)`` for the run loop to
-    resume at.
+    resume at; with ``scalar``, of ``_loop1_{header}(mask, k, steps,
+    cap)``, the same region run on lane ``k`` alone.
 
     One pass of the ``while`` walks the members in PC order;
-    each arm runs its block's full-row body and its terminator exactly
+    each arm runs its block's body and its terminator exactly
     as the run loop would.  The run loop gets control back at a branch
     target outside the region, at a CBR whose lanes disagree (uncounted,
-    so the run loop re-issues it and writes per-lane PCs), or at a block
+    so the run loop re-issues it and writes per-lane PCs; one lane never
+    disagrees with itself), or at a block
     whose body plus terminator would cross the step cap (so the run loop
     raises the livelock trap with the same step count).  The region's
     steps and issue cycles reach the collector in one
     ``note_uniform_block`` from a ``finally``, so a trapping block still
     counts whole, as it does under block dispatch.
+
+    The one-lane region keeps every register its blocks touch in a
+    Python local (:func:`_emit_scalar`), loaded on entry; the same
+    ``finally`` stores the ones they write, on every exit.  Also returns
+    the one-lane body's constants (``_c{pc}`` -> value).
     """
     from repro.gpu.timing import cpi_of
 
+    members = program.regions[header]
+    blocks = program.blocks
     inside = set(members)
+    consts: dict = {}
+    pcs: list[int] = []
 
     def go(target: int) -> str:
         return f"b = {target}" if target in inside else f"return {target}, steps"
@@ -676,41 +1076,68 @@ def _emit_region(
     for leader in members:
         end, count, cycles = blocks.get(leader, (leader, 0, 0.0))
         term = code[end]
+        pcs.extend(range(leader, end + 1))
         arm = [f"if steps > cap - {count + 1}:", f"    return {leader}, steps"]
         if count:
-            arm += [f"steps += {count}", f"cyc += {cycles!r}", *full_src[leader]]
+            arm += [f"steps += {count}", f"cyc += {cycles!r}"]
+            if scalar:
+                for pc in range(leader, end):
+                    _emit_scalar(
+                        code[pc],
+                        pc,
+                        arm,
+                        consts,
+                        program.sites.get(pc),
+                        program.safety_mode,
+                    )
+            else:
+                arm += program.full_src[leader]
         issue = ["steps += 1", f"cyc += {cpi_of(term.op)!r}"]
         if term.op is Opcode.BR:
             arm += [*issue, go(term.targets[0])]
         else:
             t_then, t_else = term.targets
-            arm += [
-                f"_n = _nz({_reg(term.args[0])})",
-                "if 0 < _n < _T:",
-                f"    return {end}, steps",
-                *issue,
-                "if _n:",
-                f"    {go(t_then)}",
-                "else:",
-                f"    {go(t_else)}",
-            ]
+            if scalar:
+                arm += [*issue, f"if {_local(term.args[0])}:"]
+            else:
+                arm += [
+                    f"_n = _nz({_reg(term.args[0])})",
+                    "if 0 < _n < _T:",
+                    f"    return {end}, steps",
+                    *issue,
+                    "if _n:",
+                ]
+            arm += [f"    {go(t_then)}", "else:", f"    {go(t_else)}"]
         arms.append(f"if b == {leader}:")
         arms.extend(f"    {ln}" for ln in arm)
 
-    names = sorted(_free_names(arms) | {"_C"})
-    defaults = "".join(f", {nm}={nm}" for nm in names)
-    return [
-        f"def _loop{header}(mask, steps, cap{defaults}):",
-        f"    b = {header}",
-        "    s0 = steps",
-        "    cyc = 0.0",
-        "    try:",
-        "        while True:",
-        *(f"            {ln}" for ln in arms),
-        "    finally:",
-        "        if _C is not None:",
-        "            _C.note_uniform_block(cyc, steps - s0)",
+    entry: list[str] = []
+    stores: list[str] = []
+    if scalar:
+        read, written = _scalar_registers(code, pcs)
+        entry = [f"{_local(r)} = {_reg(r)}[k]" for r in dict.fromkeys(read + written)]
+        stores = [f"{_reg(r)}[k] = {_local(r)}" for r in written]
+    body = [
+        *entry,
+        f"b = {header}",
+        "s0 = steps",
+        "cyc = 0.0",
+        "try:",
+        "    while True:",
+        *(f"        {ln}" for ln in arms),
+        "finally:",
+        *(f"    {ln}" for ln in stores),
+        "    if _C is not None:",
+        "        _C.note_uniform_block(cyc, steps - s0)",
     ]
+    if scalar:  # free names are the team namespace's globals
+        params = "".join(f", {c}" for c in consts)
+        head = f"def _loop1_{header}(mask, k, steps, cap{params}):"
+    else:
+        names = sorted(_free_names(body))
+        defaults = "".join(f", {nm}={nm}" for nm in names)
+        head = f"def _loop{header}(mask, steps, cap{defaults}):"
+    return [head, *(f"    {ln}" for ln in body)], consts
 
 
 def _free_names(lines: list[str]) -> set[str]:
@@ -767,7 +1194,7 @@ class _StaticTables:
     cpi_list: list
     is_control: list
     br_target: list
-    cbr_static: list
+    cbr_static: list  # per CBR: (pc, is float, index, then, else)
     sync_pcs: frozenset
     stay_uniform: list
     iregs: list  # "I0", "I1", ...
@@ -792,10 +1219,9 @@ def _static_tables(kernel: LoweredKernel) -> _StaticTables:
         is_control=[li.op in _CONTROL_OPS for li in code],
         br_target=[li.targets[0] if li.op is Opcode.BR else -1 for li in code],
         cbr_static=[
-            (li.args[0][0], li.args[0][1], li.targets[0], li.targets[1])
+            (pc, li.args[0][0], li.args[0][1], li.targets[0], li.targets[1])
+            for pc, li in enumerate(code)
             if li.op is Opcode.CBR
-            else None
-            for li in code
         ],
         sync_pcs=frozenset(i for i, li in enumerate(code) if li.op in _SYNC_OPS),
         # Control ops that, on a uniform runnable set, neither move
@@ -829,8 +1255,14 @@ class CompiledBlockExecutor(BlockExecutor):
     and warp-uniform innermost loops run as one compiled region.
 
     After :meth:`run` returns, ``block_dispatches`` and
-    ``region_entries`` count the block and region functions it called.
+    ``region_entries`` count the calls of block and region functions on
+    register rows, ``scalar_dispatches`` and ``scalar_region_entries``
+    those of the one-lane scalar tier.
     """
+
+    #: Run one-lane groups on the scalar tier; differential tests clear
+    #: it on an instance to replay the same launch on the masked bodies.
+    scalar_tier = True
 
     def __init__(self, kernel: LoweredKernel, ctx: BlockContext):
         self._init_state(kernel, ctx)
@@ -842,11 +1274,10 @@ class CompiledBlockExecutor(BlockExecutor):
         self._br_target = tables.br_target
         self._sync_pcs = tables.sync_pcs
         self._stay_uniform = tables.stay_uniform
-        iregs, fregs = self.iregs, self.fregs
-        self._cbr_info = [
-            None if s is None else ((fregs if s[0] else iregs)[s[1]], s[2], s[3])
-            for s in tables.cbr_static
-        ]
+        banks = (self.iregs, self.fregs)
+        cbr_info = self._cbr_info = [None] * len(kernel.code)
+        for pc, is_f, idx, t_then, t_else in tables.cbr_static:
+            cbr_info[pc] = (banks[is_f][idx], t_then, t_else)
         self._handlers = _LazyHandlers(self)
         program = self._program = compile_kernel(
             kernel,
@@ -854,33 +1285,61 @@ class CompiledBlockExecutor(BlockExecutor):
             safety_mode=ctx.safety_mode,
             tracer=ctx.tracer,
         )
-        ns = self._ns = self._bind_namespace(tables)
-        exec(program.code, ns)
-        self._blocks = {
-            leader: (ns[f"_blk{leader}"], end, count, cycles)
-            for leader, (end, count, cycles) in program.blocks.items()
-        }
-        # header -> its _loop function; a stub until the first entry
+        self._ns = self._bind_namespace(tables)
+        # leader -> its _blk function (_blk1_ for one lane), bound on the
+        # block's first call on that path: sequential code never needs
+        # the row functions, and most blocks are sequential code
+        self._rows: dict = {}
+        self._scalar: dict = {}
+        # header -> its _loop function (_loop1_ for one lane); a stub
+        # until the first entry
         self._regions = {
-            h: partial(self._first_entry, h) for h in program.regions
+            h: partial(self._first_entry, h, False) for h in program.regions
+        }
+        self._regions1 = {
+            h: partial(self._first_entry, h, True) for h in program.regions
         }
         self.block_dispatches = 0
         self.region_entries = 0
+        self.scalar_dispatches = 0
+        self.scalar_region_entries = 0
 
-    def _first_entry(self, header: int, mask, steps: int, cap: int):
+    def _first_entry(self, header: int, scalar: bool, *args):
         """Bind region ``header``'s function into this team's namespace
         (generating its code if no team has yet), then run it."""
         code = region_code(
-            self._program, self.kernel, header, tracer=self.ctx.tracer
+            self._program,
+            self.kernel,
+            header,
+            scalar=scalar,
+            tracer=self.ctx.tracer,
         )
-        exec(code, self._ns)
-        fn = self._regions[header] = self._ns[f"_loop{header}"]
-        return fn(mask, steps, cap)
+        if scalar:
+            fn = FunctionType(code[0], self._ns, None, code[1])
+            self._regions1[header] = fn
+        else:
+            exec(code, self._ns)
+            fn = self._regions[header] = self._ns[f"_loop{header}"]
+        return fn(*args)
+
+    def _bind_block(self, leader: int, scalar: bool):
+        """Block ``leader``'s function for this team: the one-lane one
+        with ``scalar``, else the row one (full or masked), its code
+        compiled if no team has yet."""
+        code, defaults = block_code(
+            self._program, self.kernel, leader, scalar=scalar, tracer=self.ctx.tracer
+        )
+        fn = FunctionType(code, self._ns, None, defaults)
+        (self._scalar if scalar else self._rows)[leader] = fn
+        return fn
 
     def _bind_namespace(self, tables: _StaticTables) -> dict:
-        """The per-executor environment the generated functions close over."""
+        """The per-executor environment of the generated functions: the
+        globals of block and scalar-tier functions, the defaults of
+        full-row regions."""
         ctx = self.ctx
         ns: dict = {
+            "__builtins__": builtins,
             "np": np,
             "H": self._handlers,
             "_mem": ctx.memory,
@@ -891,12 +1350,17 @@ class CompiledBlockExecutor(BlockExecutor):
             "_lii": self.lane_in_instance,
             "_gi": self.global_instance,
             "_resolve": ctx.resolve,
-            "_tpi": ctx.threads_per_instance,
-            "_team": ctx.team_id,
-            "_nteams": ctx.num_teams,
+            # int64 scalars: the scalar tier keeps them in locals
+            "_tpi": np.int64(ctx.threads_per_instance),
+            "_team": np.int64(ctx.team_id),
+            "_nteams": np.int64(ctx.num_teams),
             "_ws": ctx.warp_size,
             "_nz": np.count_nonzero,
             "_T": self.T,
+            "_ONE": np.int64(1),
+            "_ZERO": np.int64(0),
+            "_W8": _W8,
+            "_ISFIN": math.isfinite,
         }
         ns.update(zip(tables.iregs, self.iregs))
         ns.update(zip(tables.fregs, self.fregs))
@@ -916,7 +1380,7 @@ class CompiledBlockExecutor(BlockExecutor):
                     f"#{imm} but only {len(ctx.params)} were passed",
                     team=ctx.team_id,
                 ) from None
-            ns[name] = float(value) if is_f else int(value)
+            ns[name] = np.float64(value) if is_f else np.int64(int(value))
         return ns
 
     # ------------------------------------------------------------------
@@ -948,8 +1412,11 @@ class CompiledBlockExecutor(BlockExecutor):
         cbr_info = self._cbr_info
         br_target = self._br_target
         stay_uniform = self._stay_uniform
-        blocks_get = self._blocks.get
+        blocks_get = self._program.blocks.get
+        rows_get = self._rows.get
         regions_get = self._regions.get
+        regions1_get = self._regions1.get
+        scalar_get = self._scalar.get
         count_nonzero = np.count_nonzero
         T = self.T
 
@@ -957,11 +1424,15 @@ class CompiledBlockExecutor(BlockExecutor):
         nrun = int(runnable.sum())
         divergent = True
         full = False
+        one = False  # exactly one runnable lane, k: the scalar tier
+        k = 0
         mask = runnable
         cur = 0
         steps = 0
         dispatches = 0
         entries = 0
+        scalar_dispatches = 0
+        scalar_entries = 0
 
         try:
             with np.errstate(all="ignore"):
@@ -973,6 +1444,9 @@ class CompiledBlockExecutor(BlockExecutor):
                             divergent = False
                             mask = runnable
                             full = nrun == T
+                            one = nrun == 1 and not full and self.scalar_tier
+                            if one:
+                                k = int(runnable.argmax())
                             if collector is not None:
                                 collector.begin_uniform(
                                     mask.reshape(self.num_warps, ws).any(axis=1)
@@ -1006,7 +1480,7 @@ class CompiledBlockExecutor(BlockExecutor):
                                     blk = blocks_get(cur_g)
                                     if blk is None:
                                         break
-                                    fn, end, count, cycles = blk
+                                    end, count, cycles = blk
                                     if end > othermin:
                                         # another group's PC falls inside (or
                                         # at the end of) the body: stop before
@@ -1025,6 +1499,9 @@ class CompiledBlockExecutor(BlockExecutor):
                                         collector.note_divergent_block(
                                             warp_mask, cycles, count
                                         )
+                                    fn = rows_get(cur_g)
+                                    if fn is None:
+                                        fn = self._bind_block(cur_g, False)
                                     fn(mask, False)
                                     dispatches += 1
                                     ran = True
@@ -1067,9 +1544,14 @@ class CompiledBlockExecutor(BlockExecutor):
                             if region is not None:
                                 entries += 1
                                 cur, steps = region(mask, steps, max_steps)
+                        elif one:
+                            region = regions1_get(cur)
+                            if region is not None:
+                                scalar_entries += 1
+                                cur, steps = region(mask, k, steps, max_steps)
                         blk = blocks_get(cur)
                         if blk is not None:
-                            fn, end, count, cycles = blk
+                            end, count, cycles = blk
                             steps += count
                             if steps > max_steps:
                                 self.steps = steps
@@ -1080,8 +1562,18 @@ class CompiledBlockExecutor(BlockExecutor):
                                 )
                             if collector is not None:
                                 collector.note_uniform_block(cycles, count)
-                            fn(mask, full)
-                            dispatches += 1
+                            if one:
+                                sfn = scalar_get(cur)
+                                if sfn is None:
+                                    sfn = self._bind_block(cur, True)
+                                sfn(mask, k)
+                                scalar_dispatches += 1
+                            else:
+                                fn = rows_get(cur)
+                                if fn is None:
+                                    fn = self._bind_block(cur, False)
+                                fn(mask, full)
+                                dispatches += 1
                             cur = end
                         # ---- terminator / single instruction -----------------
                         steps += 1
@@ -1101,6 +1593,9 @@ class CompiledBlockExecutor(BlockExecutor):
                         info = cbr_info[cur]
                         if info is not None:  # conditional branch
                             row, t_then, t_else = info
+                            if one:
+                                cur = t_then if row[k] else t_else
+                                continue
                             vals = row if full else row[mask]
                             nz = count_nonzero(vals)
                             if nz == 0 or nz == vals.size:
@@ -1156,6 +1651,8 @@ class CompiledBlockExecutor(BlockExecutor):
         finally:
             self.block_dispatches = dispatches
             self.region_entries = entries
+            self.scalar_dispatches = scalar_dispatches
+            self.scalar_region_entries = scalar_entries
 
 
 __all__ = [
@@ -1163,5 +1660,6 @@ __all__ = [
     "CompiledProgram",
     "SAFETY_CERT_KEY",
     "compile_kernel",
+    "block_code",
     "region_code",
 ]

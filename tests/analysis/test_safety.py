@@ -68,6 +68,18 @@ def main(argc: i64, argv: ptr_ptr) -> i64:
 
 OOB, DIV0 = BROKEN["oob"][0], BROKEN["div0"][0]
 
+#: A string pointer joined from two argv slots below the terminator.
+ARGV_JOIN = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    acc = 0
+    if argc > 3:
+        s = argv[1]
+        if argc > 4:
+            s = argv[2]
+        acc = s[0]
+    return acc
+"""
+
 
 def _module(src, opt_level=2):
     return build_executable(Program.from_source(src).compile(), opt_level=opt_level)
@@ -354,6 +366,34 @@ class TestSparseStates:
         self, monkeypatch, kind, name, twin
     ):
         self._check_full_states_agree(_probe_module(kind, name, twin), monkeypatch)
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    def test_an_argv_string_joined_from_two_loads_needs_the_sweeps(
+        self, monkeypatch, opt_level
+    ):
+        """``s`` joins two argv-vector loads, so the byte load through it
+        is judged on the joined value the sweeps built: its null verdict
+        rests on the argv provenance the sweeps compute, not on the
+        record pass alone (which refreshes an origin only where it walks
+        the load itself)."""
+        module = _module(ARGV_JOIN, opt_level)
+
+        def byte_load():
+            monkeypatch.setattr(safety, "_CERT_MEMO", {})
+            cert = certify_module(module)[ENSEMBLE_KERNEL]
+            (site,) = (
+                p for p in cert.sites.values() if p.kind == "load" and p.size == 1
+            )
+            return site.null
+
+        assert byte_load() is Verdict.PROVEN
+        self._check_full_states_agree(module, monkeypatch)
+        monkeypatch.setattr(
+            safety._KernelAnalyzer,
+            "_reads_bounds",
+            staticmethod(lambda org: org.space[0] == "table"),
+        )
+        assert byte_load() is Verdict.UNPROVEN
 
     def test_a_register_read_before_its_definition_stays_in_the_state(self):
         kern = _skip_kernel()

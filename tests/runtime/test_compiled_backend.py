@@ -306,10 +306,18 @@ def _entries(executors) -> int:
     return sum(ex.region_entries for ex in executors)
 
 
-def _run_compiled(src, *, regions=True, max_steps=None, metrics=None):
-    """One timed compiled launch of ``src`` with loop regions on or off;
-    returns the run (or its trap text), the team's executor and its
-    finalized trace."""
+def _run_compiled(
+    src,
+    *,
+    regions=True,
+    scalar=True,
+    max_steps=None,
+    metrics=None,
+    safety_mode="unchecked",
+):
+    """One timed compiled launch of ``src`` with loop regions and the
+    scalar tier on or off; returns the run (or its trap text), the
+    team's executor and its finalized trace."""
     from repro.runtime.compiled import CompiledBlockExecutor
 
     made = []
@@ -319,12 +327,19 @@ def _run_compiled(src, *, regions=True, max_steps=None, metrics=None):
             made.append(CompiledBlockExecutor(kernel, ctx))
             if not regions:
                 made[-1]._regions = {}
+            made[-1].scalar_tier = scalar
             return made[-1]
 
     loader = _loader(src, allow_unsafe=True)
     loader.device.metrics = metrics
     kw = {} if max_steps is None else {"max_steps": max_steps}
-    spec = LaunchSpec([[]], thread_limit=32, collect_timing=True, **kw)
+    spec = LaunchSpec(
+        [[]],
+        thread_limit=32,
+        collect_timing=True,
+        safety_mode=safety_mode,
+        **kw,
+    )
     real = loader.device.launch
     loader.device.launch = lambda *a, **k: real(*a, **dict(k, backend=Spy()))
     try:
@@ -390,8 +405,10 @@ class TestLoopRegions:
 
     def test_region_code_is_generated_on_first_entry_only(self):
         """One ``codegen`` span for the kernel's blocks, then one per
-        region as it is first entered; a region no team enters is never
-        generated, and a second launch generates nothing."""
+        region as it is first entered and one per block as it is first
+        called (on the scalar tier too, per one-lane region and block);
+        a region no team enters is never generated, and a second launch
+        generates nothing."""
         obs = Observability.enabled()
         loader = _loader(LOOP.format(trips=6, term="j * t"))
         loader.device.tracer = obs.tracer
@@ -401,13 +418,24 @@ class TestLoopRegions:
         _, program = _compiled_entry(loader.image.lowered[ENSEMBLE_KERNEL])
         entered = sorted(program.region_source)
         assert entered and set(entered) < set(program.regions)
+        # the sequential sum over ``buf`` is a loop entered with one lane
+        assert program.region1_source
+        assert set(program.scalar_source) < set(program.blocks)
         spans = [e for e in obs.tracer.events if e.cat == "codegen"]
         assert {(e.name, e.track) for e in spans} == {
             (f"codegen {ENSEMBLE_KERNEL}", "compiler")
         }
-        assert [e.args for e in spans] == [{"mode": "unchecked"}] + [
-            {"region": h} for h in entered
-        ]
+        assert spans[0].args == {"mode": "unchecked"}
+        lazy = sorted(map(repr, (e.args for e in spans[1:])))
+        assert lazy == sorted(
+            map(
+                repr,
+                [{"region": h} for h in entered]
+                + [{"region": h, "scalar": True} for h in program.region1_source]
+                + [{"scalar": leader} for leader in program.scalar_source]
+                + [{"block": leader} for leader in program.block_code],
+            )
+        )
 
     def test_dispatch_counters_published_per_launch(self):
         metrics = MetricsRegistry()
@@ -418,3 +446,258 @@ class TestLoopRegions:
         assert dict(entries.labels)["backend"] == "compiled"
         assert entries.value == ex.region_entries == 1
         assert blocks.value == ex.block_dispatches > 0
+
+
+#: int64 wrap on ADD/MUL/SHL (a loop runs as a one-lane region), then
+#: SDIV/SREM on negative operands and on the most negative int64.
+WRAP = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    x = argc * 4611686018427387904
+    acc = argc
+    for j in range(7):
+        acc = acc * 6364136223846793005 + (j << 60)
+    printf("%d %d %d %d %d\\n", x * 4, x + x, argc << 63, (argc * 3) << 62, acc)
+    a = -7 * argc
+    b = 2 * argc
+    m = argc << 63
+    q = 0
+    for j in range(5):
+        q = q * 3 + (a - j) // (b - 4) + (a + j) % (0 - b)
+    printf(
+        "%d %d %d %d %d %d %d\\n",
+        a // b, a % b, (0 - a) // (0 - b), a % (0 - b),
+        m // (0 - argc), m % (0 - argc), q,
+    )
+    return 0
+"""
+
+#: Narrowing integer stores (in sequential code and across the int8
+#: range inside a loop), float32 stores rounding, overflowing and
+#: underflowing, widening loads, FMIN/FMAX with NaN, transcendentals and
+#: FPOW, and FPTOSI beyond the int64 range; floats print as their bits.
+CASTS = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    p = malloc(64)
+    p32 = dgpu.cast(p, ptr_i32)
+    pf = dgpu.cast(p + 32, ptr_f32)
+    p32[0] = (argc << 40) + 5
+    p32[1] = argc << 31
+    p[8] = 200 * argc
+    p[9] = -129 * argc
+    for j in range(4):
+        p[16 + j] = (j + 126) * argc
+    pf[0] = 1e300 * argc
+    pf[1] = 0.1 * argc
+    pf[2] = 3.4028235677973366e38 * argc
+    pf[3] = 7.006492321624085e-46 * argc
+    bits = dgpu.cast(p + 32, ptr_i32)
+    printf(
+        "%d %d %d %d %d %d %d %d\\n",
+        p32[0], p32[1], p[8], p[9], p[16], p[17], p[18], p[19],
+    )
+    printf("%d %d %d %d %.17g\\n", bits[0], bits[1], bits[2], bits[3], pf[1] * 3.0)
+    inf = 1e308 * 10.0 * argc
+    n = inf - inf
+    q = malloc_f64(8)
+    q[0] = dgpu.fmin(n, 1.0)
+    q[1] = dgpu.fmin(1.0, 0.0 - n)
+    q[2] = dgpu.fmax(n, 1.0)
+    q[3] = dgpu.fmax(1.0, n)
+    q[4] = dgpu.pow(0.0 - 8.0 * argc, 1.0 / 3.0)
+    q[5] = dgpu.sqrt(0.0 - argc)
+    q[6] = dgpu.exp(0.5 * argc) + dgpu.log(3.0 * argc) + dgpu.sin(2.0 * argc)
+    q[7] = min(0.0 - n, 2.0)
+    b = dgpu.cast(q, ptr_i64)
+    printf(
+        "%d %d %d %d %d %d %d %d\\n", b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+    )
+    f = 1e30 * argc
+    printf(
+        "%d %d %d %d\\n", int(f), int(0.0 - f), int(9.3e18 * argc), int(-2.5 * argc)
+    )
+    return 0
+"""
+
+#: A one-lane loop whose body allocates stack (SALLOC) and adds
+#: atomically: interpreter handlers inside a scalar region.
+HANDLERS = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    cnt = malloc_i64(1)
+    cnt[0] = 0
+    acc = 0
+    for j in range(6):
+        s = dgpu.stack_i64(2)
+        s[0] = j * argc
+        s[1] = dgpu.atomic_add(cnt, j + 1)
+        acc = acc + s[0] * 100 + s[1]
+    printf("%d %d\\n", acc, cnt[0])
+    return 0
+"""
+
+#: Registers written inside a one-lane loop and read after it exits.
+WRITE_BACK = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    acc = 0
+    last = 0
+    for j in range(10):
+        acc = acc + j * argc
+        last = j * 7
+    printf("%d %d\\n", acc, last)
+    return acc & 255
+"""
+
+#: One-lane faults: (trap text, program).  Each fires on the scalar
+#: tier, in a block or (``loop``) inside a one-lane region.
+SCALAR_FAULTS = {
+    "null": (
+        "null guard",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64(8)
+    acc = 0
+    for j in range(8):
+        acc = acc + buf[j - (j // 5) * argc * 1099511627776]
+    return acc
+""",
+    ),
+    "misaligned_load": (
+        "misaligned i64",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    q = dgpu.cast(malloc(64) + 3 * argc, ptr_i64)
+    return q[0]
+""",
+    ),
+    "misaligned_store": (
+        "misaligned i32",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    q = dgpu.cast(malloc(64) + 2 * argc, ptr_i32)
+    q[0] = 5
+    return 0
+""",
+    ),
+    "beyond_end": (
+        "beyond device memory end",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    p = malloc_i64(4)
+    acc = 0
+    for j in range(4):
+        acc = acc + p[j * argc * 100000000]
+    return acc
+""",
+    ),
+    "div0": (
+        "integer division by zero",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    acc = 0
+    for j in range(4):
+        acc = acc + 100 // (j - 2 * argc)
+    return acc
+""",
+    ),
+    "fptosi_inf": (
+        "non-finite",
+        """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    f = 1e308 * 10.0 * argc
+    return int(f)
+""",
+    ),
+}
+
+#: A sequential loop long enough to hit the step cap.
+SPIN = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    acc = 0
+    for j in range(1000):
+        acc = acc + j * argc
+    return acc & 255
+"""
+
+
+def _outcome(run):
+    """A run's comparable outcome: its trap text or its observables."""
+    from repro.host.results import Observables
+
+    return run if isinstance(run, str) else Observables.of(run)
+
+
+class TestScalarTier:
+    """One runnable lane runs on numpy scalars (blocks and loop regions):
+    every case agrees with the interpreter in each safety mode, and with
+    the same compiled launch on the masked bodies (scalar tier off) in
+    steps and every trace field."""
+
+    def _same(self, src, *, loop=True):
+        """``src``'s oracle observables, after the checks; ``loop``: a
+        one-lane region ran."""
+        runs = check(source_input(src, timed=True, allow_unsafe=True), ALL_MODES)
+        for mode in SAFETY_MODES:
+            on, off = (
+                _run_compiled(src, scalar=s, safety_mode=mode) for s in (True, False)
+            )
+            assert on[1].scalar_dispatches > 0
+            if loop:
+                assert on[1].scalar_region_entries > 0
+            assert off[1].scalar_dispatches == off[1].scalar_region_entries == 0
+            assert _outcome(on[0]) == _outcome(off[0])
+            assert on[1].steps == off[1].steps
+            assert on[2] == off[2]
+            if isinstance(on[0], str):
+                assert on[0] == runs[ORACLE].obs.trap
+        return runs[ORACLE].obs
+
+    def _stdout(self, src, **kw) -> str:
+        return self._same(src, **kw).instances[0][3]
+
+    def test_int64_wrap_and_signed_division(self):
+        out = self._stdout(WRAP)
+        assert out.splitlines()[0].startswith(
+            "0 -9223372036854775808 -9223372036854775808 -4611686018427387904 "
+        )
+        assert out.splitlines()[1].startswith("-3 -1 -3 -1 -9223372036854775808 0 ")
+
+    def test_narrowing_stores_float_casts_and_nan(self):
+        lines = self._stdout(CASTS).splitlines()
+        assert lines[0] == "5 -2147483648 -56 127 126 127 -128 -127"
+        assert lines[3].split()[:3] == ["-9223372036854775808"] * 3
+
+    def test_handlers_inside_a_one_lane_loop(self):
+        assert self._stdout(HANDLERS) == "1535 21\n"
+
+    def test_registers_written_back_when_the_loop_exits(self):
+        assert self._stdout(WRITE_BACK) == "45 63\n"
+
+    @pytest.mark.parametrize("case", sorted(SCALAR_FAULTS))
+    def test_fault_in_one_lane_code(self, case):
+        text, src = SCALAR_FAULTS[case]
+        obs = self._same(src, loop="for " in src)
+        assert text in obs.trap
+
+    @pytest.mark.parametrize("cap, retired", [(5000, 5002), (5002, 5003)])
+    def test_livelock_inside_one_lane_region(self, cap, retired):
+        """The trap retires what block dispatch retires: the pinned counts
+        are those of the masked bodies without regions, and those of a
+        full-row region over the same loop (``test_livelock_inside_region``)."""
+        check(source_input(SPIN, timed=True), ALL_MODES)
+        runs = [
+            _run_compiled(SPIN, max_steps=cap, scalar=s, regions=r)
+            for s, r in ((True, True), (False, True), (False, False))
+        ]
+        for outcome, ex, _ in runs:
+            assert f"exceeded {cap} interpreter steps" in outcome
+            assert ex.steps == retired
+        assert runs[0][1].scalar_region_entries == 1
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+
+    def test_counters_published_per_launch(self):
+        metrics = MetricsRegistry()
+        _, ex, _ = _run_compiled(WRITE_BACK, metrics=metrics)
+        (blocks,) = metrics.series("exec.scalar_dispatches")
+        (entries,) = metrics.series("exec.scalar_region_entries")
+        assert dict(blocks.labels)["backend"] == "compiled"
+        assert blocks.value == ex.scalar_dispatches > 0
+        assert entries.value == ex.scalar_region_entries == 1
