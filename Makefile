@@ -74,7 +74,8 @@ cache-check:
 safety-check:
 	$(PYTHON) -m repro.tools.safety_check
 
-# pytest-benchmark microbenchmarks (interpreter inner loops).
+# pytest-benchmark runs of the Figure-6 panels and ablation sweeps in
+# benchmarks/, each checked against the paper's shape.
 microbench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 

@@ -11,9 +11,9 @@ tenants on a two-device pool — runs twice per repeat:
   harness.ServerThread` and the blessed :class:`~repro.serve.client.
   Client`, streamed back over the socket.
 
-Recorded per path: wall time (min over interleaved repeats, so load
-drifts hit both paths equally), submissions/sec, instances/sec, and the
-scheduler's per-device occupancy (``stats.utilization()``) — the
+Recorded per path: the wall time of each interleaved repeat and the
+best of them, submissions/sec and instances/sec at the best wall, and
+the scheduler's per-device occupancy (``stats.utilization()``) — the
 fraction of the step-clock makespan each device spent busy.
 
 The regression gate (``check_regression``) uses **machine-independent
@@ -23,13 +23,15 @@ quantities only**:
   pump admits in fair-share order and the simulation is single-threaded)
   and must not drop more than ``tolerance`` below the baseline: a drop
   means the admission loop started starving devices;
-* the *overhead ratio* (served wall / direct wall) must not grow more
-  than ``2 * tolerance`` relatively above the baseline: absolute wall
-  times swing between hosts, but the interleaved ratio is stable, and a
-  jump means the serve layer itself got slower.  The doubled tolerance
-  absorbs socket-latency jitter on loaded CI boxes.
+* the *overhead ratio* (the median, over interleaved repeats, of the
+  served wall over the direct wall of the same repeat) must not grow
+  more than ``2 * tolerance`` relatively above the baseline: absolute
+  wall times swing between hosts, and load drifts hit the two runs of
+  one repeat alike, so a jump means the serve layer itself got slower.
+  The doubled tolerance absorbs socket-latency jitter on loaded CI
+  boxes.
 
-Both runs also cross-check bitwise: every served result's
+Every repeat also cross-checks bitwise: every served result's
 :class:`~repro.host.results.Observables` must equal its direct twin's,
 or the bench aborts — a throughput
 number for a wrong answer is worse than useless.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -53,7 +56,9 @@ from repro.host.results import Observables
 from repro.sched import DevicePool, Scheduler
 
 #: Schema version of the JSON report (bump on incompatible change).
-SCHEMA = 1
+#: v2: per-record ``repeat_walls_s``; the overhead is the median ratio of
+#: interleaved pairs, not the ratio of the best walls.
+SCHEMA = 2
 
 #: The workload: the standard cheap pagerank ensemble from the test
 #: tree, small enough that the serve layer's fixed costs are visible.
@@ -85,6 +90,8 @@ class ServeBenchRecord:
     instances_per_sec: float
     occupancy: dict  #: device label -> utilization fraction
     mean_occupancy: float
+    #: wall of each interleaved repeat, in order
+    repeat_walls_s: list = field(default_factory=list)
 
 
 @dataclass
@@ -105,12 +112,18 @@ class ServeBenchReport:
         raise KeyError(path)
 
     def overhead(self) -> float:
-        """Served wall over direct wall for the same workload; 1.0 would
-        mean the serve layer is free."""
-        direct = self.record("direct").wall_s
-        if direct == 0:
-            return 0.0
-        return self.record("served").wall_s / direct
+        """Served wall over direct wall for the same workload, the median
+        over interleaved repeats (repeat k of one path pairs with repeat
+        k of the other); 1.0 would mean the serve layer is free."""
+        ratios = [
+            served / direct
+            for direct, served in zip(
+                self.record("direct").repeat_walls_s,
+                self.record("served").repeat_walls_s,
+            )
+            if direct > 0
+        ]
+        return statistics.median(ratios) if ratios else 0.0
 
     def summary(self) -> dict:
         summary = {
@@ -226,22 +239,22 @@ _RUNNERS = {"direct": _run_direct, "served": _run_served}
 
 def run_bench(campaigns: int = CAMPAIGNS, repeats: int = 2) -> ServeBenchReport:
     """Interleave direct/served runs so background load drifts cancel in
-    the overhead ratio; keep the best wall per path and the occupancy of
-    the final run (occupancy is deterministic, so any run's will do)."""
-    best: dict[str, float] = {p: float("inf") for p in PATHS}
+    each repeat's overhead ratio; keep every wall per path and the
+    occupancy of the final run (occupancy is deterministic, so any run's
+    will do).  Every repeat's served results must equal its direct ones."""
+    walls: dict[str, list] = {p: [] for p in PATHS}
     occupancy: dict[str, dict] = {}
-    prints: dict[str, list] = {}
     for _ in range(max(1, repeats)):
+        prints: dict[str, list] = {}
         for path in PATHS:
-            wall, occ, fps = _RUNNERS[path](campaigns)
-            best[path] = min(best[path], wall)
+            wall, occ, prints[path] = _RUNNERS[path](campaigns)
+            walls[path].append(wall)
             occupancy[path] = occ
-            prints[path] = fps
-    if prints["direct"] != prints["served"]:
-        raise AssertionError(
-            "served results diverged from the direct scheduler path; "
-            "refusing to record throughput for wrong answers"
-        )
+        if prints["direct"] != prints["served"]:
+            raise AssertionError(
+                "served results diverged from the direct scheduler path; "
+                "refusing to record throughput for wrong answers"
+            )
     report = ServeBenchReport(
         schema=SCHEMA,
         config={
@@ -257,7 +270,7 @@ def run_bench(campaigns: int = CAMPAIGNS, repeats: int = 2) -> ServeBenchReport:
     )
     total = campaigns * INSTANCES
     for path in PATHS:
-        wall = best[path]
+        wall = min(walls[path])
         occ = occupancy[path]
         report.records.append(
             ServeBenchRecord(
@@ -272,6 +285,7 @@ def run_bench(campaigns: int = CAMPAIGNS, repeats: int = 2) -> ServeBenchReport:
                 mean_occupancy=(
                     sum(occ.values()) / len(occ) if occ else 0.0
                 ),
+                repeat_walls_s=walls[path],
             )
         )
     from repro.harness.bench import measure_compile_walls
@@ -304,7 +318,7 @@ def check_regression(
     limit = base_ov * (1.0 + 2.0 * tolerance)
     if base_ov > 0 and cur_ov > limit:
         failures.append(
-            f"serve overhead regressed: served/direct wall ratio "
+            f"serve overhead regressed: served/direct median pair ratio "
             f"{cur_ov:.3f} vs baseline {base_ov:.3f} "
             f"(limit {limit:.3f})"
         )

@@ -1,5 +1,5 @@
 """Compiled execution backend: basic blocks and loops as ``compile()``d
-closures.
+functions.
 
 The interpreter's uniform fast path still pays, per instruction, one
 handler call, one CPI lookup, one branch-table probe, and a boolean-mask
@@ -8,40 +8,52 @@ overhead for straight-line code:
 
 * **Block table** — leaders are instruction 0, every branch target, and
   the successor of every control instruction.  Each leader's maximal
-  straight-line run (up to the next branch/control instruction) becomes
-  one generated Python function, compiled once per kernel with
-  ``compile()`` on the block's first call; a team makes it a function
-  over its own namespace (``types.FunctionType``, globals = the team's
-  register rows and views) on its own first call (threaded code: the
-  run loop jumps block to block through a dict keyed by PC).
-* **Warp-level vectorization** — each block function carries two bodies.
-  When every lane of the padded block is runnable (``full``, the steady
-  state inside parallel regions), operations run over whole register
-  rows with ``out=`` ufuncs — no mask materialization at all.  Otherwise
-  the body replays the interpreter's own pre-specialized handlers, so
-  masked semantics are identical by construction.
-* **Scalar tier** — sequential code (argument parsing, libc, set-up
-  loops) runs on each instance's initial thread alone: one runnable
-  lane ``k``.  Then the run loop calls a third body, ``_blk1_{leader}``,
-  that keeps lane ``k``'s registers in Python locals as numpy
-  ``int64``/``float64`` scalars and reads or writes one element per
-  memory operation, under the same guards, ``on_mem`` events and step
-  accounting; loop regions get a one-lane twin, ``_loop1_{header}``,
-  with no divergence exit.  Every expression computes the masked
-  body's bits (docs/backends.md lists the hazards).  Scalar code is
-  generated per block and per region on first one-lane entry.
-* **Loop regions** — each innermost natural loop with no control op in
-  it (a header, acyclic body blocks, back edges to the header) also
-  becomes one generated ``_loop{header}`` function: a native ``while``
-  over ``if b == <leader>`` arms holding the blocks' full-row bodies.
-  The run loop enters it when every lane is runnable and the PC sits on
-  the header, and takes over again when the loop exits, a CBR's lanes
-  disagree (one ``count_nonzero`` of the condition row tells) or the
-  step cap is near.  Steps, livelock checks and issue cycles are those
-  of block dispatch, summed in locals and noted once per region.  A
-  region's code is generated on its first entry (many loops, such as
-  argument parsing, never run with every lane runnable), then kept on
-  the kernel's program like the block code.
+  straight-line run (up to the next branch/control instruction) is one
+  block; the run loop jumps block to block through dicts keyed by PC
+  (threaded code) and handles each terminator with the interpreter's
+  own uniform logic.
+* **One emitter, three lane selections** — :func:`_emit` writes one
+  instruction's body for a lane selection (:class:`_Lanes`).  ``FULL``
+  (every lane of the padded block runnable, the steady state inside
+  parallel regions) runs over whole register rows with ``out=`` ufuncs
+  and ``[:]`` stores, no mask materialized.  ``MASKED`` (a partial lane
+  set) evaluates the interpreter's pre-specialized handlers' numpy
+  expressions on ``I3[mask]``.  ``ONE`` (one runnable lane ``k``: each
+  instance's sequential phase) keeps lane ``k``'s registers in Python
+  locals as numpy ``int64``/``float64`` scalars and reads or writes one
+  element per memory op; :func:`_emit_scalar` holds only the spellings
+  where numpy-scalar semantics differ from the rows' (docs/backends.md
+  lists them).  Ops with lane-serial or stateful semantics call the
+  interpreter handler on every selection, so those behave identically
+  by construction.  :func:`_emit_memop` is every selection's LOAD/STORE
+  tail, with one guard policy for the certificate and safety mode.
+* **Four function kinds** — a block's row function
+  ``_blk{leader}(mask, full)`` carries its ``FULL`` and ``MASKED``
+  bodies, and ``_blk1_{leader}(mask, k)`` its ``ONE`` body.  Each
+  innermost natural loop with no control op in it also becomes
+  ``_loop{header}`` (``FULL``) and ``_loop1_{header}`` (``ONE``): a
+  native ``while`` over ``if b == <leader>`` arms re-emitting the
+  member blocks' bodies.  The run loop enters a region when the PC sits
+  on its header and every lane (or exactly one) is runnable, and takes
+  over again when the loop exits, a CBR's lanes disagree (one
+  ``count_nonzero`` of the condition row tells) or the step cap is near.
+  Steps, livelock checks and issue cycles are those of block dispatch,
+  summed in locals and noted once per region.
+* **One artifact table** — :func:`function_code` generates and
+  ``compile()``s function ``(kind, pc)`` on its first request by any
+  team (most blocks run on one path only, and many loops, such as
+  argument parsing, never run with every lane runnable) and keeps its
+  source and code on the kernel's :class:`CompiledProgram`.
+* **One binder** — a team makes each function on its own first call
+  with ``types.FunctionType`` over its namespace, whose globals are its
+  register rows, memory views and run-time helpers
+  (:meth:`CompiledBlockExecutor._bind`).  Trailing parameters with
+  defaults carry a one-lane body's numpy constants and a row region's
+  free names.  Binding those names as keyword defaults (local-variable
+  lookups in the hot loop) rather than leaving them namespace globals
+  is measured: globals made the ``figure6`` benchmark's timed launches
+  about 3% slower, while for one-lane regions it made no difference, so
+  those read globals.
 * **Shared everything else** — this class *is* a
   :class:`~repro.runtime.interpreter.BlockExecutor` subclass: memory
   model, RPC ring, fault-injection points, divergent-path scheduling,
@@ -67,17 +79,18 @@ are the dispatch tables and the names each team's namespace binds
 (:class:`_StaticTables`).  With an enabled tracer, each generation is a
 ``codegen <kernel>`` span on the ``compiler`` track (a region's carries
 its header as ``region``, a one-lane region's also ``scalar=True``, a
-one-lane block's its leader as ``scalar``).
+row block's its leader as ``block``, a one-lane block's as ``scalar``).
 """
 
 from __future__ import annotations
 
 import builtins
 import math
+import symtable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from types import FunctionType
+from types import CodeType, FunctionType
 
 import numpy as np
 
@@ -100,7 +113,9 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.machine import LInstr, LoweredKernel
 
-#: Key under which the compiled program is cached on the kernel.
+#: Key under which the compiled program is cached on the kernel, with
+#: the safety mode: ``backend_cache[(CACHE_KEY, mode)]`` is
+#: ``(certificate, program)``.
 CACHE_KEY = "compiled"
 
 #: backend_cache key the device uses to attach the kernel's
@@ -108,7 +123,7 @@ CACHE_KEY = "compiled"
 #: metadata at build time) for safety-mode-aware codegen.
 SAFETY_CERT_KEY = "safety.cert"
 
-#: numpy ufunc spellings for the binary ops the full-row body inlines.
+#: numpy ufunc spellings for the binary and unary ops bodies inline.
 _UFUNC_NAMES = {
     Opcode.ADD: "np.add",
     Opcode.SUB: "np.subtract",
@@ -159,51 +174,67 @@ _BINARY_OPS = (
     | set(_FCMP_FUNCS)
 )
 
+#: Team-wide values: the same scalar on every lane.
+_TEAM_VALUES = {Opcode.NTID: "_tpi", Opcode.CTAID: "_team", Opcode.NCTAID: "_nteams"}
+
+#: Lane identities: a per-lane vector of the team namespace read on the
+#: selection's lanes, and what follows it.
+_LANE_VALUES = {
+    Opcode.TID: ("_lii", ""),
+    Opcode.LANEID: ("_lids", " % _ws"),
+    Opcode.INSTANCE: ("_gi", ""),
+}
+
 
 @dataclass
 class CompiledProgram:
-    """The per-kernel artifact: generated source, and code objects
-    compiled from it on first use.
+    """The per-kernel artifact: the block and region tables, the guard
+    inputs, and each generated function's source and code.
 
     ``blocks`` maps each leader PC to ``(end_pc, n_instrs, issue_cycles)``
     — the straight-line body ``[leader, end_pc)`` plus its precomputed
     trace contribution.  ``end_pc`` always lands on a branch/control
     instruction, which the run loop handles with the interpreter's own
-    uniform logic.  ``block_source`` holds each block's row function
-    (``source`` joins them); :func:`block_code` compiles one on its
-    first call into ``block_code``.  ``regions`` maps the header of each
-    loop that runs as one ``_loop{header}`` function to its member
-    leaders (see :func:`_emit_region`); ``full_src`` keeps each block's
-    full-row body for them.  A region's source and code object are
-    generated by :func:`region_code` on first request and kept in
-    ``region_source`` and ``region_code``.
+    uniform logic.  ``regions`` maps the header of each loop that runs as
+    one function to its member leaders (see :func:`_emit_region`).
+    ``guards`` is ``(sites, safety_mode)``: the certificate's per-PC
+    proofs and the mode guards are emitted for.
 
-    The scalar tier (one runnable lane) is generated the same way, from
-    ``sites`` (the certificate's per-PC proofs) and ``safety_mode``:
-    :func:`block_code` with ``scalar=True`` keeps each block's
-    ``_blk1_{leader}`` in ``scalar_source``/``scalar_code``, and
-    :func:`region_code` with ``scalar=True`` each region's
-    ``_loop1_{header}`` in ``region1_source``/``region1_code``.
+    ``source`` and ``code`` are keyed by ``(kind, pc)``, ``kind`` one of
+    ``"blk"`` (``_blk{pc}``, the row bodies), ``"blk1"`` (``_blk1_{pc}``,
+    one lane), ``"loop"`` (``_loop{pc}``, the full-row region) and
+    ``"loop1"`` (``_loop1_{pc}``, the one-lane region); :func:`function_code`
+    fills both on a function's first request.
     """
 
-    block_source: dict[int, str]
     blocks: dict[int, tuple[int, int, float]]
     regions: dict[int, list[int]]
-    full_src: dict[int, list[str]]
-    sites: dict
-    safety_mode: str
-    block_code: dict[int, tuple] = field(default_factory=dict)
-    region_source: dict[int, str] = field(default_factory=dict)
-    region_code: dict[int, object] = field(default_factory=dict)
-    region1_source: dict[int, str] = field(default_factory=dict)
-    region1_code: dict[int, tuple] = field(default_factory=dict)
-    scalar_source: dict[int, str] = field(default_factory=dict)
-    scalar_code: dict[int, tuple] = field(default_factory=dict)
+    guards: tuple[dict, str]
+    source: dict[tuple[str, int], str] = field(default_factory=dict)
+    code: dict[tuple[str, int], tuple] = field(default_factory=dict)
 
-    @property
-    def source(self) -> str:
-        """Every block's row function, in leader order."""
-        return "".join(self.block_source.values())
+
+@dataclass(frozen=True)
+class _Lanes:
+    """A lane selection :func:`_emit` writes a body for: how a register
+    is read (``get``) and written (``put``), how a per-lane vector of the
+    namespace such as ``_lii`` is read (``lane``), and the lane ids
+    ``on_mem`` gets (``lids``).  ``one``: registers are lane ``k``'s
+    Python locals (``i3`` for ``I3``)."""
+
+    get: str
+    put: str
+    lane: str
+    lids: str
+    one: bool = False
+
+    def reg(self, operand: tuple[bool, int]) -> str:
+        return _local(operand) if self.one else _reg(operand)
+
+
+FULL = _Lanes("{}", "{}[:]", "{}", "_lids")
+MASKED = _Lanes("{}[mask]", "{}[mask]", "{}[mask]", "_lids[mask]")
+ONE = _Lanes("{}", "{}", "{}[k]", "_lids[k : k + 1]", one=True)
 
 
 @contextmanager
@@ -224,6 +255,12 @@ def _reg(operand: tuple[bool, int]) -> str:
     return f"F{idx}" if is_f else f"I{idx}"
 
 
+def _local(operand: tuple[bool, int]) -> str:
+    """The one-lane body's Python local for a register (``i3`` for ``I3``)."""
+    is_f, idx = operand
+    return f"f{idx}" if is_f else f"i{idx}"
+
+
 def _block_leaders(kernel: LoweredKernel, is_stop: list[bool]) -> set[int]:
     leaders = {0}
     for pc, li in enumerate(kernel.code):
@@ -234,26 +271,151 @@ def _block_leaders(kernel: LoweredKernel, is_stop: list[bool]) -> set[int]:
     return leaders
 
 
+#: Trap-message prefix (as emitted source) for a guard that fired at a
+#: site its certificate PROVEs safe (assert mode).
+_VIOLATED = "'safety certificate violated: ' + "
+
+
+def _emit_trap_check(
+    out: list[str], cond: str, text: str, proof, mode: str
+) -> None:
+    """``if cond: _trap(text)``: dropped where the certificate PROVEs the
+    trap cannot fire and ``mode="unchecked"``; in assert mode a firing
+    there reports a certificate violation."""
+    proven = proof is not None and proof.trap is Verdict.PROVEN
+    if mode == "unchecked" and proven:
+        return
+    pfx = _VIOLATED if mode == "assert" and proven else ""
+    out.append(f"if {cond}:")
+    out.append(f'    _trap({pfx}"{text}", mask)')
+
+
+def _emit(
+    li: LInstr,
+    pc: int,
+    out: list[str],
+    lanes: _Lanes,
+    consts: dict,
+    proof,
+    mode: str,
+) -> None:
+    """Append one instruction's body on ``lanes``.
+
+    Ops with lane-serial or stateful semantics (RPC, atomics, stack
+    allocation, shuffles, ``memcpy``/``memset``) call the interpreter
+    handler with the selection's mask (``H[pc](mask)``), so they behave
+    exactly as the interpreter's; one lane spills its operands to the
+    rows first and reloads the result.  One-lane spellings that differ
+    from the rows' come from :func:`_emit_scalar`, and its constants go
+    to ``consts`` (``_c{pc}`` -> numpy scalar, the function's defaults).
+    ``proof`` (the site's :class:`~repro.analysis.safety.SiteProof`) and
+    ``mode`` select guard emission.
+    """
+    op = li.op
+    if lanes.one and _emit_scalar(li, pc, out, consts, proof, mode):
+        return
+    args = [lanes.get.format(lanes.reg(a)) for a in li.args]
+    dest = (li.dest_f, li.dest)
+    d = lanes.put.format(lanes.reg(dest)) if li.dest >= 0 else None
+    if op in _BINARY_OPS or op in _UNARY_OPS:
+        operands = ", ".join(args[: 2 if op in _BINARY_OPS else 1])
+        call = f"{_UFUNC_NAMES[op]}({operands}"
+        out.append(f"{call}, out={_reg(dest)})" if lanes is FULL else f"{d} = {call})")
+        return
+    if op in (Opcode.SHL, Opcode.ASHR):
+        sh = "<<" if op is Opcode.SHL else ">>"
+        out.append(f"{d} = {args[0]} {sh} ({args[1]} & 63)")
+        return
+    if op in (Opcode.SDIV, Opcode.SREM):
+        a, b = args[:2]
+        if lanes is MASKED:  # one fancy-index per operand
+            out += [f"_av = {a}", f"_bv = {b}"]
+            a, b = "_av", "_bv"
+        zero = f"({b} == 0).any()"
+        _emit_trap_check(out, zero, "integer division by zero", proof, mode)
+        out.append(f"_q = np.sign({a}) * np.sign({b}) * (np.abs({a}) // np.abs({b}))")
+        out.append(f"{d} = {a} - _q * {b}" if op is Opcode.SREM else f"{d} = _q")
+        return
+    if op is Opcode.FPTOSI:
+        a = args[0]
+        if lanes is MASKED:
+            out.append(f"_av = {a}")
+            a = "_av"
+        _emit_trap_check(
+            out,
+            f"not np.isfinite({a}).all()",
+            "float-to-int conversion of non-finite value",
+            proof,
+            mode,
+        )
+        out.append(f"{d} = np.trunc({a})")
+        return
+    if op in (Opcode.SITOFP, Opcode.MOV):
+        out.append(f"{d} = {args[0]}")
+        return
+    if op is Opcode.MOVI:
+        out.append(f"{d} = {int(li.imm)}")
+        return
+    if op is Opcode.MOVF and math.isfinite(float(li.imm)):
+        # inf/nan have no source-literal spelling: they take the handler
+        out.append(f"{d} = {float(li.imm)!r}")
+        return
+    if op is Opcode.SELECT:
+        c, a, b = args[:3]
+        if lanes.one:
+            out.append(f"{d} = {a} if {c} else {b}")
+        else:
+            out.append(f"{d} = np.where({c} != 0, {a}, {b})")
+        return
+    if op in (Opcode.LOAD, Opcode.STORE):
+        offset = f" + {li.offset}" if li.offset else ""
+        out.append(f"_adr = {args[0]}{offset}")
+        _emit_memop(li, pc, out, lanes, d, args, proof, mode)
+        return
+    if op is Opcode.GADDR:
+        out.append(f"{d} = _resolve({li.sym!r})")
+        return
+    if op is Opcode.KPARAM:
+        out.append(f"{d} = _kp{pc}")
+        return
+    if op in _TEAM_VALUES:
+        out.append(f"{d} = {_TEAM_VALUES[op]}")
+        return
+    if op in _LANE_VALUES:
+        vector, tail = _LANE_VALUES[op]
+        out.append(f"{d} = {lanes.lane.format(vector)}{tail}")
+        return
+    if lanes.one:
+        out.extend(f"{_reg(a)}[k] = {_local(a)}" for a in li.args)
+    out.append(f"H[{pc}](mask)")
+    if lanes.one and d is not None:
+        out.append(f"{d} = {_reg(dest)}[k]")
+
+
 def _emit_memop(
     li: LInstr,
     pc: int,
     out: list[str],
+    lanes: _Lanes,
     d: str | None,
-    sel: str,
-    lids: str,
-    proof=None,
-    mode: str = "checked",
+    args: list[str],
+    proof,
+    mode: str,
 ) -> None:
-    """Append the LOAD/STORE tail (``_adr`` already assigned) for one
-    instruction; ``sel`` is ``""`` (full row) or ``"[mask]"``.
+    """Append the LOAD/STORE tail (``_adr`` already assigned) on
+    ``lanes``.
 
     Every site takes an inline gather/scatter: the null-guard and
-    alignment checks collapse to two reductions on literal constants, the
-    element view is pre-bound per site (``_mv{pc}``), and numpy's cast-on-
-    assignment replaces the explicit ``astype``.  Check failures re-run the
-    access through :meth:`GlobalMemory._indices` so fault messages are
-    byte-identical to the interpreter's.  Timed runs then hand the lanes
-    and addresses to ``on_mem``, exactly as the interpreter's handlers do.
+    alignment checks are two compares against literal constants
+    (reductions over the rows), the element view is pre-bound per site
+    (``_mv{pc}``), and numpy's cast-on-assignment replaces the explicit
+    ``astype`` (one lane widens a loaded element and narrows a stored
+    value itself).  A firing check re-runs the access through
+    :meth:`GlobalMemory._indices` so fault messages are byte-identical to
+    the interpreter's.  Timed runs then hand the lanes and addresses to
+    ``on_mem``, exactly as the interpreter's handlers do.  One lane does
+    both on the team's one-element address buffer ``_adr1`` (``on_mem``
+    copies its argument).
 
     With a :class:`~repro.analysis.safety.SiteProof` and
     ``mode="unchecked"``, PROVEN null+alignment drops the guard entirely,
@@ -261,279 +423,57 @@ def _emit_memop(
     ``mode="assert"`` keeps every guard but reports a firing at a PROVEN
     site as a certificate violation.
     """
-    size = li.mty.size
+    mty = li.mty
+    size = mty.size
     idx = f"_adr >> {size.bit_length() - 1}" if size > 1 else "_adr"
-    align = (
-        f" or (int(np.bitwise_or.reduce(_adr)) & {size - 1})" if size > 1 else ""
-    )
-    store_src = None if li.op is Opcode.LOAD else _reg(li.args[1])
+    elem = f"_mv{pc}[{idx}]"
+    if li.op is Opcode.LOAD:
+        access = f"{d} = {_SCALAR_WIDEN[mty].format(elem) if lanes.one else elem}"
+    else:
+        value = args[1]
+        narrow = _SCALAR_NARROW.get(mty) if lanes.one else None
+        if narrow is not None:
+            lo, hi, cast = narrow
+            out.append(
+                f"_sv = {value} if {lo} <= {value} <= {hi} "
+                f"else {value}.astype({cast})"
+            )
+            value = "_sv"
+        access = f"{elem} = {value}"
     proven = (
         proof is not None
         and proof.null is Verdict.PROVEN
         and proof.align is Verdict.PROVEN
     )
     bounds_proven = proven and proof.bounds is Verdict.PROVEN
-    access = (
-        f"{d}{sel or '[:]'} = _mv{pc}[{idx}]"
-        if store_src is None
-        else f"_mv{pc}[{idx}] = {store_src}{sel}"
-    )
+    adrs, fill = ("_adr1", ["    _adr1[0] = _adr"]) if lanes.one else ("_adr", [])
     if mode == "unchecked" and proven:
         if bounds_proven:
             out.append(access)
         else:
-            out.append("try:")
-            out.append(f"    {access}")
-            out.append("except IndexError:")
-            out.append("    _trap(_mem._beyond_end(_adr).message, mask)")
+            out += ["try:", f"    {access}", "except IndexError:", *fill]
+            out.append(f"    _trap(_mem._beyond_end({adrs}).message, mask)")
     else:
         # checked / assert: the guarded emission.  In assert mode a guard
         # firing where the certificate says it cannot is an analyzer bug;
         # surface it as such instead of an ordinary memory fault.
         g_pfx = _VIOLATED if mode == "assert" and proven else ""
         b_pfx = _VIOLATED if mode == "assert" and bounds_proven else ""
-        out.append(f"if int(_adr.min()) < {NULL_GUARD}{align}:")
+        if lanes.one:
+            low, align = "_adr", f" or _adr & {size - 1}"
+        else:
+            low = "int(_adr.min())"
+            align = f" or (int(np.bitwise_or.reduce(_adr)) & {size - 1})"
+        out.append(f"if {low} < {NULL_GUARD}{align if size > 1 else ''}:")
+        out += fill
         out.append("    try:")
-        out.append(f"        _mem._indices(_adr, _mty{pc})")
+        out.append(f"        _mem._indices({adrs}, _mty{pc})")
         out.append("    except _MF as _exc:")
         out.append(f"        _trap({g_pfx}_exc.message, mask)")
-        out.append("try:")
-        out.append(f"    {access}")
-        out.append("except IndexError:")
-        out.append(f"    _trap({b_pfx}_mem._beyond_end(_adr).message, mask)")
-    out.append("if _C is not None:")
-    out.append(f"    _C.on_mem({lids}, _adr, {size})")
-
-
-def _trap_elidable(proof, mode: str) -> bool:
-    return (
-        mode == "unchecked"
-        and proof is not None
-        and proof.trap is Verdict.PROVEN
-    )
-
-
-#: Trap-message prefix (as emitted source) for a guard that fired at a
-#: site its certificate PROVEs safe (assert mode).
-_VIOLATED = "'safety certificate violated: ' + "
-
-
-def _trap_prefix(proof, mode: str) -> str:
-    if mode == "assert" and proof is not None and proof.trap is Verdict.PROVEN:
-        return _VIOLATED
-    return ""
-
-
-def _emit_full(
-    li: LInstr, pc: int, out: list[str], proof=None, mode: str = "checked"
-) -> None:
-    """Append the full-row (all lanes runnable) body for one instruction.
-
-    Falls back to the interpreter handler (``H[pc](mask)``) for ops with
-    lane-serial or stateful semantics (RPC, atomics, stack allocation,
-    shuffles, division traps...) — the handler receives the full mask, so
-    behavior is identical to the interpreter's.
-    """
-    op = li.op
-    if op in _BINARY_OPS:
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        out.append(f"{_UFUNC_NAMES[op]}({a}, {b}, out={_reg((li.dest_f, li.dest))})")
-        return
-    if op in _UNARY_OPS:
-        a = _reg(li.args[0])
-        out.append(f"{_UFUNC_NAMES[op]}({a}, out={_reg((li.dest_f, li.dest))})")
-        return
-    d = _reg((li.dest_f, li.dest)) if li.dest >= 0 else None
-    if op in (Opcode.SHL, Opcode.ASHR):
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        sh = "<<" if op is Opcode.SHL else ">>"
-        out.append(f"{d}[:] = {a} {sh} ({b} & 63)")
-        return
-    if op in (Opcode.SDIV, Opcode.SREM):
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append(f"if ({b} == 0).any():")
-            out.append(f'    _trap({pfx}"integer division by zero", mask)')
-        out.append(f"_q = np.sign({a}) * np.sign({b}) * (np.abs({a}) // np.abs({b}))")
-        if op is Opcode.SREM:
-            out.append(f"{d}[:] = {a} - _q * {b}")
-        else:
-            out.append(f"{d}[:] = _q")
-        return
-    if op is Opcode.FPTOSI:
-        a = _reg(li.args[0])
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append(f"if not np.isfinite({a}).all():")
-            out.append(
-                f'    _trap({pfx}"float-to-int conversion of non-finite value", mask)'
-            )
-        out.append(f"{d}[:] = np.trunc({a})")
-        return
-    if op is Opcode.SITOFP:
-        out.append(f"{d}[:] = {_reg(li.args[0])}")
-        return
-    if op is Opcode.MOVI:
-        out.append(f"{d}[:] = {int(li.imm)}")
-        return
-    if op is Opcode.MOVF:
-        value = float(li.imm)
-        if value == value and value not in (float("inf"), float("-inf")):
-            out.append(f"{d}[:] = {value!r}")
-        else:  # inf/nan have no source-literal spelling
-            out.append(f"H[{pc}](mask)")
-        return
-    if op is Opcode.MOV:
-        out.append(f"{d}[:] = {_reg(li.args[0])}")
-        return
-    if op is Opcode.SELECT:
-        c, a, b = (_reg(x) for x in li.args[:3])
-        out.append(f"{d}[:] = np.where({c} != 0, {a}, {b})")
-        return
-    if op in (Opcode.LOAD, Opcode.STORE):
-        a = _reg(li.args[0])
-        addr = f"{a} + {li.offset}" if li.offset else a
-        out.append(f"_adr = {addr}")
-        _emit_memop(li, pc, out, d, "", "_lids", proof, mode)
-        return
-    if op is Opcode.GADDR:
-        out.append(f"{d}[:] = _resolve({li.sym!r})")
-        return
-    if op is Opcode.KPARAM:
-        out.append(f"{d}[:] = _kp{pc}")
-        return
-    if op is Opcode.TID:
-        out.append(f"{d}[:] = _lii")
-        return
-    if op is Opcode.NTID:
-        out.append(f"{d}[:] = _tpi")
-        return
-    if op is Opcode.CTAID:
-        out.append(f"{d}[:] = _team")
-        return
-    if op is Opcode.NCTAID:
-        out.append(f"{d}[:] = _nteams")
-        return
-    if op is Opcode.LANEID:
-        out.append(f"{d}[:] = _lids % _ws")
-        return
-    if op is Opcode.INSTANCE:
-        out.append(f"{d}[:] = _gi")
-        return
-    # SDIV/SREM/FPTOSI (trap checks), SALLOC (stack state), atomics,
-    # shuffles, RPC, MEMCPY/MEMSET: interpreter handler, full mask.
-    out.append(f"H[{pc}](mask)")
-
-
-def _emit_masked(
-    li: LInstr, pc: int, out: list[str], proof=None, mode: str = "checked"
-) -> None:
-    """Append the masked (partial lane set) body for one instruction.
-
-    Same numpy expressions the interpreter's pre-specialized handlers
-    evaluate, emitted inline — sequential phases (one runnable lane per
-    instance) spend their whole life on this path, so skipping the
-    per-instruction handler call matters.  Complex ops dispatch to the
-    interpreter handler exactly as the full-row body does.
-    """
-    op = li.op
-    d = _reg((li.dest_f, li.dest)) if li.dest >= 0 else None
-    if op in _BINARY_OPS:
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        out.append(f"{d}[mask] = {_UFUNC_NAMES[op]}({a}[mask], {b}[mask])")
-        return
-    if op in _UNARY_OPS:
-        a = _reg(li.args[0])
-        out.append(f"{d}[mask] = {_UFUNC_NAMES[op]}({a}[mask])")
-        return
-    if op in (Opcode.SHL, Opcode.ASHR):
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        sh = "<<" if op is Opcode.SHL else ">>"
-        out.append(f"{d}[mask] = {a}[mask] {sh} ({b}[mask] & 63)")
-        return
-    if op in (Opcode.SDIV, Opcode.SREM):
-        a, b = _reg(li.args[0]), _reg(li.args[1])
-        out.append(f"_av = {a}[mask]")
-        out.append(f"_bv = {b}[mask]")
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append("if (_bv == 0).any():")
-            out.append(f'    _trap({pfx}"integer division by zero", mask)')
-        out.append("_q = np.sign(_av) * np.sign(_bv) * (np.abs(_av) // np.abs(_bv))")
-        if op is Opcode.SREM:
-            out.append(f"{d}[mask] = _av - _q * _bv")
-        else:
-            out.append(f"{d}[mask] = _q")
-        return
-    if op is Opcode.FPTOSI:
-        a = _reg(li.args[0])
-        out.append(f"_av = {a}[mask]")
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append("if not np.isfinite(_av).all():")
-            out.append(
-                f'    _trap({pfx}"float-to-int conversion of non-finite value", mask)'
-            )
-        out.append(f"{d}[mask] = np.trunc(_av)")
-        return
-    if op is Opcode.SITOFP:
-        out.append(f"{d}[mask] = {_reg(li.args[0])}[mask]")
-        return
-    if op is Opcode.MOVI:
-        out.append(f"{d}[mask] = {int(li.imm)}")
-        return
-    if op is Opcode.MOVF:
-        value = float(li.imm)
-        if value == value and value not in (float("inf"), float("-inf")):
-            out.append(f"{d}[mask] = {value!r}")
-        else:  # inf/nan have no source-literal spelling
-            out.append(f"H[{pc}](mask)")
-        return
-    if op is Opcode.MOV:
-        out.append(f"{d}[mask] = {_reg(li.args[0])}[mask]")
-        return
-    if op is Opcode.SELECT:
-        c, a, b = (_reg(x) for x in li.args[:3])
-        out.append(f"{d}[mask] = np.where({c}[mask] != 0, {a}[mask], {b}[mask])")
-        return
-    if op in (Opcode.LOAD, Opcode.STORE):
-        a = _reg(li.args[0])
-        addr = f"{a}[mask] + {li.offset}" if li.offset else f"{a}[mask]"
-        out.append(f"_adr = {addr}")
-        _emit_memop(li, pc, out, d, "[mask]", "_lids[mask]", proof, mode)
-        return
-    if op is Opcode.GADDR:
-        out.append(f"{d}[mask] = _resolve({li.sym!r})")
-        return
-    if op is Opcode.KPARAM:
-        out.append(f"{d}[mask] = _kp{pc}")
-        return
-    if op is Opcode.TID:
-        out.append(f"{d}[mask] = _lii[mask]")
-        return
-    if op is Opcode.NTID:
-        out.append(f"{d}[mask] = _tpi")
-        return
-    if op is Opcode.CTAID:
-        out.append(f"{d}[mask] = _team")
-        return
-    if op is Opcode.NCTAID:
-        out.append(f"{d}[mask] = _nteams")
-        return
-    if op is Opcode.LANEID:
-        out.append(f"{d}[mask] = _lids[mask] % _ws")
-        return
-    if op is Opcode.INSTANCE:
-        out.append(f"{d}[mask] = _gi[mask]")
-        return
-    out.append(f"H[{pc}](mask)")
-
-
-def _local(operand: tuple[bool, int]) -> str:
-    """The scalar tier's Python local for a register (``i3`` for ``I3``)."""
-    is_f, idx = operand
-    return f"f{idx}" if is_f else f"i{idx}"
+        out += ["try:", f"    {access}", "except IndexError:", *fill]
+        out.append(f"    _trap({b_pfx}_mem._beyond_end({adrs}).message, mask)")
+    out += ["if _C is not None:", *fill]
+    out.append(f"    _C.on_mem({lanes.lids}, {adrs}, {size})")
 
 
 #: Binary ops whose numpy-scalar operator computes the masked ufunc's
@@ -592,195 +532,61 @@ _W8 = [np.int64(v) for v in range(128)] + [np.int64(v) for v in range(-128, 0)]
 
 
 def _emit_scalar(
-    li: LInstr,
-    pc: int,
-    out: list[str],
-    consts: dict,
-    proof=None,
-    mode: str = "checked",
-) -> None:
-    """Append the one-lane body for one instruction: the same operation
-    on lane ``k``'s register values, held in Python locals as numpy
-    int64/float64 scalars (see :func:`_local`).
-
-    Guards, trap texts, fault messages and ``on_mem`` lane/address sets
-    are the masked body's for a one-lane mask; every expression computes
-    the bits the masked body's ufunc or cast does (docs/backends.md lists
-    the hazards).  Constants go to ``consts`` as ``_c{pc}`` -> numpy
-    scalar; they become the function's defaults.  Ops without a scalar
-    spelling spill their operands to the register rows, call the
-    interpreter handler and reload their result.
-    """
+    li: LInstr, pc: int, out: list[str], consts: dict, proof, mode: str
+) -> bool:
+    """Append lane ``k``'s body for one instruction where its spelling
+    on numpy scalars must differ from the rows' to compute the masked
+    body's bits (docs/backends.md lists the hazards); False leaves the
+    instruction to :func:`_emit`.  Constants go to ``consts``."""
     op = li.op
     d = _local((li.dest_f, li.dest)) if li.dest >= 0 else None
     args = [_local(a) for a in li.args]
     if op in _SCALAR_INFIX:
         out.append(f"{d} = {args[0]} {_SCALAR_INFIX[op]} {args[1]}")
-        return
-    if op in _SCALAR_CMP:
-        a, b = args
-        out.append(f"{d} = _ONE if {a} {_SCALAR_CMP[op]} {b} else _ZERO")
-        return
-    if op in (Opcode.IMIN, Opcode.IMAX):
-        a, b = args
+    elif op in _SCALAR_CMP:
+        out.append(f"{d} = _ONE if {args[0]} {_SCALAR_CMP[op]} {args[1]} else _ZERO")
+    elif op in (Opcode.IMIN, Opcode.IMAX):
+        a, b = args[:2]
         cmp = "<=" if op is Opcode.IMIN else ">="
         out.append(f"{d} = {a} if {a} {cmp} {b} else {b}")
-        return
-    if op in _BINARY_OPS:  # FMIN/FMAX (NaN rules), FPOW: the same ufunc
-        out.append(f"{d} = {_UFUNC_NAMES[op]}({args[0]}, {args[1]})")
-        return
-    if op in (Opcode.FNEG, Opcode.INEG):
+    elif op in (Opcode.FNEG, Opcode.INEG):
         out.append(f"{d} = -{args[0]}")
-        return
-    if op is Opcode.BNOT:
+    elif op is Opcode.BNOT:
         out.append(f"{d} = ~{args[0]}")
-        return
-    if op in _UNARY_OPS:  # transcendentals and rounding: the same ufunc
-        out.append(f"{d} = {_UFUNC_NAMES[op]}({args[0]})")
-        return
-    if op in (Opcode.SHL, Opcode.ASHR):
-        sh = "<<" if op is Opcode.SHL else ">>"
-        out.append(f"{d} = {args[0]} {sh} ({args[1]} & 63)")
-        return
-    if op in (Opcode.SDIV, Opcode.SREM):
-        a, b = args
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append(f"if {b} == 0:")
-            out.append(f'    _trap({pfx}"integer division by zero", mask)')
+    elif op in (Opcode.SDIV, Opcode.SREM):
+        a, b = args[:2]
+        _emit_trap_check(out, f"{b} == 0", "integer division by zero", proof, mode)
         # sign(a) * sign(b) * (|a| // |b|), with |MIN| wrapping to MIN
         # as np.abs does: a zero quotient is its own negation
         out.append(f"_q = abs({a}) // abs({b})")
         out.append(f"if ({a} < 0) != ({b} < 0):")
         out.append("    _q = -_q")
         out.append(f"{d} = {a} - _q * {b}" if op is Opcode.SREM else f"{d} = _q")
-        return
-    if op is Opcode.FPTOSI:
+    elif op is Opcode.FPTOSI:
         a = args[0]
-        if not _trap_elidable(proof, mode):
-            pfx = _trap_prefix(proof, mode)
-            out.append(f"if not _ISFIN({a}):")
-            out.append(
-                f'    _trap({pfx}"float-to-int conversion of non-finite value", mask)'
-            )
+        _emit_trap_check(
+            out,
+            f"not _ISFIN({a})",
+            "float-to-int conversion of non-finite value",
+            proof,
+            mode,
+        )
         out.append("try:")
         out.append(f"    {d} = np.int64(int({a}))")
         out.append("except OverflowError:  # beyond int64: the rows' cast")
         out.append(f"    {d} = np.trunc({a}).astype(np.int64)")
-        return
-    if op is Opcode.SITOFP:
+    elif op is Opcode.SITOFP:
         out.append(f"{d} = np.float64({args[0]})")
-        return
-    if op in (Opcode.MOVI, Opcode.MOVF):
+    elif op in (Opcode.MOVI, Opcode.MOVF):
         consts[f"_c{pc}"] = (
             np.int64(int(li.imm)) if op is Opcode.MOVI else np.float64(li.imm)
         )
         out.append(f"{d} = _c{pc}")
-        return
-    if op is Opcode.MOV:
-        out.append(f"{d} = {args[0]}")
-        return
-    if op is Opcode.SELECT:
-        c, a, b = args[:3]
-        out.append(f"{d} = {a} if {c} else {b}")
-        return
-    if op in (Opcode.LOAD, Opcode.STORE):
-        addr = f"{args[0]} + {li.offset}" if li.offset else args[0]
-        out.append(f"_adr = {addr}")
-        _emit_scalar_memop(li, pc, out, d, args, proof, mode)
-        return
-    if op is Opcode.GADDR:
+    elif op is Opcode.GADDR:
         out.append(f"{d} = np.int64(_resolve({li.sym!r}))")
-        return
-    if op is Opcode.KPARAM:
-        out.append(f"{d} = _kp{pc}")
-        return
-    if op is Opcode.TID:
-        out.append(f"{d} = _lii[k]")
-        return
-    if op is Opcode.NTID:
-        out.append(f"{d} = _tpi")
-        return
-    if op is Opcode.CTAID:
-        out.append(f"{d} = _team")
-        return
-    if op is Opcode.NCTAID:
-        out.append(f"{d} = _nteams")
-        return
-    if op is Opcode.LANEID:
-        out.append(f"{d} = _lids[k] % _ws")
-        return
-    if op is Opcode.INSTANCE:
-        out.append(f"{d} = _gi[k]")
-        return
-    # SALLOC, atomics, shuffles, RPC, MEMCPY/MEMSET: the interpreter
-    # handler reads and writes the rows.
-    out.extend(f"{_reg(a)}[k] = {_local(a)}" for a in li.args)
-    out.append(f"H[{pc}](mask)")
-    if d is not None:
-        out.append(f"{d} = {_reg((li.dest_f, li.dest))}[k]")
-
-
-def _emit_scalar_memop(
-    li: LInstr,
-    pc: int,
-    out: list[str],
-    d: str | None,
-    args: list[str],
-    proof,
-    mode: str,
-) -> None:
-    """The one-lane LOAD/STORE tail (``_adr`` already assigned): the
-    guards and elisions of :func:`_emit_memop` on one address; a firing
-    guard re-runs the access check on a one-element array, so the fault
-    text is the masked body's."""
-    mty = li.mty
-    size = mty.size
-    idx = f"_adr >> {size.bit_length() - 1}" if size > 1 else "_adr"
-    elem = f"_mv{pc}[{idx}]"
-    if li.op is Opcode.LOAD:
-        access = f"{d} = {_SCALAR_WIDEN[mty].format(elem)}"
     else:
-        value = args[1]
-        narrow = _SCALAR_NARROW.get(mty)
-        if narrow is not None:
-            lo, hi, cast = narrow
-            out.append(
-                f"_sv = {value} if {lo} <= {value} <= {hi} "
-                f"else {value}.astype({cast})"
-            )
-            value = "_sv"
-        access = f"{elem} = {value}"
-    proven = (
-        proof is not None
-        and proof.null is Verdict.PROVEN
-        and proof.align is Verdict.PROVEN
-    )
-    bounds_proven = proven and proof.bounds is Verdict.PROVEN
-    one = "np.array([_adr])"
-    if mode == "unchecked" and proven:
-        if bounds_proven:
-            out.append(access)
-        else:
-            out.append("try:")
-            out.append(f"    {access}")
-            out.append("except IndexError:")
-            out.append(f"    _trap(_mem._beyond_end({one}).message, mask)")
-    else:
-        g_pfx = _VIOLATED if mode == "assert" and proven else ""
-        b_pfx = _VIOLATED if mode == "assert" and bounds_proven else ""
-        align = f" or _adr & {size - 1}" if size > 1 else ""
-        out.append(f"if _adr < {NULL_GUARD}{align}:")
-        out.append("    try:")
-        out.append(f"        _mem._indices({one}, _mty{pc})")
-        out.append("    except _MF as _exc:")
-        out.append(f"        _trap({g_pfx}_exc.message, mask)")
-        out.append("try:")
-        out.append(f"    {access}")
-        out.append("except IndexError:")
-        out.append(f"    _trap({b_pfx}_mem._beyond_end({one}).message, mask)")
-    out.append("if _C is not None:")
-    out.append(f"    _C.on_mem(_lids[k : k + 1], {one}, {size})")
+        return False
+    return True
 
 
 def _scalar_registers(code: list[LInstr], pcs) -> tuple[list, list]:
@@ -805,48 +611,34 @@ def compile_kernel(
     safety_mode: str,
     tracer=None,
 ) -> CompiledProgram:
-    """Generate the block functions' source for one kernel and find its
-    loop regions; :func:`block_code` and :func:`region_code` compile
-    them on first use.
+    """Find one kernel's blocks and loop regions; :func:`function_code`
+    generates and compiles their functions on first use.
 
     The artifact is kernel-level (not executor-level): generated names
     (``I3``, ``H``, ``_mem``...) are free variables, the globals of the
-    per-executor namespace a block function is made over (a full-row
-    region binds them as keyword defaults when its code is ``exec``'d
-    there — the classic threaded-code trick giving local-variable lookup
-    speed inside each loop).
+    per-executor namespace a team makes each function over.
 
     ``cert`` (a :class:`~repro.analysis.safety.SafetyCertificate`) plus
     ``safety_mode`` (one of :data:`~repro.runtime.backend.SAFETY_MODES`,
     already validated by the launching device) select guard emission per
-    site; artifacts are cached per (mode, certificate) so modes never
-    share code objects.  Two threads missing the cache at once both
-    generate the same source from the same inputs, so whichever artifact
-    is stored last is equivalent.
+    site; artifacts are cached per mode as ``(certificate, program)`` and
+    reused for the same certificate only, so modes never share code
+    objects.  Checked mode consults no certificate.  Two threads missing
+    the cache at once both generate the same source from the same inputs,
+    so whichever artifact is stored last is equivalent.
     """
-    if cert is None:
-        safety_mode = "checked"  # nothing to consult: guards everywhere
-    cache_key = (
-        CACHE_KEY if safety_mode == "checked" else (CACHE_KEY, safety_mode)
-    )
-    cached = kernel.backend_cache.get(cache_key)
-    if cached is not None:
-        if safety_mode == "checked":
-            return cached
-        cached_cert, cached_program = cached
-        if cached_cert is cert:
-            return cached_program
+    if cert is None or safety_mode == "checked":
+        cert, safety_mode = None, "checked"  # guards everywhere
+    cached = kernel.backend_cache.get((CACHE_KEY, safety_mode))
+    if cached is not None and cached[0] is cert:
+        return cached[1]
     with _codegen_span(tracer, kernel, mode=safety_mode):
         program = _generate(kernel, cert, safety_mode)
-    kernel.backend_cache[cache_key] = (
-        program if safety_mode == "checked" else (cert, program)
-    )
+    kernel.backend_cache[(CACHE_KEY, safety_mode)] = (cert, program)
     return program
 
 
 def _generate(kernel: LoweredKernel, cert, safety_mode: str) -> CompiledProgram:
-    sites = cert.sites if cert is not None else {}
-
     from repro.gpu.timing import cpi_of
 
     code = kernel.code
@@ -867,152 +659,104 @@ def _generate(kernel: LoweredKernel, cert, safety_mode: str) -> CompiledProgram:
         if end < n:
             ends[leader] = end
 
-    block_source: dict[int, str] = {}
     blocks: dict[int, tuple[int, int, float]] = {}
-    full_src: dict[int, list[str]] = {}
     for leader, end in ends.items():
-        if end == leader:
-            continue  # empty body: the leader is itself a stopper
-        body = code[leader:end]
-        cycles = float(sum(cpi_of(li.op) for li in body))
-        blocks[leader] = (end, end - leader, cycles)
-
-        full_lines = full_src[leader] = []
-        masked_lines: list[str] = []
-        for off, li in enumerate(body):
-            proof = sites.get(leader + off)
-            _emit_full(li, leader + off, full_lines, proof, safety_mode)
-            _emit_masked(li, leader + off, masked_lines, proof, safety_mode)
-
-        block_source[leader] = "\n".join(
-            [
-                f"def _blk{leader}(mask, full):",
-                "    if full:",
-                *(f"        {ln}" for ln in full_lines),
-                "    else:",
-                *(f"        {ln}" for ln in masked_lines),
-            ]
-        ) + "\n"
+        if end > leader:  # else the leader is itself a stopper
+            cycles = float(sum(cpi_of(li.op) for li in code[leader:end]))
+            blocks[leader] = (end, end - leader, cycles)
 
     return CompiledProgram(
-        block_source=block_source,
         blocks=blocks,
         regions=_loop_regions(kernel, ends),
-        full_src=full_src,
-        sites=sites,
-        safety_mode=safety_mode,
+        guards=(cert.sites if cert is not None else {}, safety_mode),
     )
 
 
-def region_code(
+#: ``codegen`` span arguments of each function kind.
+_SPAN_ARGS = {
+    "blk": lambda pc: {"block": pc},
+    "blk1": lambda pc: {"scalar": pc},
+    "loop": lambda pc: {"region": pc},
+    "loop1": lambda pc: {"region": pc, "scalar": True},
+}
+
+
+def function_code(
     program: CompiledProgram,
     kernel: LoweredKernel,
-    header: int,
+    kind: str,
+    pc: int,
     *,
-    scalar: bool = False,
     tracer=None,
-):
-    """Region ``header``'s code, generated and ``compile()``d on the
-    first request and kept on ``program`` (so once per kernel, safety
-    mode and certificate, like the block code).  Two threads racing here
-    generate the same source, as in :func:`compile_kernel`.
+) -> tuple:
+    """``(code, consts, names)`` of function ``(kind, pc)`` (see
+    :class:`CompiledProgram`), its source generated and ``compile()``d on
+    the first request and kept on ``program`` (so once per kernel, safety
+    mode and certificate).  Two threads racing here generate the same
+    source, as in :func:`compile_kernel`.
 
-    Full-row: a module code object defining ``_loop{header}``, ``exec``'d
-    into each team's namespace.  With ``scalar``: ``(code, defaults)``
-    for the one-lane ``_loop1_{header}``, as :func:`block_code` returns
-    for a block.
+    ``code`` is the function's own code object.  Its trailing parameters
+    have defaults: ``consts`` are a one-lane body's ``_c{pc}`` numpy
+    constants, ``names`` a row region's free names, which a team looks
+    up in its namespace (:meth:`CompiledBlockExecutor._bind`).
     """
-    codes = program.region1_code if scalar else program.region_code
-    code = codes.get(header)
-    if code is None:
-        span = {"region": header, "scalar": True} if scalar else {"region": header}
-        with _codegen_span(tracer, kernel, **span):
-            lines, consts = _emit_region(header, program, kernel.code, scalar)
+    entry = program.code.get((kind, pc))
+    if entry is None:
+        with _codegen_span(tracer, kernel, **_SPAN_ARGS[kind](pc)):
+            lanes = ONE if kind.endswith("1") else FULL
+            if kind.startswith("blk"):
+                lines, consts, names = _emit_block(pc, program, kernel.code, lanes)
+            else:
+                lines, consts, names = _emit_region(pc, program, kernel.code, lanes)
             source = "\n".join(lines) + "\n"
-            code = compile(
-                source, f"<compiled kernel {kernel.name} loop {header}>", "exec"
+            module = compile(
+                source, f"<compiled kernel {kernel.name} {kind} {pc}>", "exec"
             )
-            if scalar:
-                code = (
-                    _function_code(code, f"_loop1_{header}"),
-                    tuple(consts.values()),
-                )
-        sources = program.region1_source if scalar else program.region_source
-        sources[header] = source
-        codes[header] = code
-    return code
+            code = next(c for c in module.co_consts if isinstance(c, CodeType))
+            entry = (code, tuple(consts.values()), names)
+        program.source[(kind, pc)] = source
+        program.code[(kind, pc)] = entry
+    return entry
 
 
-def block_code(
-    program: CompiledProgram,
-    kernel: LoweredKernel,
-    leader: int,
-    *,
-    scalar: bool = False,
-    tracer=None,
-):
-    """``(code, defaults)`` of block ``leader``'s function, ``compile()``d
-    on the first request and kept on ``program`` like
-    :func:`region_code`'s: the row function ``_blk{leader}(mask, full)``
-    (its source generated with the kernel's, in ``block_source``) or,
-    with ``scalar``, the one-lane ``_blk1_{leader}(mask, k)`` (source
-    generated here, kept in ``scalar_source``).
-
-    ``code`` is the function's own code object.  A team makes it a
-    function with its namespace as globals (``types.FunctionType``), so
-    binding one costs no ``exec``; ``defaults`` are the one-lane body's
-    ``_c{pc}`` numpy constants (trailing parameters).
+def _emit_block(
+    leader: int, program: CompiledProgram, code: list[LInstr], lanes: _Lanes
+) -> tuple[list[str], dict, tuple]:
+    """Source lines of block ``leader``'s function: ``_blk{leader}(mask,
+    full)`` with its ``FULL`` and ``MASKED`` bodies or, for ``ONE``,
+    ``_blk1_{leader}(mask, k, <constants>)``.
 
     The one-lane body runs on lane ``k``'s register values in Python
     locals: the registers it reads before writing are loaded on entry,
     those it writes are stored on return.  A trap leaves the rest
     unstored; the team is over then, and nothing reads its registers.
     """
-    codes = program.scalar_code if scalar else program.block_code
-    code = codes.get(leader)
-    if code is None:
-        span = {"scalar": leader} if scalar else {"block": leader}
-        with _codegen_span(tracer, kernel, **span):
-            consts: dict = {}
-            if scalar:
-                name = f"_blk1_{leader}"
-                source = _scalar_block_source(program, kernel.code, leader, consts)
-            else:
-                name = f"_blk{leader}"
-                source = program.block_source[leader]
-            module = compile(
-                source, f"<compiled kernel {kernel.name} block {leader}>", "exec"
-            )
-            code = (_function_code(module, name), tuple(consts.values()))
-        if scalar:
-            program.scalar_source[leader] = source
-        codes[leader] = code
-    return code
+    sites, mode = program.guards
+    pcs = range(leader, program.blocks[leader][0])
+    consts: dict = {}
 
+    def body(sel: _Lanes) -> list[str]:
+        out: list[str] = []
+        for pc in pcs:
+            _emit(code[pc], pc, out, sel, consts, sites.get(pc), mode)
+        return out
 
-def _scalar_block_source(
-    program: CompiledProgram, code: list[LInstr], leader: int, consts: dict
-) -> str:
-    end = program.blocks[leader][0]
-    body: list[str] = []
-    for pc in range(leader, end):
-        _emit_scalar(
-            code[pc], pc, body, consts, program.sites.get(pc), program.safety_mode
-        )
-    read, written = _scalar_registers(code, range(leader, end))
-    return "\n".join(
-        [
+    if lanes.one:
+        lines = body(lanes)
+        read, written = _scalar_registers(code, pcs)
+        return [
             f"def _blk1_{leader}(mask, k{''.join(f', {c}' for c in consts)}):",
             *(f"    {_local(r)} = {_reg(r)}[k]" for r in read),
-            *(f"    {ln}" for ln in body),
+            *(f"    {ln}" for ln in lines),
             *(f"    {_reg(r)}[k] = {_local(r)}" for r in written),
-        ]
-    ) + "\n"
-
-
-def _function_code(module, name: str):
-    """The code object of function ``name`` defined by ``module``."""
-    return next(c for c in module.co_consts if getattr(c, "co_name", None) == name)
+        ], consts, ()
+    return [
+        f"def _blk{leader}(mask, full):",
+        "    if full:",
+        *(f"        {ln}" for ln in body(FULL)),
+        "    else:",
+        *(f"        {ln}" for ln in body(MASKED)),
+    ], consts, ()
 
 
 def _loop_regions(
@@ -1037,11 +781,11 @@ def _loop_regions(
 
 
 def _emit_region(
-    header: int, program: CompiledProgram, code: list[LInstr], scalar: bool
-) -> tuple[list[str], dict]:
-    """Source lines of ``_loop{header}(mask, steps, cap)``: one region run on
-    the full-row path, returning ``(pc, steps)`` for the run loop to
-    resume at; with ``scalar``, of ``_loop1_{header}(mask, k, steps,
+    header: int, program: CompiledProgram, code: list[LInstr], lanes: _Lanes
+) -> tuple[list[str], dict, tuple]:
+    """Source lines of ``_loop{header}(mask, steps, cap)``: one region
+    run on the full-row path, returning ``(pc, steps)`` for the run loop
+    to resume at; for ``ONE``, of ``_loop1_{header}(mask, k, steps,
     cap)``, the same region run on lane ``k`` alone.
 
     One pass of the ``while`` walks the members in PC order;
@@ -1057,14 +801,15 @@ def _emit_region(
     counts whole, as it does under block dispatch.
 
     The one-lane region keeps every register its blocks touch in a
-    Python local (:func:`_emit_scalar`), loaded on entry; the same
-    ``finally`` stores the ones they write, on every exit.  Also returns
-    the one-lane body's constants (``_c{pc}`` -> value).
+    Python local, loaded on entry; the same ``finally`` stores the ones
+    they write, on every exit.  Also returns the one-lane body's
+    constants (``_c{pc}`` -> value) and the full-row region's free names
+    (:func:`_free_names`), which its header binds as keyword defaults.
     """
     from repro.gpu.timing import cpi_of
 
+    sites, mode = program.guards
     members = program.regions[header]
-    blocks = program.blocks
     inside = set(members)
     consts: dict = {}
     pcs: list[int] = []
@@ -1074,30 +819,20 @@ def _emit_region(
 
     arms: list[str] = []
     for leader in members:
-        end, count, cycles = blocks.get(leader, (leader, 0, 0.0))
+        end, count, cycles = program.blocks.get(leader, (leader, 0, 0.0))
         term = code[end]
         pcs.extend(range(leader, end + 1))
         arm = [f"if steps > cap - {count + 1}:", f"    return {leader}, steps"]
         if count:
             arm += [f"steps += {count}", f"cyc += {cycles!r}"]
-            if scalar:
-                for pc in range(leader, end):
-                    _emit_scalar(
-                        code[pc],
-                        pc,
-                        arm,
-                        consts,
-                        program.sites.get(pc),
-                        program.safety_mode,
-                    )
-            else:
-                arm += program.full_src[leader]
+            for pc in range(leader, end):
+                _emit(code[pc], pc, arm, lanes, consts, sites.get(pc), mode)
         issue = ["steps += 1", f"cyc += {cpi_of(term.op)!r}"]
         if term.op is Opcode.BR:
             arm += [*issue, go(term.targets[0])]
         else:
             t_then, t_else = term.targets
-            if scalar:
+            if lanes.one:
                 arm += [*issue, f"if {_local(term.args[0])}:"]
             else:
                 arm += [
@@ -1113,7 +848,7 @@ def _emit_region(
 
     entry: list[str] = []
     stores: list[str] = []
-    if scalar:
+    if lanes.one:
         read, written = _scalar_registers(code, pcs)
         entry = [f"{_local(r)} = {_reg(r)}[k]" for r in dict.fromkeys(read + written)]
         stores = [f"{_reg(r)}[k] = {_local(r)}" for r in written]
@@ -1130,28 +865,26 @@ def _emit_region(
         "    if _C is not None:",
         "        _C.note_uniform_block(cyc, steps - s0)",
     ]
-    if scalar:  # free names are the team namespace's globals
+    body = [f"    {ln}" for ln in body]
+    if lanes.one:  # free names are the team namespace's globals
         params = "".join(f", {c}" for c in consts)
-        head = f"def _loop1_{header}(mask, k, steps, cap{params}):"
-    else:
-        names = sorted(_free_names(body))
-        defaults = "".join(f", {nm}={nm}" for nm in names)
-        head = f"def _loop{header}(mask, steps, cap{defaults}):"
-    return [head, *(f"    {ln}" for ln in body)], consts
+        return [f"def _loop1_{header}(mask, k, steps, cap{params}):", *body], consts, ()
+    head = f"def _loop{header}(mask, steps, cap"
+    names = _free_names([f"{head}):", *body])
+    defaults = "".join(f", {nm}={nm}" for nm in names)
+    return [f"{head}{defaults}):", *body], consts, names
 
 
-def _free_names(lines: list[str]) -> set[str]:
-    """Names a generated body references that must be bound as defaults."""
-    import re
+def _free_names(lines: list[str]) -> tuple[str, ...]:
+    """The names the function in ``lines`` reads as globals that builtins
+    do not provide, sorted: Python's own scope analysis of the source.
+    They are exactly the team-namespace names it needs, so a team binds
+    each from its namespace."""
+    (fn,) = symtable.symtable("\n".join(lines), "<region>", "exec").get_children()
+    return tuple(sorted(n for n in fn.get_globals() if n not in _BUILTINS))
 
-    pattern = re.compile(
-        r"\b(I\d+|F\d+|H|np|_mem|_C|_MF|_trap|_lids|_lii|_gi|_resolve"
-        r"|_tpi|_team|_nteams|_ws|_nz|_T|_mty\d+|_mv\d+|_kp\d+)\b"
-    )
-    names: set[str] = set()
-    for ln in lines:
-        names.update(pattern.findall(ln))
-    return names
+
+_BUILTINS = frozenset(vars(builtins))
 
 
 class _LazyHandlers:
@@ -1246,6 +979,15 @@ def _static_tables(kernel: LoweredKernel) -> _StaticTables:
     )
 
 
+def _enter(bind, kind: str, pc: int, *args):
+    """A region's first entry on a team: bind its function, then run it."""
+    return bind(kind, pc)(*args)
+
+
+#: The executor attribute keeping each kind's functions for the run loop.
+_BOUND = {"blk": "_rows", "blk1": "_scalar", "loop": "_regions", "loop1": "_regions1"}
+
+
 class CompiledBlockExecutor(BlockExecutor):
     """Runs one thread block through compiled basic-block closures.
 
@@ -1286,57 +1028,39 @@ class CompiledBlockExecutor(BlockExecutor):
             tracer=ctx.tracer,
         )
         self._ns = self._bind_namespace(tables)
-        # leader -> its _blk function (_blk1_ for one lane), bound on the
-        # block's first call on that path: sequential code never needs
-        # the row functions, and most blocks are sequential code
+        # pc -> this team's function of each kind (see _BOUND), bound on
+        # its first call: a block's on the first lookup that misses (one
+        # lane never needs the row functions, and most blocks are
+        # sequential code), a region's on its first entry (_enter)
         self._rows: dict = {}
         self._scalar: dict = {}
-        # header -> its _loop function (_loop1_ for one lane); a stub
-        # until the first entry
-        self._regions = {
-            h: partial(self._first_entry, h, False) for h in program.regions
-        }
+        bind = self._bind
+        self._regions = {h: partial(_enter, bind, "loop", h) for h in program.regions}
         self._regions1 = {
-            h: partial(self._first_entry, h, True) for h in program.regions
+            h: partial(_enter, bind, "loop1", h) for h in program.regions
         }
         self.block_dispatches = 0
         self.region_entries = 0
         self.scalar_dispatches = 0
         self.scalar_region_entries = 0
 
-    def _first_entry(self, header: int, scalar: bool, *args):
-        """Bind region ``header``'s function into this team's namespace
-        (generating its code if no team has yet), then run it."""
-        code = region_code(
-            self._program,
-            self.kernel,
-            header,
-            scalar=scalar,
-            tracer=self.ctx.tracer,
+    def _bind(self, kind: str, pc: int):
+        """Function ``(kind, pc)`` for this team, kept in its kind's table:
+        its code (compiled if no team has yet) made a function over the
+        team's namespace, with its constants and free names as defaults."""
+        code, defaults, names = function_code(
+            self._program, self.kernel, kind, pc, tracer=self.ctx.tracer
         )
-        if scalar:
-            fn = FunctionType(code[0], self._ns, None, code[1])
-            self._regions1[header] = fn
-        else:
-            exec(code, self._ns)
-            fn = self._regions[header] = self._ns[f"_loop{header}"]
-        return fn(*args)
-
-    def _bind_block(self, leader: int, scalar: bool):
-        """Block ``leader``'s function for this team: the one-lane one
-        with ``scalar``, else the row one (full or masked), its code
-        compiled if no team has yet."""
-        code, defaults = block_code(
-            self._program, self.kernel, leader, scalar=scalar, tracer=self.ctx.tracer
-        )
-        fn = FunctionType(code, self._ns, None, defaults)
-        (self._scalar if scalar else self._rows)[leader] = fn
+        ns = self._ns
+        if names:
+            defaults += tuple(map(ns.__getitem__, names))
+        fn = FunctionType(code, ns, None, defaults)
+        getattr(self, _BOUND[kind])[pc] = fn
         return fn
 
     def _bind_namespace(self, tables: _StaticTables) -> dict:
-        """The per-executor environment of the generated functions: the
-        globals of block and scalar-tier functions, the defaults of
-        full-row regions."""
+        """The per-executor environment of the generated functions: their
+        globals, and the defaults of full-row regions' free names."""
         ctx = self.ctx
         ns: dict = {
             "__builtins__": builtins,
@@ -1361,6 +1085,7 @@ class CompiledBlockExecutor(BlockExecutor):
             "_ZERO": np.int64(0),
             "_W8": _W8,
             "_ISFIN": math.isfinite,
+            "_adr1": np.zeros(1, np.int64),  # one lane's address for _mem, on_mem
         }
         ns.update(zip(tables.iregs, self.iregs))
         ns.update(zip(tables.fregs, self.fregs))
@@ -1488,20 +1213,14 @@ class CompiledBlockExecutor(BlockExecutor):
                                         break
                                     steps += count
                                     if steps > max_steps:
-                                        self.steps = steps
-                                        raise DeviceTrap(
-                                            f"kernel {self.kernel.name!r} "
-                                            f"exceeded {max_steps} "
-                                            "interpreter steps (livelock?)",
-                                            team=self.ctx.team_id,
-                                        )
+                                        raise self._livelock(steps)
                                     if collector is not None:
                                         collector.note_divergent_block(
                                             warp_mask, cycles, count
                                         )
                                     fn = rows_get(cur_g)
                                     if fn is None:
-                                        fn = self._bind_block(cur_g, False)
+                                        fn = self._bind("blk", cur_g)
                                     fn(mask, False)
                                     dispatches += 1
                                     ran = True
@@ -1554,36 +1273,26 @@ class CompiledBlockExecutor(BlockExecutor):
                             end, count, cycles = blk
                             steps += count
                             if steps > max_steps:
-                                self.steps = steps
-                                raise DeviceTrap(
-                                    f"kernel {self.kernel.name!r} exceeded "
-                                    f"{max_steps} interpreter steps (livelock?)",
-                                    team=self.ctx.team_id,
-                                )
+                                raise self._livelock(steps)
                             if collector is not None:
                                 collector.note_uniform_block(cycles, count)
                             if one:
                                 sfn = scalar_get(cur)
                                 if sfn is None:
-                                    sfn = self._bind_block(cur, True)
+                                    sfn = self._bind("blk1", cur)
                                 sfn(mask, k)
                                 scalar_dispatches += 1
                             else:
                                 fn = rows_get(cur)
                                 if fn is None:
-                                    fn = self._bind_block(cur, False)
+                                    fn = self._bind("blk", cur)
                                 fn(mask, full)
                                 dispatches += 1
                             cur = end
                         # ---- terminator / single instruction -----------------
                         steps += 1
                         if steps > max_steps:
-                            self.steps = steps
-                            raise DeviceTrap(
-                                f"kernel {self.kernel.name!r} exceeded "
-                                f"{max_steps} interpreter steps (livelock?)",
-                                team=self.ctx.team_id,
-                            )
+                            raise self._livelock(steps)
                         if collector is not None:
                             collector.note_uniform(cpi_list[cur])
                         bt = br_target[cur]
@@ -1632,12 +1341,7 @@ class CompiledBlockExecutor(BlockExecutor):
                     # ---- divergent slow path (inherited semantics) -----------
                     steps += 1
                     if steps > max_steps:
-                        self.steps = steps
-                        raise DeviceTrap(
-                            f"kernel {self.kernel.name!r} exceeded "
-                            f"{max_steps} interpreter steps (livelock?)",
-                            team=self.ctx.team_id,
-                        )
+                        raise self._livelock(steps)
                     if collector is not None:
                         warp_mask = mask.reshape(self.num_warps, ws).any(axis=1)
                         collector.on_instr(code[cur].op, warp_mask)
@@ -1660,6 +1364,5 @@ __all__ = [
     "CompiledProgram",
     "SAFETY_CERT_KEY",
     "compile_kernel",
-    "block_code",
-    "region_code",
+    "function_code",
 ]

@@ -276,12 +276,7 @@ class BlockExecutor:
 
                 steps += 1
                 if steps > max_steps:
-                    self.steps = steps
-                    raise DeviceTrap(
-                        f"kernel {self.kernel.name!r} exceeded "
-                        f"{max_steps} interpreter steps (livelock?)",
-                        team=self.ctx.team_id,
-                    )
+                    raise self._livelock(steps)
 
                 if not divergent:
                     # ---- uniform fast path --------------------------------
@@ -340,6 +335,16 @@ class BlockExecutor:
 
     def _dest_row(self, li: LInstr) -> np.ndarray:
         return (self.fregs if li.dest_f else self.iregs)[li.dest]
+
+    def _livelock(self, steps: int) -> DeviceTrap:
+        """Record the ``steps`` retired and return the step-cap trap for
+        the run loop to raise."""
+        self.steps = steps
+        return DeviceTrap(
+            f"kernel {self.kernel.name!r} exceeded "
+            f"{self.ctx.max_steps} interpreter steps (livelock?)",
+            team=self.ctx.team_id,
+        )
 
     def _trap(self, msg: str, mask: np.ndarray) -> None:
         lane = int(np.flatnonzero(mask)[0]) if mask.any() else None

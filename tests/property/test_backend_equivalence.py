@@ -50,13 +50,6 @@ def test_compiled_matches_interp_with_timing(spec):
     check(source_input(render(spec), timed=True), [O2, compiled(2)])
 
 
-@pytest.mark.parametrize("app", sorted(APPS))
-@pytest.mark.parametrize("opt_level", [1, 2])
-def test_registry_apps_bitwise_equivalent(app, opt_level):
-    configs = [compiled(1)] if opt_level == 1 else [O2, compiled(2)]
-    check(app_input(app), configs)
-
-
 #: Registry-app inputs small enough to run timed on the interpreter.
 TIMED_ARGS = {
     "xsbench": ("-g", "128", "-n", "4", "-l", "32", "-s", "1"),
@@ -66,6 +59,25 @@ TIMED_ARGS = {
     "stencil": ("-n", "256", "-i", "1", "-s", "1"),
     "pagerank": ("-n", "256", "-d", "4", "-i", "1", "-s", "1"),
 }
+
+
+#: A thread limit that is not a warp multiple: the padded lanes of every
+#: team stay parked, so parallel blocks run their masked bodies.
+ODD_LIMIT = 48
+
+
+@pytest.mark.parametrize("app", sorted(APPS))
+@pytest.mark.parametrize("opt_level", [1, 2])
+def test_registry_apps_bitwise_equivalent(app, opt_level):
+    """Every registry app on its default args; at -O2 also on its small
+    args at thread limit :data:`ODD_LIMIT`, in every safety mode."""
+    configs = [compiled(1)] if opt_level == 1 else [O2, compiled(2)]
+    check(app_input(app), configs)
+    if opt_level == 2:
+        odd = [Config(opt_level=2, thread_limit=ODD_LIMIT)] + [
+            compiled(2, mode, thread_limit=ODD_LIMIT) for mode in SAFETY_MODES
+        ]
+        check(app_input(app, TIMED_ARGS[app]), odd)
 
 
 @pytest.mark.parametrize("app", sorted(APPS))

@@ -31,13 +31,10 @@ def _compiled_entry(kernel):
 
     Launches default to ``safety_mode="unchecked"``, so certified kernels
     cache under ``(CACHE_KEY, "unchecked")``; uncertified ones fall back
-    to the plain checked entry.
+    to the checked entry.
     """
     entry = kernel.backend_cache.get((CACHE_KEY, "unchecked"))
-    if entry is not None:
-        return entry
-    program = kernel.backend_cache.get(CACHE_KEY)
-    return (None, program) if program is not None else None
+    return entry or kernel.backend_cache.get((CACHE_KEY, "checked"))
 from repro.tools.safety_check import BROKEN
 from tests.oracle import ORACLE, Config, check, source_input
 from tests.util import SMALL_DEVICE, trace_fields
@@ -139,18 +136,21 @@ class TestCompilation:
             if _compiled_entry(k) is not None
         )
         program = _compiled_entry(kernel)[1]
-        assert "def _blk0(mask, full" in program.source
-        assert "if full:" in program.source
-        # a region's code is generated on its first entry: the run above
-        # entered some, and skipped others
-        entered = set(program.region_source)
+        heads = {
+            "blk": "def _blk{}(mask, full):\n    if full:\n",
+            "blk1": "def _blk1_{}(mask, k",
+            "loop": "def _loop{}(mask, steps, cap",
+            "loop1": "def _loop1_{}(mask, k, steps, cap",
+        }
+        assert set(program.code) == set(program.source)
+        for (kind, pc), source in program.source.items():
+            assert source.startswith(heads[kind].format(pc))
+        # a function is generated on its first call: the run above called
+        # row blocks and entered some regions, and skipped others
+        kinds = [kind for kind, _ in program.source]
+        assert kinds.count("blk") < len(program.blocks)
+        entered = {pc for kind, pc in program.source if kind == "loop"}
         assert entered and entered < set(program.regions)
-        assert set(program.region_code) == entered
-        for header in entered:
-            assert program.region_source[header].startswith(
-                f"def _loop{header}(mask, steps, cap"
-            )
-        assert "def _loop" not in program.source
 
 
     def test_pool_lowers_and_generates_once_per_kernel(self, monkeypatch):
@@ -416,11 +416,15 @@ class TestLoopRegions:
         first = loader.run(spec)
         assert loader.run(spec).exit_code == first.exit_code
         _, program = _compiled_entry(loader.image.lowered[ENSEMBLE_KERNEL])
-        entered = sorted(program.region_source)
+        generated = {
+            kind: [pc for k, pc in program.source if k == kind]
+            for kind in ("blk", "blk1", "loop", "loop1")
+        }
+        entered = generated["loop"]
         assert entered and set(entered) < set(program.regions)
         # the sequential sum over ``buf`` is a loop entered with one lane
-        assert program.region1_source
-        assert set(program.scalar_source) < set(program.blocks)
+        assert generated["loop1"]
+        assert set(generated["blk1"]) < set(program.blocks)
         spans = [e for e in obs.tracer.events if e.cat == "codegen"]
         assert {(e.name, e.track) for e in spans} == {
             (f"codegen {ENSEMBLE_KERNEL}", "compiler")
@@ -431,9 +435,9 @@ class TestLoopRegions:
             map(
                 repr,
                 [{"region": h} for h in entered]
-                + [{"region": h, "scalar": True} for h in program.region1_source]
-                + [{"scalar": leader} for leader in program.scalar_source]
-                + [{"block": leader} for leader in program.block_code],
+                + [{"region": h, "scalar": True} for h in generated["loop1"]]
+                + [{"scalar": leader} for leader in generated["blk1"]]
+                + [{"block": leader} for leader in generated["blk"]],
             )
         )
 
