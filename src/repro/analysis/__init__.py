@@ -12,17 +12,12 @@ The framework layer (usable by passes and tools alike):
   reaching definitions, use-before-def, parallel-region depths, and
   register-taint propagation.
 
-The interprocedural layer (``-O2`` and static packing are built on it):
+The interprocedural layer (``-O2`` is built on it):
 
 * :mod:`~repro.analysis.callgraph` — direct/indirect call graph with SCC
   condensation,
 * :mod:`~repro.analysis.pointsto` — flow-insensitive Andersen-style
-  points-to/alias analysis over IR memory ops,
-* :mod:`~repro.analysis.loops` + :mod:`~repro.analysis.ranges` — natural
-  loops, counted-loop matching, and interval abstract interpretation
-  propagated across calls,
-* :mod:`~repro.analysis.footprint` — static per-instance heap bounds for
-  ensemble packing.
+  points-to/alias analysis over IR memory ops.
 
 These are the only derivations of predecessors, reachability, dominators
 and natural loops from IR; every pass and checker takes them from here.
@@ -59,7 +54,6 @@ from repro.analysis.dataflow import (
     DataflowResult,
     ParDepthInfo,
     UninitUse,
-    env_fixpoint,
     liveness,
     par_depths,
     propagate_regs,
@@ -74,16 +68,10 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.divergence import check_divergence, thread_dependent_regs
 from repro.analysis.dominators import dominators, postdominators
-from repro.analysis.footprint import AllocSite, StaticFootprint, compute_footprint
-from repro.analysis.loops import (
-    CountedLoop,
-    Loop,
-    match_counted_loop,
-    natural_loops,
-)
+from repro.analysis.loops import Loop, natural_loops
 from repro.analysis.pointsto import MemObject, MemSpace, PointsTo
 from repro.analysis.races import check_races, summarize_global_accesses
-from repro.analysis.ranges import Interval, ValueRanges, trip_bound
+from repro.analysis.ranges import Interval
 from repro.analysis.rpc_legality import check_rpc_legality
 from repro.analysis.safety import (
     SafetyCertificate,
@@ -137,12 +125,10 @@ def analyze_module(
 
 
 __all__ = [
-    "AllocSite",
     "CFG",
     "CHECKERS",
     "CallGraph",
     "CallSite",
-    "CountedLoop",
     "DataflowResult",
     "Diagnostic",
     "Interval",
@@ -154,16 +140,13 @@ __all__ = [
     "SafetyCertificate",
     "Severity",
     "SiteProof",
-    "StaticFootprint",
     "UninitUse",
-    "ValueRanges",
     "Verdict",
     "analyze_kernel",
     "analyze_module",
     "build_callgraph",
     "certificates_for",
     "certify_module",
-    "compute_footprint",
     "check_divergence",
     "check_races",
     "check_rpc_legality",
@@ -173,10 +156,8 @@ __all__ = [
     "stamp_certificates",
     "count_by_severity",
     "dominators",
-    "env_fixpoint",
     "errors",
     "liveness",
-    "match_counted_loop",
     "natural_loops",
     "par_depths",
     "postdominators",
@@ -184,6 +165,5 @@ __all__ = [
     "reaching_defs",
     "summarize_global_accesses",
     "thread_dependent_regs",
-    "trip_bound",
     "uninitialized_uses",
 ]

@@ -1,24 +1,20 @@
 """Interprocedural call graph over a linked module.
 
 The IR only has direct calls (``call`` instructions carrying a callee
-symbol), but a useful call graph still has to answer three questions the
+symbol), but a useful call graph still has to answer two questions the
 intraprocedural analyses cannot:
 
 * *who calls whom* — edges per call site, with the site's location, so
-  facts (argument ranges, points-to sets) can be propagated across calls;
+  facts (points-to sets) can be propagated across calls;
 * *what is recursive* — Tarjan SCC condensation groups mutually recursive
-  functions; analyses widen to ⊤ inside a cycle instead of diverging;
-* *what order to visit* — a (reverse) topological order over the
-  condensation, so bottom-up summaries (returns, footprints) and top-down
-  facts (parameter ranges) each converge in one sweep on acyclic graphs.
+  functions (``lint --interproc`` reports the cycles).
 
 Calls to symbols defined nowhere in the module (host externs before RPC
 lowering, unresolved references) are collected as *external* edges rather
 than dropped: the points-to analysis must treat their arguments as
-escaping, and the range analysis must treat their results as unknown.
-``rpc`` instructions are likewise surfaced as external edges to their
-service name, because the host can observe (and mutate) anything
-reachable from an RPC argument.
+escaping.  ``rpc`` instructions are likewise surfaced as external edges
+to their service name, because the host can observe (and mutate)
+anything reachable from an RPC argument.
 """
 
 from __future__ import annotations
@@ -71,11 +67,6 @@ class CallGraph:
     sccs: list[tuple[str, ...]] = field(default_factory=list)
     scc_of: dict[str, int] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-    def sites_in(self, caller: str) -> list[CallSite]:
-        """Call sites textually inside ``caller``."""
-        return [s for s in self.sites if s.caller == caller]
-
     def sites_of(self, callee: str) -> list[CallSite]:
         """Call sites whose target is ``callee``."""
         return [s for s in self.sites if s.callee == callee]
@@ -87,27 +78,6 @@ class CallGraph:
             return False
         scc = self.sccs[idx]
         return len(scc) > 1 or name in self.callees.get(name, ())
-
-    def reachable_from(self, roots: list[str]) -> set[str]:
-        """Defined functions reachable from ``roots`` along call edges."""
-        seen = set(r for r in roots if r in self.callees)
-        stack = list(seen)
-        while stack:
-            for callee in self.callees.get(stack.pop(), ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append(callee)
-        return seen
-
-    def topo_order(self, *, callees_first: bool = True) -> list[str]:
-        """Functions flattened from the SCC condensation.
-
-        ``callees_first=True`` yields a bottom-up order (summaries);
-        ``False`` yields top-down (callers before callees), which is what
-        parameter-fact propagation wants.
-        """
-        order = [name for scc in self.sccs for name in scc]
-        return order if callees_first else list(reversed(order))
 
 
 def build_callgraph(module: Module) -> CallGraph:

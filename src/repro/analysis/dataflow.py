@@ -107,77 +107,6 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# environment fixpoint (non-set lattices: intervals, constants, ...)
-# ---------------------------------------------------------------------------
-
-
-def env_fixpoint(
-    cfg: CFG,
-    transfer: Callable[[str, dict], dict],
-    join_value: Callable[[object, object], object],
-    *,
-    entry_env: dict | None = None,
-    widen_value: Callable[[object, object], object] | None = None,
-    widen_after: int = 2,
-    is_top: Callable[[object], bool] = lambda v: v is None,
-) -> dict[str, dict]:
-    """Forward fixpoint over per-block *environments* (key -> lattice value).
-
-    :func:`solve` handles set lattices; this handles everything else — an
-    environment is a plain dict whose **missing keys mean ⊤** (unknown), so
-    join intersects key sets and joins values pointwise, dropping any that
-    reach ⊤ (``is_top``).  ``transfer(label, env_in)`` returns the block's
-    exit environment.  After a block has been re-entered ``widen_after``
-    times, ``widen_value(old, new)`` replaces the join on its entry values
-    so infinite ascending chains (interval bounds growing around a loop)
-    terminate.
-
-    Returns the stable ``block_in`` environments for every reachable block.
-    """
-
-    def join_env(a: dict, b: dict) -> dict:
-        out = {}
-        for k in a.keys() & b.keys():
-            v = join_value(a[k], b[k])
-            if not is_top(v):
-                out[k] = v
-        return out
-
-    state_in: dict[str, dict] = {}
-    state_out: dict[str, dict] = {}
-    visits: dict[str, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for label in cfg.rpo:
-            preds = [
-                p for p in cfg.preds[label] if p in cfg.reachable and p in state_out
-            ]
-            acc: dict | None = dict(entry_env or {}) if label == cfg.entry else None
-            for p in preds:
-                acc = state_out[p] if acc is None else join_env(acc, state_out[p])
-            if acc is None:
-                if label != cfg.entry:
-                    continue  # no reachable input yet
-                acc = {}
-            old = state_in.get(label)
-            if old is not None:
-                visits[label] = visits.get(label, 0) + 1
-                if widen_value is not None and visits[label] > widen_after:
-                    widened = {}
-                    for k in old.keys() & acc.keys():
-                        v = widen_value(old[k], acc[k])
-                        if not is_top(v):
-                            widened[k] = v
-                    acc = widened
-            if acc != old:
-                state_in[label] = acc
-                state_out[label] = transfer(label, dict(acc))
-                changed = True
-    return state_in
-
-
-# ---------------------------------------------------------------------------
 # liveness
 # ---------------------------------------------------------------------------
 

@@ -1,48 +1,30 @@
 """Interprocedural facts rendered as diagnostics (``lint --interproc``).
 
 The optimization passes consume the interprocedural analyses silently;
-this module makes the same facts *visible*: what the call graph looks
-like, which allocation sites the footprint estimator could (and could
-not) bound, which globals escape to the host through RPC, and the
-bottom line — the per-instance heap interval static packing would use.
+this module makes the same facts *visible*: which functions sit on call
+cycles and which globals escape to the host through RPC.
 
 Everything here is a fact, not a safety finding, so the default severity
-is NOTE; the exceptions are WARNINGs for the situations that silently
-disable the optimizations built on top (recursive call cycles, unbounded
-allocation sites) — exactly the things a user porting a benchmark wants
-pointed at when static packing falls back to runtime bisection.
+is NOTE; the exception is a WARNING for recursive call cycles, which the
+inliner refuses once a kernel reaches them (device code has no unbounded
+recursion).
 """
 
 from __future__ import annotations
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.diagnostics import Diagnostic, Severity, instr_loc
-from repro.analysis.footprint import DEFAULT_ENTRY, compute_footprint
+from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.pointsto import PointsTo
 from repro.ir.module import Module
+from repro.passes.rename_main import USER_MAIN
 
 CHECKER = "interproc"
 
 
-def _site_instr(module: Module, function: str, block: str, index: int):
-    fn = module.functions.get(function)
-    if fn is None or block not in fn.blocks:
-        return None
-    instrs = fn.blocks[block].instrs
-    return instrs[index] if 0 <= index < len(instrs) else None
-
-
-def _interval(lo, hi) -> str:
-    left = "-inf" if lo is None else str(lo)
-    right = "+inf" if hi is None else str(hi)
-    return f"[{left}, {right}]"
-
-
-def interproc_facts(module: Module, *, entry: str = DEFAULT_ENTRY) -> list[Diagnostic]:
+def interproc_facts(module: Module, *, entry: str = USER_MAIN) -> list[Diagnostic]:
     """Run the interprocedural analyses and report their facts."""
     cg: CallGraph = build_callgraph(module)
     pt = PointsTo(module, cg)
-    fp = compute_footprint(module, entry=entry, callgraph=cg)
     diags: list[Diagnostic] = []
 
     for scc in cg.sccs:
@@ -57,51 +39,9 @@ def interproc_facts(module: Module, *, entry: str = DEFAULT_ENTRY) -> list[Diagn
                     message=(
                         "recursive call cycle "
                         + " -> ".join(scc)
-                        + ": invocation and trip bounds degrade to unbounded"
+                        + ": the inliner rejects it once a kernel reaches it"
                     ),
-                    hint="unroll or bound the recursion to re-enable static packing",
-                )
-            )
-
-    for site in fp.sites:
-        instr = _site_instr(module, site.function, site.block, site.index)
-        loc = instr_loc(instr) if instr is not None else None
-        total = site.total_hi
-        if total is None:
-            diags.append(
-                Diagnostic(
-                    severity=Severity.WARNING,
-                    checker=CHECKER,
-                    function=site.function,
-                    block=site.block,
-                    index=site.index,
-                    message=(
-                        f"unbounded allocation: {site.callee} with size "
-                        f"{_interval(site.size.lo, site.size.hi)} x count "
-                        f"{_interval(site.count.lo, site.count.hi)}"
-                    ),
-                    hint=(
-                        "a runtime-dependent size or an uncounted loop hides "
-                        "the bound; static packing falls back to OOM bisection"
-                    ),
-                    loc=loc,
-                )
-            )
-        else:
-            diags.append(
-                Diagnostic(
-                    severity=Severity.NOTE,
-                    checker=CHECKER,
-                    function=site.function,
-                    block=site.block,
-                    index=site.index,
-                    message=(
-                        f"allocation bound: {site.callee} contributes at most "
-                        f"{total} B per instance (size "
-                        f"{_interval(site.size.lo, site.size.hi)}, count "
-                        f"{_interval(site.count.lo, site.count.hi)})"
-                    ),
-                    loc=loc,
+                    hint="unroll or bound the recursion",
                 )
             )
 
@@ -118,23 +58,6 @@ def interproc_facts(module: Module, *, entry: str = DEFAULT_ENTRY) -> list[Diagn
                     sym=obj.key,
                 )
             )
-
-    if entry in module.functions:
-        hi = "unbounded" if fp.heap_hi is None else f"{fp.heap_hi} B"
-        diags.append(
-            Diagnostic(
-                severity=Severity.NOTE,
-                checker=CHECKER,
-                function=entry,
-                block=None,
-                index=None,
-                message=(
-                    f"static footprint: per-instance heap in "
-                    f"[{fp.heap_lo} B, {hi}]; globals {fp.globals_bytes} B; "
-                    f"{len(fp.sites)} allocation site(s)"
-                ),
-            )
-        )
     return diags
 
 

@@ -30,7 +30,6 @@ Consumers:
   written on one side of this barrier and touched on the other",
 * the alias-sharpened DCE/LICM ask "is this store provably private" /
   "is this load from provably read-only memory",
-* :mod:`repro.analysis.footprint` classifies allocation sites,
 * ``repro.tools.lint --interproc`` reports the facts as diagnostics.
 """
 

@@ -1,33 +1,11 @@
-"""Interprocedural value-range analysis (interval abstract interpretation).
-
-Every integer register gets an interval ``[lo, hi]`` (either end may be
-open).  Intra-procedurally the domain runs forward over the CFG through
-:func:`repro.analysis.dataflow.env_fixpoint`, with widening at loop
-re-entries; interprocedurally, argument intervals flow into callee
-parameters and return intervals flow back into call destinations along
-the :mod:`~repro.analysis.callgraph`, iterated to a global fixpoint
-(recursive SCCs are widened to ⊤ by the same mechanism instead of
-diverging).
-
-What the intervals are *for* here is resource bounding, not general
-optimization: :func:`trip_bound` turns the symbolic
-:class:`~repro.analysis.loops.CountedLoop` pattern into a concrete
-maximum trip count, and :mod:`repro.analysis.footprint` multiplies those
-through ``malloc`` sites to bound the per-instance heap.  Anything the
-analysis cannot see becomes ⊤ — a missing entry, never a guess.
-"""
+"""Integer intervals: the value domain the safety analyzer
+(:mod:`repro.analysis.safety`) attaches to registers and difference
+facts.  An :class:`Interval` ``[lo, hi]`` may be open at either end
+(``None``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import env_fixpoint
-from repro.analysis.loops import CountedLoop
-from repro.ir.instructions import Instr, Opcode, icmp_ops, fcmp_ops
-from repro.ir.module import Module
-from repro.ir.types import Reg, ScalarType
 
 #: Magnitudes beyond 2**63 are treated as unbounded: cheaper than exact
 #: big-interval arithmetic and sound for any i64 interpretation.
@@ -125,290 +103,6 @@ class Interval:
 
 
 TOP = Interval()
-BOOL = Interval(0, 1)
-NON_NEG = Interval(0, None)
-POSITIVE = Interval(1, None)
-
-_CMP_OPS = icmp_ops() | fcmp_ops()
-
-#: How many times a function summary (parameter or return interval) may be
-#: refined before it is widened to break interprocedural cycles.
-_SUMMARY_WIDEN_AFTER = 3
 
 
-class ValueRanges:
-    """Module-wide interval solution, queryable at any program point."""
-
-    def __init__(self, module: Module, callgraph: CallGraph | None = None):
-        self.module = module
-        self.callgraph = callgraph or build_callgraph(module)
-        self._cfgs = {name: CFG(fn) for name, fn in module.functions.items()}
-        #: fn name -> {reg id -> Interval} at function entry (parameters).
-        self._params: dict[str, dict[int, Interval]] = {}
-        #: fn name -> joined RETVAL interval (missing = no info yet).
-        self._returns: dict[str, Interval] = {}
-        #: fn name -> stable block-entry environments.
-        self._block_in: dict[str, dict[str, dict[int, Interval]]] = {}
-        self._solve()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def at(self, fn: str, label: str, index: int) -> dict[int, Interval]:
-        """Environment immediately *before* instruction ``index`` of the
-        block — replayed from the stable block entry."""
-        env = dict(self._block_in.get(fn, {}).get(label, {}))
-        function = self.module.functions[fn]
-        for instr in function.blocks[label].instrs[:index]:
-            self._step(fn, instr, env)
-        return env
-
-    def interval_at(self, fn: str, label: str, index: int, reg: Reg | int) -> Interval:
-        rid = reg.id if isinstance(reg, Reg) else reg
-        return self.at(fn, label, index).get(rid, TOP)
-
-    def return_interval(self, fn: str) -> Interval:
-        return self._returns.get(fn, TOP)
-
-    # ------------------------------------------------------------------
-    # the solver
-    # ------------------------------------------------------------------
-    def _solve(self) -> None:
-        updates: dict[tuple[str, object], int] = {}
-        order = self.callgraph.topo_order(callees_first=False)
-        for _round in range(len(order) + 3):
-            new_params: dict[str, dict[int, Interval]] = {}
-            new_returns: dict[str, Interval] = {}
-            for name in order:
-                self._analyze_function(name, new_params, new_returns)
-            changed = False
-            for name, env in new_params.items():
-                merged = self._merge_summary(
-                    self._params.get(name, {}), env, updates, ("p", name)
-                )
-                if merged != self._params.get(name):
-                    self._params[name] = merged
-                    changed = True
-            for name, iv in new_returns.items():
-                old = self._returns.get(name)
-                # Replace rather than join: round 1 analyzes callees with
-                # still-unknown (⊤) parameters, and joining would keep that
-                # over-wide first impression forever.  Each round re-derives
-                # the summary from scratch, the widening counter below bounds
-                # oscillation, and the round loop is hard-capped, so
-                # replacement converges to a consistent post-fixpoint.
-                nxt = iv
-                key = ("r", name)
-                if old is not None and nxt != old:
-                    updates[key] = updates.get(key, 0) + 1
-                    if updates[key] > _SUMMARY_WIDEN_AFTER:
-                        nxt = old.widen(nxt)
-                if nxt != old:
-                    self._returns[name] = nxt
-                    changed = True
-            if not changed:
-                break
-
-    def _merge_summary(self, old, new, updates, key_base) -> dict[int, Interval]:
-        merged: dict[int, Interval] = {}
-        for rid in old.keys() & new.keys():
-            o, n = old[rid], new[rid]
-            nxt = o.join(n)
-            if nxt != o:
-                key = (*key_base, rid)
-                updates[key] = updates.get(key, 0) + 1
-                if updates[key] > _SUMMARY_WIDEN_AFTER:
-                    nxt = o.widen(nxt)
-            if not nxt.is_top:
-                merged[rid] = nxt
-        if not old:
-            merged = {rid: iv for rid, iv in new.items() if not iv.is_top}
-        return merged
-
-    def _analyze_function(self, name: str, new_params, new_returns) -> None:
-        fn = self.module.functions[name]
-        cfg = self._cfgs[name]
-        has_callers = bool(self.callgraph.callers.get(name))
-        entry_env = dict(self._params.get(name, {})) if has_callers else {}
-
-        def transfer(label: str, env: dict) -> dict:
-            # Summaries are recorded only on the stable replay below, so a
-            # mid-fixpoint (still-narrowing) environment never leaks an
-            # over-wide argument or return interval into a callee.
-            for instr in fn.blocks[label].instrs:
-                self._step(name, instr, env)
-            return env
-
-        self._block_in[name] = env_fixpoint(
-            cfg,
-            transfer,
-            Interval.join,
-            entry_env=entry_env,
-            widen_value=Interval.widen,
-            is_top=lambda v: v.is_top,
-        )
-        # One deterministic replay over the stable solution so call-site
-        # argument and return contributions come from final environments.
-        for label in cfg.rpo:
-            env = dict(self._block_in[name].get(label, {}))
-            for instr in fn.blocks[label].instrs:
-                self._step(name, instr, env, new_params, new_returns)
-
-    # ------------------------------------------------------------------
-    # abstract semantics
-    # ------------------------------------------------------------------
-    def _step(
-        self,
-        fname: str,
-        instr: Instr,
-        env: dict[int, Interval],
-        new_params=None,
-        new_returns=None,
-    ) -> None:
-        op = instr.op
-        if op is Opcode.CALL and new_params is not None:
-            callee = self.module.functions.get(instr.callee)
-            if callee is not None:
-                sink = new_params.setdefault(callee.name, {})
-                for preg, arg in zip(callee.param_regs, instr.args):
-                    if preg.ty is not ScalarType.I64:
-                        continue
-                    iv = self._operand(arg, env)
-                    sink[preg.id] = iv if preg.id not in sink else sink[preg.id].join(iv)
-        if op is Opcode.RETVAL and new_returns is not None and instr.args:
-            iv = self._operand(instr.args[0], env)
-            old = new_returns.get(fname)
-            new_returns[fname] = iv if old is None else old.join(iv)
-
-        dest = instr.dest
-        if dest is None:
-            return
-        if dest.ty is not ScalarType.I64:
-            env.pop(dest.id, None)
-            return
-        iv = self._eval(instr, env)
-        if iv.is_top:
-            env.pop(dest.id, None)
-        else:
-            env[dest.id] = iv
-
-    def _operand(self, arg, env: dict[int, Interval]) -> Interval:
-        if isinstance(arg, Reg):
-            return env.get(arg.id, TOP)
-        if isinstance(arg, int):
-            return Interval.const(arg)
-        return TOP
-
-    def _eval(self, instr: Instr, env: dict[int, Interval]) -> Interval:
-        op = instr.op
-        g = lambda i: self._operand(instr.args[i], env)  # noqa: E731
-
-        if op is Opcode.MOVI:
-            return Interval.const(int(instr.imm))
-        if op is Opcode.MOV:
-            return g(0)
-        if op is Opcode.ADD:
-            return g(0).add(g(1))
-        if op is Opcode.SUB:
-            return g(0).sub(g(1))
-        if op is Opcode.MUL:
-            return g(0).mul(g(1))
-        if op is Opcode.INEG:
-            return g(0).neg()
-        if op is Opcode.IMIN:
-            return g(0).min_(g(1))
-        if op is Opcode.IMAX:
-            return g(0).max_(g(1))
-        if op is Opcode.SELECT:
-            return g(1).join(g(2))
-        if op in _CMP_OPS:
-            return BOOL
-        if op is Opcode.AND:
-            a, b = g(0), g(1)
-            for mask, other in ((a, b), (b, a)):
-                c = mask.as_const
-                if c is not None and c >= 0:
-                    # x & c with c >= 0 keeps only c's bits: 0..c.
-                    return Interval(0, c)
-            if (a.lo or -1) >= 0 and (b.lo or -1) >= 0:
-                his = [h for h in (a.hi, b.hi) if h is not None]
-                return Interval.of(0, min(his) if his else None)
-            return TOP
-        if op is Opcode.SREM:
-            c = g(1).as_const
-            if c is not None and c != 0:
-                m = abs(c) - 1
-                lo = 0 if (g(0).lo or -1) >= 0 else -m
-                return Interval(lo, m)
-            return TOP
-        if op is Opcode.SDIV:
-            a, c = g(0), g(1).as_const
-            if c is not None and c > 0 and a.lo is not None and a.lo >= 0:
-                return Interval.of(0, None if a.hi is None else a.hi // c)
-            return TOP
-        if op is Opcode.SHL:
-            a, s = g(0), g(1).as_const
-            if s is not None and 0 <= s <= 62:
-                return a.mul(Interval.const(1 << s))
-            return TOP
-        if op is Opcode.ASHR:
-            a, s = g(0), g(1).as_const
-            if s is not None and s >= 0:
-                return Interval.of(
-                    None if a.lo is None else a.lo >> s,
-                    None if a.hi is None else a.hi >> s,
-                )
-            return TOP
-        if op in (Opcode.TID, Opcode.LANEID, Opcode.CTAID, Opcode.INSTANCE):
-            return NON_NEG
-        if op in (Opcode.NTID, Opcode.NCTAID):
-            return POSITIVE
-        if op is Opcode.KPARAM:
-            # Parameter 0 is the instance's argument count (non-negative);
-            # the rest are device addresses.
-            return NON_NEG if instr.imm == 0 else TOP
-        if op in (Opcode.SHFL_DOWN, Opcode.SHFL_IDX):
-            # Another lane's copy of the same register: the environment is
-            # lane-agnostic (lane-variant sources are already intervals over
-            # all lanes), so the operand's interval covers every lane.
-            return g(0)
-        if op is Opcode.CALL:
-            if instr.callee in self.module.functions:
-                return self._returns.get(instr.callee, TOP)
-            return TOP
-        return TOP
-
-
-def trip_bound(vr: ValueRanges, fn: str, counted: CountedLoop) -> int | None:
-    """Maximum trip count of a counted loop, or None when unbounded.
-
-    Up-counting (``step > 0``): trips is at most
-    ``ceil((hi(bound) - lo(init)) / step)``, plus one for a non-strict
-    compare; symmetrically for down-counting.  Requires the bound's
-    closing end and the init's opening end to be finite.
-    """
-    header = counted.loop.header
-    env = vr._block_in.get(fn, {}).get(header, {})
-    bound_iv = env.get(counted.bound.id, TOP)
-    if isinstance(counted.init, int):
-        init_iv = Interval.const(counted.init)
-    elif isinstance(counted.init, Reg):
-        init_iv = env.get(counted.init.id, TOP)
-    else:
-        init_iv = TOP
-
-    slack = 0 if counted.strict else 1
-    if counted.step > 0:
-        if bound_iv.hi is None or init_iv.lo is None:
-            return None
-        span = bound_iv.hi - init_iv.lo + slack
-        step = counted.step
-    else:
-        if bound_iv.lo is None or init_iv.hi is None:
-            return None
-        span = init_iv.hi - bound_iv.lo + slack
-        step = -counted.step
-    return max(0, -(-span // step))
-
-
-__all__ = ["BOOL", "Interval", "NON_NEG", "POSITIVE", "TOP", "ValueRanges", "trip_bound"]
+__all__ = ["Interval", "TOP"]

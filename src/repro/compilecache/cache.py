@@ -35,7 +35,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro import wire
 from repro.errors import ReproError
@@ -52,7 +52,7 @@ from repro.compilecache.build import (
 )
 
 #: Magic first line of a disk-tier entry; bump with the entry format.
-DISK_MAGIC = b"rexe2\n"
+DISK_MAGIC = b"rexe3\n"
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_MEMORY_ENTRIES = 512
@@ -85,48 +85,15 @@ class CacheKey:
         return wire.spec_hash(self.to_wire())
 
 
-class _AnalysisBox:
-    """Shared, lazily filled analysis state of one cache entry.
-
-    The footprint costs more than the compile itself for small programs,
-    and many workloads (the GP campaign, direct loaders with explicit
-    heaps) never consult it — so it is derived on first demand, once,
-    and memoized for every holder of the entry (all tier-tagged copies
-    share one box)."""
-
-    __slots__ = ("footprint", "done", "lock")
-
-    def __init__(self, footprint=None, done=False):
-        self.footprint = footprint
-        self.done = done
-        self.lock = threading.Lock()
-
-
 @dataclass
 class CachedExecutable:
-    """One cache entry: the finalized module (its safety certificates
-    stamped in ``module.metadata``) plus its static footprint, computed
-    lazily and shared — see :class:`_AnalysisBox`."""
+    """One cache entry: the finalized module, its safety certificates
+    stamped in ``module.metadata``."""
 
     key: CacheKey
     digest: str
     module: Module
-    box: _AnalysisBox = field(repr=False, default_factory=_AnalysisBox)
     tier: str = "build"  #: where *this* lookup was satisfied
-
-    @property
-    def footprint(self):
-        """The module's :class:`~repro.analysis.footprint.
-        StaticFootprint` (None when unbounded/underivable); computed on
-        first access, then free — this is what pre-seeds the scheduler's
-        static batch packing without recompiling."""
-        box = self.box
-        if not box.done:
-            with box.lock:
-                if not box.done:
-                    box.footprint = _analyze(self.module)
-                    box.done = True
-        return box.footprint
 
 
 def _resolve_source(program, tracer=None):
@@ -292,14 +259,6 @@ class ExecutableCache:
         fut.set_result(entry)
         return entry
 
-    def peek(self, digest: str) -> CachedExecutable | None:
-        """Memory-tier lookup by digest that counts nothing — used by
-        loaders given an already-finalized module to recover the stored
-        footprint without inflating hit metrics."""
-        with self._lock:
-            entry = self._memory.get(digest)
-            return None if entry is None else replace(entry, tier="memory")
-
     def clear_memory(self) -> None:
         """Drop the memory tier (the disk tier, if any, stays)."""
         with self._lock:
@@ -363,15 +322,8 @@ class ExecutableCache:
         if not self.cache_dir:
             return
         try:
-            box = entry.box  # persist whatever analysis exists, lazily
             payload = pickle.dumps(
-                {
-                    "key": entry.key,
-                    "digest": digest,
-                    "module": entry.module,
-                    "analyzed": box.done,
-                    "footprint": box.footprint,
-                },
+                {"key": entry.key, "digest": digest, "module": entry.module},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             blob = (
@@ -430,16 +382,7 @@ class ExecutableCache:
             except OSError:
                 pass
             return None
-        entry = CachedExecutable(
-            key=key,
-            digest=digest,
-            module=module,
-            box=_AnalysisBox(
-                footprint=data.get("footprint"),
-                done=bool(data.get("analyzed")),
-            ),
-            tier="disk",
-        )
+        entry = CachedExecutable(key=key, digest=digest, module=module, tier="disk")
         self._store_memory(digest, entry)
         self._count("hits_disk", "cache.hits", tier="disk")
         return entry
@@ -466,17 +409,6 @@ def _resolve_source_for_override(program):
     raise CacheError(
         f"cannot cache object of type {type(program).__name__}"
     )
-
-
-def _analyze(module: Module):
-    """Compute the static footprint stored alongside an executable, so
-    schedulers can pack batches without re-deriving it."""
-    try:
-        from repro.analysis.footprint import compute_footprint
-
-        return compute_footprint(module)
-    except ReproError:
-        return None
 
 
 __all__ = [

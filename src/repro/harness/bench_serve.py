@@ -72,6 +72,9 @@ DEVICES = 2
 #: Full-size and --quick campaign counts.
 CAMPAIGNS = 6
 QUICK_CAMPAIGNS = 3
+#: Default interleaved direct/served pairs: odd, so the median overhead
+#: is one pair's ratio, and more than one, so one outlier cannot set it.
+REPEATS = 3
 INSTANCES = 2
 
 PATHS = ("direct", "served")
@@ -237,7 +240,7 @@ def _run_served(campaigns: int):
 _RUNNERS = {"direct": _run_direct, "served": _run_served}
 
 
-def run_bench(campaigns: int = CAMPAIGNS, repeats: int = 2) -> ServeBenchReport:
+def run_bench(campaigns: int = CAMPAIGNS, repeats: int = REPEATS) -> ServeBenchReport:
     """Interleave direct/served runs so background load drifts cancel in
     each repeat's overhead ratio; keep every wall per path and the
     occupancy of the final run (occupancy is deterministic, so any run's
@@ -356,9 +359,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"CI mode: {QUICK_CAMPAIGNS} campaigns, 1 repeat",
+        help=f"CI mode: {QUICK_CAMPAIGNS} campaigns per repeat",
     )
-    parser.add_argument("--repeats", type=int, default=2)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=REPEATS,
+        help=f"interleaved direct/served pairs (default {REPEATS})",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -369,8 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     campaigns = QUICK_CAMPAIGNS if args.quick else CAMPAIGNS
-    repeats = 1 if args.quick else args.repeats
-    report = run_bench(campaigns=campaigns, repeats=repeats)
+    report = run_bench(campaigns=campaigns, repeats=args.repeats)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
 
     if args.out:

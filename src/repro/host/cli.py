@@ -154,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "elimination, alias DCE, read-only load hoisting)",
     )
     parser.add_argument(
-        "--no-static-packing",
-        action="store_true",
-        help="disable seeding batch sizes from the static footprint "
-        "(scheduled runs fall back to pure OOM bisection)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -428,7 +422,6 @@ def _run(parser, args, app, obs: Observability) -> int:
                 max_batch=args.max_batch,
                 default_retries=args.retries,
                 obs=obs,
-                static_packing=not args.no_static_packing,
                 cache=cache,
             )
             result = sched.run_campaign(

@@ -28,12 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.safety import certificates_for
-from repro.compilecache.build import (
-    DIGEST_META,
-    build_executable,
-    is_executable,
-    run_frontend,
-)
+from repro.compilecache.build import build_executable, is_executable, run_frontend
 from repro.config import DEFAULT_DEVICE, DEFAULT_SIM
 from repro.errors import DeviceOutOfMemory, DeviceTrap, LoaderError
 from repro.faults.injector import FaultInjector
@@ -105,21 +100,13 @@ class Loader:
         self.app_name = program.name if isinstance(program, (Program, Module)) else "app"
 
         obs_kw = dict(tracer=self.device.tracer, metrics=self.device.metrics)
-        self._static_footprint = None
-        self._cache_entry = None
         if is_executable(program):
             # Already finalized (by the compile cache or a prior loader):
             # its compile options were baked in by the producer, so go
-            # straight to image loading.  Recover the stored footprint
-            # without counting a hit — the lookup already happened.
+            # straight to image loading.
             module = program
-            if cache is not None:
-                digest = module.metadata.get(DIGEST_META)
-                entry = cache.peek(digest) if digest else None
-                if entry is not None:
-                    self._cache_entry = entry
         elif cache is not None:
-            entry = cache.get_or_build(
+            module = cache.get_or_build(
                 program,
                 team_local_globals=team_local_globals,
                 shared_mem_budget=(
@@ -129,9 +116,7 @@ class Loader:
                 ),
                 opt_level=opt_level,
                 **obs_kw,
-            )
-            module = entry.module
-            self._cache_entry = entry
+            ).module
         else:
             module = (
                 run_frontend(program, tracer=self.device.tracer)
@@ -161,22 +146,6 @@ class Loader:
         #: lets the next direct launch re-arm a fresh plan without
         #: clobbering an injector a scheduler attached for its campaign.
         self._spec_adopted_faults = None
-
-    @property
-    def static_footprint(self):
-        """Lazily computed :class:`~repro.analysis.footprint.StaticFootprint`
-        of the linked module's ``__user_main`` — the per-instance heap
-        bound the scheduler's static packing consumes."""
-        if self._static_footprint is None:
-            if self._cache_entry is not None:
-                # One lazy derivation per cache *entry*, shared by every
-                # loader of the same executable — not one per loader.
-                self._static_footprint = self._cache_entry.footprint
-            if self._static_footprint is None:
-                from repro.analysis.footprint import compute_footprint
-
-                self._static_footprint = compute_footprint(self.module)
-        return self._static_footprint
 
     # ------------------------------------------------------------------
     # plumbing shared with the ensemble loader

@@ -186,7 +186,6 @@ class Scheduler:
         sleep: Callable[[float], None] = time.sleep,
         obs: Observability | None = None,
         faults=None,
-        static_packing: bool = True,
         job_scoped_faults: bool = False,
         cache=None,
     ):
@@ -197,9 +196,6 @@ class Scheduler:
         self.default_retries = default_retries
         self.backoff_base = backoff_base
         self.chunk_size = chunk_size
-        #: Seed per-device batch caps from the compiler's StaticFootprint
-        #: instead of discovering them through runtime OOM bisection.
-        self.static_packing = static_packing
         #: Multi-tenant mode (the ``repro.serve`` contract): a fault plan
         #: carried by a submitted spec arms an injector scoped to *that
         #: job only* — its injection points fire solely during that job's
@@ -223,8 +219,7 @@ class Scheduler:
             )
         #: Shared compile-once cache (see :mod:`repro.compilecache`):
         #: attached to every pool worker, so each distinct (program,
-        #: config) compiles once for the whole pool; cached footprints
-        #: pre-seed static packing without recompiling.
+        #: config) compiles once for the whole pool.
         self.cache = cache
         if cache is not None:
             cache.attach_metrics(self.metrics)
@@ -237,8 +232,6 @@ class Scheduler:
         #: per-(worker, job) bisection state: a size that OOMed on a device
         #: is never retried on that device.
         self._policies: dict[tuple[int, int], _BisectionPolicy] = {}
-        #: per-(worker, job) statically derived batch cap (None = dynamic).
-        self._static_caps: dict[tuple[int, int], int | None] = {}
         #: Every submitted job, keyed by id; futures and tickets resolve
         #: through this registry (``release`` drops terminal entries).
         self._jobs: dict[int, Job] = {}
@@ -387,8 +380,6 @@ class Scheduler:
         del self._jobs[job.job_id]
         for key in [k for k in self._policies if k[1] == job.job_id]:
             del self._policies[key]
-        for key in [k for k in self._static_caps if k[1] == job.job_id]:
-            del self._static_caps[key]
 
     def _shard(self, job: Job) -> list[_Chunk]:
         n = len(job.instances)
@@ -512,33 +503,10 @@ class Scheduler:
         key = (worker.index, job.job_id)
         policy = self._policies.get(key)
         if policy is None:
-            policy = _BisectionPolicy(max_batch=self.max_batch)
-            static_cap = self._seed_static_cap(worker, job, loader, policy)
-            self._policies[key] = policy
-            self._static_caps[key] = static_cap
-        static_cap = self._static_caps.get(key)
-        if static_cap == 0:
-            # Not even one instance fits the device heap: fail before the
-            # first launch instead of discovering it through bisection.
-            fp = loader.static_footprint
-            self._fail_job(
-                job,
-                DeviceOutOfMemory(
-                    requested=fp.heap_hi or 0,
-                    free=loader.heap_bytes,
-                    capacity=loader.heap_bytes,
-                ),
+            policy = self._policies[key] = _BisectionPolicy(
+                max_batch=self.max_batch
             )
-            return
         cap = policy.next_size(len(chunk.instances))
-        if (
-            static_cap is not None
-            and policy.current is None
-            and cap < len(chunk.instances)
-        ):
-            # The static bound (not OOM history — none yet) truncated the
-            # chunk: one doomed launch + bisection round skipped.
-            self.metrics.counter("analysis.packing.static_hits").inc()
         if len(chunk.instances) > cap:
             head = _Chunk(
                 job,
@@ -713,52 +681,6 @@ class Scheduler:
         )
         self._count("instances.completed", len(chunk.instances), backend=backend)
         self._maybe_complete(job)
-
-    def _seed_static_cap(
-        self, worker: PoolWorker, job: Job, loader, policy: _BisectionPolicy
-    ) -> int | None:
-        """Seed a fresh bisection policy from the compiled module's
-        :class:`~repro.analysis.footprint.StaticFootprint`.
-
-        Returns the static per-device instance cap (``0`` = even one
-        instance cannot fit), or ``None`` when packing is disabled or the
-        footprint is unbounded — the classic dynamic-bisection path.
-        """
-        if not self.static_packing:
-            return None
-        try:
-            preseeded = (
-                getattr(loader, "_static_footprint", None) is not None
-                or getattr(loader, "_cache_entry", None) is not None
-            )
-            fp = loader.static_footprint
-        except ReproError:
-            return None
-        if preseeded:
-            # The footprint came with the loader's compile-cache entry:
-            # packing is seeded with zero recompute on this device.
-            self.metrics.counter("analysis.packing.footprint_cached").inc()
-        cap = fp.max_instances(loader.heap_bytes)
-        if cap is None:
-            self.metrics.counter("analysis.packing.static_misses").inc()
-            self._event(
-                f"static packing miss on {worker.label}",
-                job=job.job_id,
-                bounded=fp.bounded,
-            )
-            return None
-        self.metrics.counter("analysis.packing.static_seeds").inc()
-        self._event(
-            f"static packing cap {cap} on {worker.label}",
-            job=job.job_id,
-            heap_hi=fp.heap_hi,
-            cap=cap,
-        )
-        if cap > 0:
-            policy.max_batch = (
-                cap if policy.max_batch is None else min(policy.max_batch, cap)
-            )
-        return cap
 
     def _retry(self, worker: PoolWorker, chunk: _Chunk, exc: Exception) -> None:
         job = chunk.job

@@ -48,10 +48,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="default scheduler retries per faulting shard",
     )
     parser.add_argument(
-        "--no-static-packing", action="store_true",
-        help="disable static-footprint batch seeding",
-    )
-    parser.add_argument(
         "--max-pending", type=int, default=64,
         help="admission cap: queued submissions across all tenants",
     )
@@ -84,7 +80,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         devices=args.devices,
         max_batch=args.max_batch,
         default_retries=args.retries,
-        static_packing=not args.no_static_packing,
         cache=False if args.no_cache else None,
         cache_dir=args.cache_dir,
         config=ServeConfig(

@@ -128,7 +128,6 @@ class CampaignServer:
         obs: Observability | None = None,
         max_batch: int | None = None,
         default_retries: int = 2,
-        static_packing: bool = True,
         cache=None,
         cache_dir: str | None = None,
     ):
@@ -160,7 +159,6 @@ class CampaignServer:
                 pool,
                 max_batch=max_batch,
                 default_retries=default_retries,
-                static_packing=static_packing,
                 obs=self.obs,
                 job_scoped_faults=True,
             )

@@ -10,9 +10,9 @@ pipeline stage and reports the findings as compiler-style text or JSON::
     python -m repro.tools.lint pagerank --interproc
     python -m repro.tools.lint --driver examples/auto_ensemble_loop.py
 
-``--interproc`` additionally reports the interprocedural facts (call
-cycles, allocation bounds, the static per-instance footprint) from
-:mod:`repro.analysis.interproc`.
+``--interproc`` additionally reports the interprocedural facts
+(recursive call cycles, globals that escape to the host through RPC)
+from :mod:`repro.analysis.interproc`.
 
 ``--driver`` lints *host* driver scripts instead of device IR: every
 top-level function's ``for`` loops go through the loop-carried
@@ -169,8 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--interproc",
         action="store_true",
-        help="also report interprocedural facts (call cycles, allocation "
-        "bounds, the static packing footprint)",
+        help="also report interprocedural facts (recursive call cycles, "
+        "globals escaping through RPC)",
     )
     parser.add_argument(
         "--driver",

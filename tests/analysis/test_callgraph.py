@@ -1,4 +1,4 @@
-"""Call graph construction, SCC condensation, and traversal orders."""
+"""Call graph construction and SCC condensation."""
 
 from repro.analysis.callgraph import EXTERNAL, build_callgraph
 from repro.ir.builder import IRBuilder
@@ -54,9 +54,8 @@ class TestEdges:
         assert "printf" not in cg.callees
         assert EXTERNAL not in cg.callees
 
-    def test_sites_in_and_of(self):
+    def test_sites_of(self):
         cg = build_callgraph(chain_module())
-        assert [s.callee for s in cg.sites_in("main")] == ["helper"]
         assert [s.caller for s in cg.sites_of("leaf")] == ["helper"]
 
 
@@ -76,22 +75,3 @@ class TestSCCs:
         cg = build_callgraph(recursive_module())
         assert cg.is_recursive("self_rec")
         assert not cg.is_recursive("main")
-
-
-class TestTraversal:
-    def test_topo_callees_first(self):
-        cg = build_callgraph(chain_module())
-        order = cg.topo_order(callees_first=True)
-        assert order.index("leaf") < order.index("helper") < order.index("main")
-
-    def test_topo_callers_first(self):
-        cg = build_callgraph(chain_module())
-        order = cg.topo_order(callees_first=False)
-        assert order.index("main") < order.index("helper") < order.index("leaf")
-
-    def test_reachable_from(self):
-        m = chain_module()
-        _fn(m, "orphan")
-        cg = build_callgraph(m)
-        assert cg.reachable_from(["main"]) == {"main", "helper", "leaf"}
-        assert cg.reachable_from(["orphan"]) == {"orphan"}

@@ -108,24 +108,6 @@ class TestFormatFlag:
             assert row["file"] == src
             assert {"line", "col", "severity", "checker", "message"} <= row.keys()
 
-    def test_interproc_reports_unbounded_allocs(self, capsys):
-        # pagerank mallocs runtime-dependent sizes: the facts must say so,
-        # with source provenance intact
-        assert main(["pagerank", "--interproc", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        unbounded = [
-            d
-            for d in payload["apps"]["pagerank"]
-            if d["checker"] == "interproc" and "unbounded allocation" in d["message"]
-        ]
-        assert unbounded
-        assert all(d["line"] is not None for d in unbounded)
-
-    def test_interproc_reports_footprint_summary(self, capsys):
-        assert main(["stream", "--interproc"]) == 0
-        out = capsys.readouterr().out
-        assert "static footprint" in out
-
 
 class TestExitCodeContract:
     """The documented 0/1/2/3 contract CI relies on."""

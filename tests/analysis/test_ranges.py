@@ -1,8 +1,7 @@
-"""Interval domain, loop matching, value ranges, and trip bounds."""
+"""Interval domain and natural-loop detection."""
 
-from repro.analysis.callgraph import build_callgraph
-from repro.analysis.loops import match_counted_loop, natural_loops
-from repro.analysis.ranges import TOP, Interval, ValueRanges, trip_bound
+from repro.analysis.loops import natural_loops
+from repro.analysis.ranges import TOP, Interval
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Opcode
 from repro.ir.module import Function, Module
@@ -64,88 +63,3 @@ class TestLoops:
         loops = natural_loops(fn)
         assert len(loops) == 1 and loops[0].header == labels["cond"]
         assert {labels["cond"], labels["body"]} <= set(loops[0].body)
-
-    def test_counted_loop_matched(self):
-        _, fn, i, _ = counting_module(step=2)
-        counted = match_counted_loop(fn, natural_loops(fn)[0])
-        assert counted is not None
-        assert counted.ivar.id == i.id
-        assert counted.step == 2 and counted.strict
-        assert counted.init is not None  # symbolic: the reg holding 0
-
-
-class TestValueRanges:
-    def test_induction_variable_bounded_below(self):
-        m, fn, i, labels = counting_module(stop=10)
-        vr = ValueRanges(m)
-        iv = vr._block_in["k"][labels["body"]].get(i.id, TOP)
-        assert iv.lo == 0  # init 0, only ever incremented
-
-    def test_trip_bound_exact(self):
-        m, fn, _, _ = counting_module(stop=10)
-        vr = ValueRanges(m)
-        counted = match_counted_loop(fn, natural_loops(fn)[0])
-        assert trip_bound(vr, "k", counted) == 10
-
-    def test_trip_bound_with_stride(self):
-        m, fn, _, _ = counting_module(stop=10, step=3)
-        vr = ValueRanges(m)
-        counted = match_counted_loop(fn, natural_loops(fn)[0])
-        assert trip_bound(vr, "k", counted) == 4  # ceil(10/3)
-
-    def test_unbounded_when_bound_unknown(self):
-        m = Module("m")
-        fn = Function("k", [], ScalarType.VOID, is_kernel=True)
-        b = IRBuilder(fn)
-        b.set_block(fn.add_block("entry"))
-        i = fn.new_reg(I64)
-        b.mov_to(i, b.const_i(0))
-        stop = b.kparam(0)  # runtime-dependent
-        cond = b.create_block("cond")
-        body = b.create_block("body")
-        done = b.create_block("done")
-        b.br(cond)
-        b.set_block(cond)
-        c = b.binop(Opcode.ICMP_SLT, i, stop)
-        b.cbr(c, body, done)
-        b.set_block(body)
-        b.mov_to(i, b.binop(Opcode.ADD, i, b.const_i(1)))
-        b.br(cond)
-        b.set_block(done)
-        b.ret()
-        m.add_function(fn)
-        vr = ValueRanges(m)
-        loops = natural_loops(fn)
-        assert loops
-        counted = match_counted_loop(fn, loops[0])
-        assert counted is None or trip_bound(vr, "k", counted) is None
-
-    def test_interprocedural_argument_range(self):
-        m = Module("m")
-        callee = Function("f", [("n", I64)], ScalarType.I64)
-        cb = IRBuilder(callee)
-        cb.set_block(callee.add_block("entry"))
-        doubled = cb.binop(Opcode.ADD, callee.param_regs[0], callee.param_regs[0])
-        cb.retval(doubled)
-        m.add_function(callee)
-
-        caller = Function("main", [], ScalarType.VOID, is_kernel=True)
-        b = IRBuilder(caller)
-        b.set_block(caller.add_block("entry"))
-        r = b.call("f", [b.const_i(21)], ScalarType.I64)
-        b.ret()
-        m.add_function(caller)
-
-        vr = ValueRanges(m, build_callgraph(m))
-        # parameter summary: n == 21 at f's entry
-        assert vr._params["f"][callee.param_regs[0].id] == Interval.const(21)
-        # return summary: f returns exactly 42
-        assert vr.return_interval("f") == Interval.const(42)
-        # and the caller sees it
-        lbl = caller.block_order[0]
-        idx = next(
-            i
-            for i, ins in enumerate(caller.blocks[lbl].instrs)
-            if ins.op is Opcode.CALL
-        )
-        assert vr.interval_at("main", lbl, idx + 1, r) == Interval.const(42)

@@ -5,14 +5,17 @@
 * **compile_many determinism** — the compiled artifacts are a pure
   function of the requests: worker count and submission order change
   nothing, down to the printed IR of every finalized module.
-* **Corruption safety** — a corrupted or truncated disk entry is
-  detected, counted, evicted and rebuilt; stale bytes are never served.
+* **Corruption safety** — a corrupted or truncated disk entry, or one
+  written in an older disk format, is detected, counted, evicted and
+  rebuilt; stale bytes are never served.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
+import pickle
 import random
 import tempfile
 
@@ -25,6 +28,7 @@ from repro.compilecache import (
     ExecutableCache,
     compile_many,
 )
+from repro.compilecache.cache import DISK_MAGIC
 from repro.ir.printer import print_module
 
 source_hashes = st.text(
@@ -146,6 +150,7 @@ _corruptions = st.one_of(
     ),
     st.tuples(st.just("magic"), st.just(None)),
     st.tuples(st.just("empty"), st.just(None)),
+    st.tuples(st.just("old_magic"), st.just(None)),
 )
 
 
@@ -160,6 +165,15 @@ def _corrupt(path: str, mode: str, arg) -> None:
         blob = blob[:pos] + bytes([blob[pos] ^ xor]) + blob[pos + 1 :]
     elif mode == "magic":
         blob = b"wrong\n" + blob[6:]
+    elif mode == "old_magic":
+        # A well-formed entry of the previous disk format: ``rexe2``
+        # magic, a valid checksum, and the payload keys it carried.
+        _, _, payload = blob[len(DISK_MAGIC):].partition(b"\n")
+        data = pickle.loads(payload)
+        data.update(analyzed=False, footprint=None)
+        payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+        checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
+        blob = b"rexe2\n" + checksum + b"\n" + payload
     else:  # empty
         blob = b""
     with open(path, "wb") as fh:
@@ -197,6 +211,8 @@ def test_corrupt_disk_entries_are_evicted_and_rebuilt(corruption, seed):
         assert entry.digest == first.digest
         assert print_module(entry.module) == print_module(first.module)
         # The rebuilt entry replaced the corrupt file with a valid one.
+        with open(path, "rb") as fh:
+            assert fh.read().startswith(DISK_MAGIC)
         fresh = ExecutableCache(tmp).get_or_build(
             lambda: gp.build_genome_program(genome),
             source_hash=key,

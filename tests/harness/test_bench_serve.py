@@ -3,7 +3,9 @@ synthetic reports (no campaign runs)."""
 
 import pytest
 
+from repro.harness import bench_serve
 from repro.harness.bench_serve import (
+    QUICK_CAMPAIGNS,
     SCHEMA,
     ServeBenchRecord,
     ServeBenchReport,
@@ -98,3 +100,19 @@ class TestCheckRegression:
         cur = report([1.0] * 3, [0.7] * 3, compile_wall_s=slow)
         (failure,) = check_regression(cur, self.BASE)
         assert "warm compile wall" in failure
+
+
+class TestCli:
+    def test_quick_runs_at_least_three_pairs(self, monkeypatch, capsys):
+        """``--quick`` shrinks the campaigns, not the pairs: the gate's
+        median must not be a single pair's ratio."""
+        asked = {}
+
+        def fake_run_bench(campaigns, repeats):
+            asked.update(campaigns=campaigns, repeats=repeats)
+            return report([1.0] * repeats, [0.7] * repeats)
+
+        monkeypatch.setattr(bench_serve, "run_bench", fake_run_bench)
+        assert bench_serve.main(["--quick"]) == 0
+        assert asked["campaigns"] == QUICK_CAMPAIGNS
+        assert asked["repeats"] >= 3 and asked["repeats"] % 2 == 1
