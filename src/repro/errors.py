@@ -75,17 +75,24 @@ class DeviceOutOfMemory(DeviceError):
     Mirrors ``cudaErrorMemoryAllocation``: raised by the allocator when a
     request does not fit in the configured device memory capacity.  The
     Page-Rank experiment relies on this to reproduce the paper's
-    "due to memory limitations" cap at four instances.
+    "due to memory limitations" cap at four instances.  When the device
+    heap runs out inside a launch, only its capacity is known, so
+    ``requested`` and ``free`` are ``None``.
     """
 
-    def __init__(self, requested: int, free: int, capacity: int):
+    def __init__(self, requested: int | None, free: int | None, capacity: int):
         self.requested = requested
         self.free = free
         self.capacity = capacity
-        super().__init__(
-            f"device out of memory: requested {requested} bytes, "
-            f"{free} free of {capacity} total"
-        )
+        if requested is None:
+            # The device heap's bump allocator traps without its counts.
+            msg = f"device out of memory: the {capacity}-byte device heap ran out"
+        else:
+            msg = (
+                f"device out of memory: requested {requested} bytes, "
+                f"{free} free of {capacity} total"
+            )
+        super().__init__(msg)
 
 
 class LaunchError(DeviceError):

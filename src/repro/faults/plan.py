@@ -77,7 +77,7 @@ KINDS: dict[str, FaultKind] = {
     "rpc_dup": FaultKind(
         point="rpc.reply",
         selectors=frozenset(SELECTOR_KEYS),
-        doc="the RPC request is delivered twice (direct transport only)",
+        doc="the RPC request is delivered twice; its side effects repeat",
     ),
     "rpc_timeout": FaultKind(
         point="rpc.reply",

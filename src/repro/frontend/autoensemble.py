@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.driverdep import LoopClassification, analyze_driver
@@ -396,10 +396,9 @@ class SequentialBackend:
         from repro.gpu.device import GPUDevice
         from repro.host.loader import Loader
 
-        opts = dict(loader_opts or {})
-        opts.pop("mapping", None)  # single-instance runs have no mapping
-        opts.pop("allow_races", None)
-        self.loader = Loader(_resolve_program(app), GPUDevice(), **opts)
+        self.loader = Loader(
+            _resolve_program(app), GPUDevice(), **(loader_opts or {})
+        )
         self.spec = spec
 
     def execute_one(self, args: list[str]) -> tuple[int, str]:

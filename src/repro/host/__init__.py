@@ -1,13 +1,16 @@
 """Host-side components: loaders, RPC service, argument handling.
 
-* :class:`~repro.host.loader.Loader` — the main wrapper of the original
-  direct-compilation work [26]: runs one application instance on one team.
-* :class:`~repro.host.ensemble_loader.EnsembleLoader` — this paper's
-  enhanced loader: reads a command-line-arguments file (one line per
-  instance), maps each instance to a team via ``target teams distribute``,
-  and launches all of them in a single kernel.
+* :class:`~repro.host.loader.Loader` — this paper's enhanced loader:
+  reads a command-line-arguments file (one line per instance), maps each
+  instance to a team via ``target teams distribute``, and launches all of
+  them in a single kernel (``run_ensemble``).  At one instance
+  (``run``) it is the main wrapper of the original direct-compilation
+  work [26].
+* :class:`~repro.host.ensemble_loader.EnsembleLoader` — the same loader
+  under the paper's name, with a larger default device heap.
 * :mod:`~repro.host.rpc_host` — the host RPC endpoint servicing
-  device-side ``printf``/file-I/O calls.
+  device-side ``printf``/file-I/O calls, and the one ``rpc.reply`` fault
+  rule both RPC transports apply.
 * :mod:`~repro.host.argfile` / :mod:`~repro.host.argscript` — the argument
   file format of §3.2 and the script language its future-work section
   proposes.

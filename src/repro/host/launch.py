@@ -8,9 +8,10 @@ pre-parsed token lists, and the CLI yet another flag spelling.
 argument source and instance count) and *how* (thread limit, step cap,
 timing collection), and is accepted uniformly by
 
-* :meth:`repro.host.loader.Loader.run` (which also takes a bare argv
-  tail, meaning ``LaunchSpec([argv])``),
-* :meth:`repro.host.ensemble_loader.EnsembleLoader.run_ensemble`,
+* :meth:`repro.host.loader.Loader.run_ensemble`, the host's one launch
+  sequence, and :meth:`~repro.host.loader.Loader.run`, that sequence at
+  one instance (which also takes a bare argv tail, meaning
+  ``LaunchSpec([argv])``),
 * :meth:`repro.sched.Scheduler.submit`,
 * :func:`repro.frontend.autoensemble.auto_launch` and its backends, as a
   template whose instances each call fills in.

@@ -1,6 +1,6 @@
 """The common result protocol shared by every launch entry point.
 
-A single ensemble launch (:class:`~repro.host.ensemble_loader.EnsembleResult`)
+A single ensemble launch (:class:`~repro.host.loader.EnsembleResult`)
 and a scheduler job (:class:`~repro.sched.jobs.JobResult`) answer the same
 questions: which instances ran, with which exit codes, did everything
 succeed, what did instance *i* print, and how much simulated time was
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.host.ensemble_loader import InstanceOutcome
+    from repro.host.loader import InstanceOutcome
 
 
 @runtime_checkable
@@ -42,7 +42,7 @@ class OutcomeMixin:
     """Derives the protocol's accessors from an ``instances`` attribute.
 
     ``instances`` must hold
-    :class:`~repro.host.ensemble_loader.InstanceOutcome` records ordered by
+    :class:`~repro.host.loader.InstanceOutcome` records ordered by
     global instance index.
     """
 
@@ -76,18 +76,18 @@ class Observables:
     def of(cls, result) -> "Observables":
         """From a :class:`~repro.host.loader.RunResult` (one instance:
         index 0, no args), an
-        :class:`~repro.host.ensemble_loader.EnsembleResult`, a
+        :class:`~repro.host.loader.EnsembleResult`, a
         :class:`~repro.sched.jobs.JobResult` (local or served) or an
         :class:`~repro.frontend.autoensemble.AutoEnsembleOutcome`, which
         exposes only its instances (no fault kind, steps or cycles).
         Any other type raises :class:`TypeError`."""
         from repro.frontend.autoensemble import AutoEnsembleOutcome
-        from repro.host.ensemble_loader import EnsembleResult
-        from repro.host.loader import RunResult
+        from repro.host.loader import EnsembleResult, RunResult
         from repro.sched.jobs import JobResult
 
         if isinstance(result, RunResult):
-            one = (0, (), result.exit_code, result.stdout, None)
+            kind = None if result.fault is None else result.fault.kind
+            one = (0, (), result.exit_code, result.stdout, kind)
             return cls((one,), result.launch.interpreter_steps, result.cycles)
         if isinstance(result, AutoEnsembleOutcome):
             return cls(

@@ -6,10 +6,13 @@ host-only functions by the RPC-lowering pass).  Two transports exist:
 * **direct** — the interpreter invokes :meth:`RPCHost.handle` synchronously
   (the timing model charges each RPC a large fixed latency);
 * **ring** — the transport-faithful path over a ring buffer in device
-  memory (:mod:`repro.runtime.rpc_device`), optionally drained by a real
-  background thread, mirroring the RPC service thread in Figure 2 of the
-  paper.  The loaders use the direct path; the ring is exercised by the RPC
-  framework tests and :meth:`RPCHost.serve_ring`.
+  memory (:mod:`repro.runtime.rpc_device`), drained by a real background
+  thread, mirroring the RPC service thread in Figure 2 of the paper
+  (:class:`repro.host.transport.RingTransport`).
+
+Both apply injected ``rpc.reply`` faults through one rule,
+:func:`reply_with_faults`, once the reply is in hand: on the host for the
+direct transport, on the device side of the ring for the ring.
 
 Output capture: ``printf``/``puts`` bytes are captured **per application
 instance**, so an ensemble run can return each instance its own stdout —
@@ -18,16 +21,16 @@ the host-side counterpart of instance isolation.
 Observability: per-service call totals are published into a
 :class:`~repro.obs.MetricsRegistry` (``rpc.calls{service=...}``), with
 the historical ``call_counts`` dict kept as a read view over it; an
-enabled tracer records each call and each ring drain as instant events
-on the ``rpc-host`` track (the RPC service thread of Figure 2).
+enabled tracer records each call as an instant event on the ``rpc-host``
+track (the RPC service thread of Figure 2).
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import time
 from collections import defaultdict
+from typing import Callable
 
 from repro.errors import DeviceTrap, RPCError
 from repro.faults.injector import NO_FAULTS, InjectedRPCFailure, InstanceFault
@@ -35,12 +38,40 @@ from repro.gpu.memory import GlobalMemory
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.interpreter import RpcLane
-from repro.runtime.rpc_device import HostRing, RpcRecord, decode_float_arg
 
 _FMT_RE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?(?:hh|h|ll|l|z)?[diufeEgGxXscp%]")
 
 #: Track RPC-host events are recorded on (one track for the service thread).
 RPC_TRACK = "rpc-host"
+
+
+def reply_with_faults(faults, service: str, lane: RpcLane, result, redeliver: Callable):
+    """The ``rpc.reply`` injection point, shared by both transports.
+
+    ``result`` is the reply the host already produced for the call;
+    ``redeliver()`` delivers the same request once more and returns its
+    reply.  A fired fault drops the reply (the whole launch fails
+    transiently; the scheduler's retry machinery recovers it), times it
+    out for this caller only (a per-instance fault), delivers the request
+    twice (side effects repeat), or flips one byte of an integer reply.
+    """
+    if not faults.enabled:
+        return result
+    fault = faults.fire(
+        "rpc.reply", service=service, instance=lane.instance, team=lane.team
+    )
+    if fault is None:
+        return result
+    ctx = dict(service=service, instance=lane.instance, team=lane.team)
+    if fault.kind == "rpc_drop":
+        raise InjectedRPCFailure(fault, **ctx)
+    if fault.kind == "rpc_timeout":
+        raise InstanceFault(fault, **ctx)
+    if fault.kind == "rpc_dup":
+        return redeliver()
+    if fault.kind == "transport_corrupt" and isinstance(result, int):
+        return result ^ (0xFF << (8 * fault.byte))
+    return result
 
 
 class RPCHost:
@@ -58,8 +89,8 @@ class RPCHost:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Fault hook for the ``rpc.reply`` injection point.  Only the
-        #: direct transport wires this up — the ring transport consults the
-        #: injector at its device-side endpoint instead, so one RPC is
+        #: direct transport wires this up — the ring transport applies the
+        #: same rule at its device-side endpoint instead, so one RPC is
         #: never double-fired (see :class:`repro.host.transport.RingTransport`).
         self.faults = faults if faults is not None else NO_FAULTS
         self.stdout: dict[int, list[str]] = defaultdict(list)
@@ -104,37 +135,9 @@ class RPCHost:
                 cat="rpc",
                 args={"instance": lane.instance, "team": lane.team},
             )
-        result = fn(args, lane)
-        if self.faults.enabled:
-            fault = self.faults.fire(
-                "rpc.reply",
-                service=service,
-                instance=lane.instance,
-                team=lane.team,
-            )
-            if fault is not None:
-                result = self._injected_reply(
-                    fault, service, fn, args, lane, result
-                )
-        return result
-
-    def _injected_reply(self, fault, service: str, fn, args, lane: RpcLane, result):
-        """Apply one fired ``rpc.reply`` fault to a completed call."""
-        ctx = dict(service=service, instance=lane.instance, team=lane.team)
-        if fault.kind == "rpc_drop":
-            # The reply is lost; the whole launch fails transiently (the
-            # scheduler's retry machinery recovers it).
-            raise InjectedRPCFailure(fault, **ctx)
-        if fault.kind == "rpc_timeout":
-            # The reply never arrives for this caller only: surfaces as a
-            # per-instance fault, not a launch failure.
-            raise InstanceFault(fault, **ctx)
-        if fault.kind == "rpc_dup":
-            # The request is delivered twice; side effects repeat.
-            return fn(args, lane)
-        if fault.kind == "transport_corrupt" and isinstance(result, int):
-            return result ^ (0xFF << (8 * fault.byte))
-        return result
+        return reply_with_faults(
+            self.faults, service, lane, fn(args, lane), lambda: fn(args, lane)
+        )
 
     def instance_stdout(self, instance: int) -> str:
         return "".join(self.stdout.get(instance, []))
@@ -243,59 +246,3 @@ class RPCHost:
 
     def _abort(self, args: list, lane: RpcLane):
         raise DeviceTrap("abort() called", team=lane.team, thread=lane.lane)
-
-    # ------------------------------------------------------------------
-    # ring transport (service thread)
-    # ------------------------------------------------------------------
-    def serve_ring(
-        self,
-        ring: HostRing,
-        service_names: dict[int, str],
-        *,
-        stop: threading.Event,
-        float_args: dict[str, tuple[int, ...]] | None = None,
-        poll_interval: float = 0.0005,
-    ) -> threading.Thread:
-        """Start a daemon thread draining ``ring`` until ``stop`` is set.
-
-        ``service_names`` maps interned service ids to names;
-        ``float_args`` optionally lists which argument positions of a
-        service are f64 (raw slot values are bit-cast back).
-        """
-        float_args = float_args or {}
-
-        def decode(record: RpcRecord) -> object:
-            name = service_names.get(record.service_id)
-            if name is None:
-                raise RPCError(f"unknown RPC service id {record.service_id}")
-            fpos = float_args.get(name, ())
-            args = [
-                decode_float_arg(a) if i in fpos else a
-                for i, a in enumerate(record.args_raw)
-            ]
-            lane = RpcLane(team=-1, instance=-1, lane=-1)  # ring carries no lane
-            return self.handle(name, args, lane)
-
-        def traced_drain() -> int:
-            n = ring.drain(decode)
-            if n:
-                self.metrics.counter("rpc.ring.drained").inc(n)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "ring drain",
-                        track=RPC_TRACK,
-                        cat="rpc",
-                        args={"records": n},
-                    )
-            return n
-
-        def loop() -> None:
-            with self.tracer.span("serve_ring", track=RPC_TRACK, cat="rpc"):
-                while not stop.is_set():
-                    if traced_drain() == 0:
-                        time.sleep(poll_interval)
-                traced_drain()  # final sweep
-
-        thread = threading.Thread(target=loop, name="repro-rpc", daemon=True)
-        thread.start()
-        return thread

@@ -1,16 +1,14 @@
-"""RPC transport selection: direct dispatch or the ring buffer.
+"""RPC transport: the ring buffer of Figure 2.
 
-The interpreter performs RPCs through a callback.  Two implementations:
-
-* :func:`direct_endpoint` — call the :class:`~repro.host.rpc_host.RPCHost`
-  handler synchronously (fast; the default).
-* :class:`RingTransport` — the transport-faithful path of Figure 2: every
-  device call is marshalled into the ring buffer in *device memory*
-  (:mod:`repro.runtime.rpc_device`), a real host service thread drains the
-  ring and executes handlers, and the device side spins until its response
-  slot is filled.  Results are identical to the direct path; only the
-  mechanism differs.  Used by ``Loader(..., rpc_transport="ring")`` and the
-  RPC framework tests.
+The interpreter performs RPCs through a callback.  The default (direct)
+transport is :meth:`repro.host.rpc_host.RPCHost.handle` itself, called
+synchronously.  :class:`RingTransport` is the transport-faithful path:
+every device call is marshalled into the ring buffer in *device memory*
+(:mod:`repro.runtime.rpc_device`), a real host service thread drains the
+ring and executes handlers, and the device side spins until its response
+slot is filled.  Results are identical to the direct path, injected
+``rpc.reply`` faults included; only the mechanism differs.  Used by
+``Loader(..., rpc_transport="ring")`` and the RPC framework tests.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ import threading
 import time
 
 from repro.errors import RPCError
-from repro.faults.injector import InjectedRPCFailure, InstanceFault
 from repro.frontend.intrinsics import HOST_FUNCS
 from repro.gpu.device import GPUDevice
-from repro.host.rpc_host import RPCHost
+from repro.host.rpc_host import _FMT_RE, RPCHost, reply_with_faults
 from repro.runtime.interpreter import RpcLane
 from repro.runtime.rpc_device import DeviceRing, HostRing, decode_float_arg, ring_bytes
 
@@ -37,11 +34,6 @@ SERVICE_NAMES: dict[int, str] = {v: k for k, v in SERVICE_IDS.items()}
 #: not statically known for varargs printf; the ring carries raw 64-bit
 #: values and printf's %-spec drives decoding on the host side.
 _PRINTF_LIKE = {"printf"}
-
-
-def direct_endpoint(rpc_host: RPCHost):
-    """The default transport: synchronous handler dispatch."""
-    return rpc_host.handle
 
 
 class RingTransport:
@@ -87,7 +79,8 @@ class RingTransport:
         if name in _PRINTF_LIKE and raw:
             # fmt pointer first; remaining args decoded per %-spec
             fmt = self.rpc_host.memory.read_cstring(int(raw[0]))
-            specs = [s[-1] for s in _printf_specs(fmt)]
+            specs = [m.group()[-1] for m in _FMT_RE.finditer(fmt)]
+            specs = [c for c in specs if c != "%"]  # %% consumes no argument
             args: list = [raw[0]]
             for spec, value in zip(specs, raw[1:]):
                 if spec in "feEgG":
@@ -104,18 +97,40 @@ class RingTransport:
         return args
 
     # -- device-side callback -------------------------------------------------
+    def _round_trip(self, service_id: int, args: list, lane: RpcLane):
+        """Publish one request and spin until the host thread answers.
+
+        The request is published and its caller's lane recorded under the
+        one lock the service thread takes to look the lane up, so the host
+        never services a request before it knows whose it is.
+        """
+        with self._meta_lock:
+            slot = self.device_ring.enqueue(service_id, args)
+            self._lane_meta[slot] = lane
+        deadline = time.monotonic() + 10.0
+        while True:
+            got = self.device_ring.try_take_response(slot)
+            if got is not None:
+                return got
+            if time.monotonic() > deadline:
+                raise RPCError(
+                    f"RPC {SERVICE_NAMES[service_id]!r} timed out waiting "
+                    "for the host thread"
+                )
+            time.sleep(0.00005)
+
     def endpoint(self):
         """The rpc callback handed to the interpreter.
 
-        Fault injection happens *here*, on the device side of the ring: an
-        injected error raised inside the host drain thread would kill the
-        thread and wedge every spinning caller, which is a hang, not a
-        fault model.  Consulting at the endpoint keeps the blast radius the
-        same as the direct transport (the calling team), and the host-side
+        Injected ``rpc.reply`` faults are applied here, on the device side
+        of the ring, once the host's response has arrived, by the same
+        :func:`~repro.host.rpc_host.reply_with_faults` the direct transport
+        uses: an injected error raised inside the host drain thread would
+        kill the thread and wedge every spinning caller, which is a hang,
+        not a fault model.  The host-side
         :class:`~repro.host.rpc_host.RPCHost` is left without a fault hook
-        in ring mode so a call is never double-fired.  ``rpc_dup`` is a
-        no-op over the ring: slots are request/response pairs, so delivery
-        is exactly-once by construction.
+        in ring mode so a call is never double-fired; ``rpc_dup``
+        publishes the request a second time.
         """
         faults = self.device.faults
 
@@ -123,40 +138,13 @@ class RingTransport:
             service_id = SERVICE_IDS.get(service)
             if service_id is None:
                 raise RPCError(f"service {service!r} has no ring id")
-            fault = None
-            if faults.enabled:
-                fault = faults.fire(
-                    "rpc.reply",
-                    service=service,
-                    instance=lane.instance,
-                    team=lane.team,
-                )
-            if fault is not None:
-                ctx = dict(service=service, instance=lane.instance, team=lane.team)
-                if fault.kind == "rpc_drop":
-                    raise InjectedRPCFailure(fault, **ctx)
-                if fault.kind == "rpc_timeout":
-                    raise InstanceFault(fault, **ctx)
-            slot = self.device_ring.enqueue(service_id, args)
-            with self._meta_lock:
-                self._lane_meta[slot] = lane
-            want_float = service in ()  # all current services return ints
-            deadline = time.monotonic() + 10.0
-            while True:
-                got = self.device_ring.try_take_response(slot, as_float=want_float)
-                if got is not None:
-                    if (
-                        fault is not None
-                        and fault.kind == "transport_corrupt"
-                        and isinstance(got, int)
-                    ):
-                        got ^= 0xFF << (8 * fault.byte)
-                    return got
-                if time.monotonic() > deadline:
-                    raise RPCError(
-                        f"RPC {service!r} timed out waiting for the host thread"
-                    )
-                time.sleep(0.00005)
+            return reply_with_faults(
+                faults,
+                service,
+                lane,
+                self._round_trip(service_id, args, lane),
+                lambda: self._round_trip(service_id, args, lane),
+            )
 
         return call
 
@@ -165,13 +153,3 @@ class RingTransport:
         self._thread.join(timeout=2.0)
         self.device.free(self.base)
 
-
-def _printf_specs(fmt: str) -> list[str]:
-    import re
-
-    return [
-        m.group()
-        for m in re.finditer(
-            r"%[-+ #0]*\d*(?:\.\d+)?(?:hh|h|ll|l|z)?[diufeEgGxXscp]", fmt
-        )
-    ]

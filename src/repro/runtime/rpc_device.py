@@ -19,8 +19,8 @@ Layout (all fields i64, little-endian, in device global memory)::
 The cycle-level interpreter calls the host handler synchronously for speed
 (each RPC already pays a large CPI penalty in the timing model); this module
 provides the *transport-faithful* implementation used by the RPC framework
-tests and by :class:`repro.host.rpc_host.RPCHost` when ``transport="ring"``,
-demonstrating that the mechanism works end-to-end over simulated memory.
+tests and by :class:`repro.host.transport.RingTransport` when a loader is
+built with ``rpc_transport="ring"``, demonstrating that the mechanism works end-to-end over simulated memory.
 """
 
 from __future__ import annotations

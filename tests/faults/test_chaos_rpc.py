@@ -4,7 +4,7 @@ Contract under test: a dropped reply fails the launch transiently (so the
 scheduler's retry machinery recovers it), an injected timeout isolates
 exactly the targeted instance, and a corrupted reply flips exactly the
 requested byte — all deterministically, on both the direct and ring
-transports.
+transports, for ensembles and for single-instance ``Loader.run`` alike.
 """
 
 import pytest
@@ -14,7 +14,8 @@ from repro.faults import FAULT_EXIT, InjectedRPCFailure
 from repro.gpu.device import GPUDevice
 from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
-from tests.util import SMALL_DEVICE
+from repro.host.results import Observables
+from tests.util import SMALL_DEVICE, as_single_run
 
 LINES = [[str(i)] for i in (7, 8, 9, 10)]
 
@@ -52,6 +53,13 @@ class TestDrop:
         assert again.return_codes == [7, 8, 9, 10]
         loader.close()
 
+    def test_single_instance_drop_fails_run_transiently(self, echo_prog, transport):
+        loader = make_loader(echo_prog, transport)
+        with pytest.raises(InjectedRPCFailure):
+            loader.run(spec("rpc_drop:rate=1.0:times=1", lines=[["7"]]))
+        assert loader.run(spec(lines=[["7"]])).exit_code == 7
+        loader.close()
+
     def test_rate_zero_never_fires(self, echo_prog, transport):
         loader = make_loader(echo_prog, transport)
         res = loader.run_ensemble(spec("rpc_drop:rate=0.0"))
@@ -84,6 +92,22 @@ class TestTimeout:
         loader.close()
 
 
+    def test_single_instance_timeout_is_isolated(self, echo_prog, transport):
+        """``Loader.run`` reports the fault the one-instance ensemble
+        launch does: exit FAULT_EXIT, the report, and the output the host
+        produced before the reply was lost."""
+        loader = make_loader(echo_prog, transport)
+        one = spec("rpc_timeout:times=1", lines=[["7"]])
+        run = loader.run(one)
+        assert run.exit_code == FAULT_EXIT
+        assert run.fault.kind == "rpc_timeout"
+        assert run.stdout == "instance 7 reporting\n"
+        assert Observables.of(run) == as_single_run(
+            Observables.of(loader.run_ensemble(one))
+        )
+        loader.close()
+
+
 class TestCorrupt:
     def test_corrupt_flips_requested_byte_of_reply(self, reply_prog, transport):
         loader = make_loader(reply_prog, transport)
@@ -93,6 +117,13 @@ class TestCorrupt:
         )
         # The guest returns printf's reply; byte 0 of it was XOR-flipped.
         assert hit.return_codes[0] == base.return_codes[0] ^ 0xFF
+        loader.close()
+
+    def test_single_instance_corrupt_flips_reply(self, reply_prog, transport):
+        loader = make_loader(reply_prog, transport)
+        base = loader.run(spec(lines=[[]]))
+        hit = loader.run(spec("transport_corrupt:byte=0:times=1", lines=[[]]))
+        assert hit.exit_code == base.exit_code ^ 0xFF
         loader.close()
 
     def test_corruption_is_deterministic(self, reply_prog, transport):
@@ -121,13 +152,20 @@ class TestDup:
         assert res.return_codes == [7, 8, 9, 10]
         loader.close()
 
-    def test_ring_transport_is_exactly_once(self, echo_prog):
-        # The ring mailbox keys replies by slot: duplication is structurally
-        # impossible, so the spec no-ops rather than faking a duplicate.
-        loader = make_loader(echo_prog, "ring")
-        base = loader.run_ensemble(spec())
-        res = loader.run_ensemble(spec("rpc_dup:service=printf:times=1"))
-        assert [o.stdout for o in res.instances] == [
-            o.stdout for o in base.instances
-        ]
+    def test_ring_reexecutes_like_direct(self, echo_prog):
+        # The ring publishes the request a second time: the same
+        # duplicated line the direct transport prints.
+        plan = "rpc_dup:service=printf:times=1"
+        runs = {}
+        for transport in ("direct", "ring"):
+            loader = make_loader(echo_prog, transport)
+            runs[transport] = Observables.of(loader.run_ensemble(spec(plan)))
+            loader.close()
+        assert runs["ring"] == runs["direct"]
+
+    def test_single_instance_duplicate(self, echo_prog, transport):
+        loader = make_loader(echo_prog, transport)
+        run = loader.run(spec("rpc_dup:service=printf:times=1", lines=[["7"]]))
+        assert run.stdout == "instance 7 reporting\n" * 2
+        assert run.exit_code == 7
         loader.close()

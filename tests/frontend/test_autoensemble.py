@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.errors import AutoEnsembleError
-from repro.faults import FaultPlan
+from repro.faults import FAULT_EXIT, FaultPlan
 from repro.frontend.autoensemble import (
     AutoRunResult,
     EnsembleBackend,
@@ -268,6 +268,23 @@ class TestDeviceDifferential:
         )
         assert faulted.value == sequential_oracle.value
         assert Observables.of(faulted) == Observables.of(sequential_oracle)
+
+    def test_sequential_replay_reports_fault_exit(self):
+        """A reply timeout isolates each sequential run the way it isolates
+        an ensemble instance: FAULT_EXIT, never a zero read as success."""
+
+        def driver(run):
+            codes = []
+            for seed in range(1, 3):
+                codes.append(run(["-n", "256", "-i", "1", "-s", str(seed)]).exit_code)
+            return codes
+
+        seq = auto_launch(
+            driver, app="stencil", mode="sequential",
+            spec=dataclasses.replace(RUN, fault_plan="rpc_timeout:times=1"),
+            heap_bytes=1 << 22,
+        )
+        assert seq.value == [FAULT_EXIT, FAULT_EXIT]
 
     def test_multi_device_identical(self, sequential_oracle):
         auto = auto_launch(

@@ -8,7 +8,9 @@ import pytest
 from repro.errors import DeviceOutOfMemory, JobFailed
 from repro.frontend.dsl import Program, dgpu
 from repro.frontend.dtypes import i64, ptr_ptr
+from repro.gpu.device import GPUDevice
 from repro.host.launch import LaunchSpec
+from repro.host.loader import Loader
 from repro.host.results import Observables
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
@@ -73,6 +75,18 @@ class TestSeeding:
         )
         with pytest.raises((DeviceOutOfMemory, JobFailed)):
             fut.result()
+
+    def test_heap_oom_names_the_heap_not_invented_counts(self, program):
+        """The device heap's allocator traps without its counts: the error
+        states the heap that ran out and claims no request or free size."""
+        loader = Loader(program, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 14)
+        with pytest.raises(DeviceOutOfMemory) as exc_info:
+            loader.run(spec(1))
+        err = exc_info.value
+        assert str(err) == (
+            "device out of memory: the 16384-byte device heap ran out"
+        )
+        assert (err.requested, err.free, err.capacity) == (None, None, 1 << 14)
 
     def test_unbounded_program_falls_back_to_bisection(self):
         """Runtime-dependent allocation sizes (pagerank) are sized by

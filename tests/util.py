@@ -110,3 +110,14 @@ def trace_fields(trace) -> tuple:
         us.dtype.str,
         us.tobytes(),
     )
+
+
+def as_single_run(obs):
+    """A one-instance ensemble's :class:`~repro.host.results.Observables`
+    as :meth:`~repro.host.results.Observables.of` reports a ``Loader.run``
+    result: the instance's args are the caller's input, so a single run's
+    observables name none."""
+    import dataclasses
+
+    ((index, _args, *rest),) = obs.instances
+    return dataclasses.replace(obs, instances=((index, (), *rest),))
