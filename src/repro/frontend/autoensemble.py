@@ -49,7 +49,7 @@ insists reduction accumulators are initialized inside the driver.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -384,7 +384,11 @@ class EnsembleBackend:
 
 class SequentialBackend:
     """Executes argument vectors one at a time on a single device, each
-    under the run options of the template ``spec``."""
+    under the run options of the template ``spec``.
+
+    A fault plan the spec carries is armed once, for the whole replay,
+    as the auto mode's scheduler arms it once per campaign: its schedule
+    (``times=``) counts over every run, not per run."""
 
     def __init__(
         self,
@@ -393,12 +397,17 @@ class SequentialBackend:
         spec: LaunchSpec = LaunchSpec(),
         loader_opts: dict | None = None,
     ):
+        from repro.faults.injector import FaultInjector
         from repro.gpu.device import GPUDevice
         from repro.host.loader import Loader
 
-        self.loader = Loader(
-            _resolve_program(app), GPUDevice(), **(loader_opts or {})
-        )
+        device = GPUDevice()
+        plan = spec.resolve_fault_plan()
+        if plan is not None:
+            device.faults = FaultInjector(plan)
+            device.faults.attach_sinks(device.tracer, device.metrics)
+            spec = replace(spec, fault_plan=None)
+        self.loader = Loader(_resolve_program(app), device, **(loader_opts or {}))
         self.spec = spec
 
     def execute_one(self, args: list[str]) -> tuple[int, str]:

@@ -47,36 +47,6 @@ def warp_sector_keys(
     return np.unique(keys)
 
 
-def batch_sector_keys(
-    access: np.ndarray,
-    lane_ids: np.ndarray,
-    addrs: np.ndarray,
-    *,
-    coalesce: bool = True,
-    warp_size: int = 32,
-) -> np.ndarray:
-    """Transactions of a batch of memory instructions, in issue order.
-
-    Lane ``i`` belongs to instruction ``access[i]`` (non-decreasing).  The
-    result is the concatenation, instruction by instruction, of what
-    :func:`warp_sector_keys` (``coalesce``) or :func:`uncoalesced_keys`
-    returns for each instruction alone: one sort over the whole batch
-    instead of one ``np.unique`` per instruction.
-    """
-    if not coalesce:
-        return uncoalesced_keys(lane_ids, addrs, warp_size)
-    warps = (lane_ids // warp_size).astype(np.int64)
-    keys = (warps << _KEY_SHIFT) | sector_ids(addrs.astype(np.int64), 1)
-    order = np.lexsort((keys, access))
-    keys = keys[order]
-    access = access[order]
-    # first of each run of equal (instruction, warp, sector) triples
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first[1:] |= access[1:] != access[:-1]
-    return keys[first]
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)`` for a 1-D integer array, through one
     ``np.sort``: on sector streams of a few 100k entries it is several

@@ -13,6 +13,7 @@ run hundreds of launches against one device without leaking the arena.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -436,6 +437,7 @@ class GPUDevice:
         traces: list[BlockTrace] = []
         team_faults: dict[int, Exception] = {}
         total_steps = 0
+        logged_rows = 0
         # (block, region) calls of engines that count them: compiled
         dispatch = None
         try:
@@ -451,6 +453,7 @@ class GPUDevice:
                         lanes // warp,
                         model_coalescing=self.sim.model_coalescing,
                         shared_range=shared_range,
+                        warp_size=warp,
                     )
                 ctx = BlockContext(
                     memory=self.memory,
@@ -492,6 +495,8 @@ class GPUDevice:
                     )
                 if collector is not None:
                     traces.append(collector.finalize())
+                    if self.metrics is not None:
+                        logged_rows += collector.logged_rows
         finally:
             if stacks_addr is not None:
                 self.free(stacks_addr)
@@ -501,12 +506,23 @@ class GPUDevice:
         timing = None
         cycles = None
         if collect_timing:
-            timing = self.timing_model.kernel_time(
-                traces,
-                threads_per_block=thread_limit,
-                regs_per_thread=HW_REGS_PER_THREAD,
-                shared_mem_per_block=image.team_local_size,
+            span = (
+                self.tracer.span(
+                    f"timing {kernel_name}",
+                    track=f"timing:{self.label}",
+                    cat="timing",
+                    teams=num_teams,
+                )
+                if self.tracer.enabled
+                else nullcontext()
             )
+            with span:
+                timing = self.timing_model.kernel_time(
+                    traces,
+                    threads_per_block=thread_limit,
+                    regs_per_thread=HW_REGS_PER_THREAD,
+                    shared_mem_per_block=image.team_local_size,
+                )
             cycles = timing.cycles
             if self.faults.enabled and self.faults.watches("device.launch"):
                 cycles = self._inject_team_stalls(timing, num_teams)
@@ -514,6 +530,12 @@ class GPUDevice:
             for name, value in zip(_DISPATCH_COUNTERS, dispatch):
                 self.metrics.counter(
                     f"exec.{name}", device=self.label, backend=engine.name
+                ).inc(value)
+        if collect_timing and self.metrics is not None:
+            phases = sum(len(trace.phases) for trace in traces)
+            for name, value in (("phases", phases), ("logged_rows", logged_rows)):
+                self.metrics.counter(
+                    f"trace.{name}", device=self.label, backend=engine.name
                 ).inc(value)
         self._publish_launch(kernel_name, num_teams, cycles, timing, total_steps)
         return LaunchResult(

@@ -58,12 +58,13 @@ overhead for straight-line code:
   :class:`~repro.runtime.interpreter.BlockExecutor` subclass: memory
   model, RPC ring, fault-injection points, divergent-path scheduling,
   parallel-region machinery, and trap behavior are inherited, not
-  reimplemented.  Trace aggregates are preserved exactly: a block
-  contributes the same cycle/instruction totals via
-  :meth:`~repro.runtime.trace.TraceCollector.note_uniform_block` (or,
-  for a divergent group, ``note_divergent_block``) that per-instruction
-  ``note_uniform``/``on_instr`` calls would, and memory events fire in
-  the same order with the same lane/address sets.
+  reimplemented.  Trace aggregates are preserved exactly: the run loop
+  sums a uniform stretch's (or a divergent chain's) block and
+  terminator cycles in locals and hands them to the collector once
+  (:meth:`~repro.runtime.trace.TraceCollector.end_uniform`,
+  ``note_divergent_block``), with the interpreter's per-instruction
+  totals, and memory accesses are logged in the same order with the
+  same lane/address sets.
 
 The only observable difference is block granularity: the ``max_steps``
 livelock guard is checked per block rather than per instruction, so a
@@ -218,23 +219,24 @@ class CompiledProgram:
 class _Lanes:
     """A lane selection :func:`_emit` writes a body for: how a register
     is read (``get``) and written (``put``), how a per-lane vector of the
-    namespace such as ``_lii`` is read (``lane``), and the lane ids
-    ``on_mem`` gets (``lids``).  ``one``: registers are lane ``k``'s
-    Python locals (``i3`` for ``I3``)."""
+    namespace such as ``_lii`` is read (``lane``), and how a memory
+    access's addresses reach the trace collector's log (``log``).
+    ``one``: registers are lane ``k``'s Python locals (``i3`` for
+    ``I3``)."""
 
     get: str
     put: str
     lane: str
-    lids: str
+    log: str
     one: bool = False
 
     def reg(self, operand: tuple[bool, int]) -> str:
         return _local(operand) if self.one else _reg(operand)
 
 
-FULL = _Lanes("{}", "{}[:]", "{}", "_lids")
-MASKED = _Lanes("{}[mask]", "{}[mask]", "{}[mask]", "_lids[mask]")
-ONE = _Lanes("{}", "{}", "{}[k]", "_lids[k : k + 1]", one=True)
+FULL = _Lanes("{}", "{}[:]", "{}", "_C.log_row({})")
+MASKED = _Lanes("{}[mask]", "{}[mask]", "{}[mask]", "_C.log_masked(mask, {})")
+ONE = _Lanes("{}", "{}", "{}[k]", "_C.log_lane(k, {})", one=True)
 
 
 @contextmanager
@@ -369,8 +371,13 @@ def _emit(
         return
     if op in (Opcode.LOAD, Opcode.STORE):
         offset = f" + {li.offset}" if li.offset else ""
+        if lanes is FULL and not offset and li.op is Opcode.LOAD and li.args[0] == dest:
+            offset = ".copy()"  # the load overwrites its own address row
         out.append(f"_adr = {args[0]}{offset}")
-        _emit_memop(li, pc, out, lanes, d, args, proof, mode)
+        # the collector keeps a logged row: on whole rows, _adr is a new
+        # array unless it is the address register itself
+        logged = "_adr" if offset or lanes is not FULL else "_adr.copy()"
+        _emit_memop(li, pc, out, lanes, d, args, proof, mode, logged)
         return
     if op is Opcode.GADDR:
         out.append(f"{d} = _resolve({li.sym!r})")
@@ -401,9 +408,10 @@ def _emit_memop(
     args: list[str],
     proof,
     mode: str,
+    logged: str,
 ) -> None:
     """Append the LOAD/STORE tail (``_adr`` already assigned) on
-    ``lanes``.
+    ``lanes``; ``logged`` is what a timed run logs as its addresses.
 
     Every site takes an inline gather/scatter: the null-guard and
     alignment checks are two compares against literal constants
@@ -412,10 +420,10 @@ def _emit_memop(
     ``astype`` (one lane widens a loaded element and narrows a stored
     value itself).  A firing check re-runs the access through
     :meth:`GlobalMemory._indices` so fault messages are byte-identical to
-    the interpreter's.  Timed runs then hand the lanes and addresses to
-    ``on_mem``, exactly as the interpreter's handlers do.  One lane does
-    both on the team's one-element address buffer ``_adr1`` (``on_mem``
-    copies its argument).
+    the interpreter's; one lane re-runs it on the team's one-element
+    address buffer ``_adr1``.  Timed runs then log the addresses with
+    the selection's call into the collector (``log``): a whole row as
+    it is, a masked access padded to a row, one lane as ``(k, address)``.
 
     With a :class:`~repro.analysis.safety.SiteProof` and
     ``mode="unchecked"``, PROVEN null+alignment drops the guard entirely,
@@ -472,8 +480,7 @@ def _emit_memop(
         out.append(f"        _trap({g_pfx}_exc.message, mask)")
         out += ["try:", f"    {access}", "except IndexError:", *fill]
         out.append(f"    _trap({b_pfx}_mem._beyond_end({adrs}).message, mask)")
-    out += ["if _C is not None:", *fill]
-    out.append(f"    _C.on_mem({lanes.lids}, {adrs}, {size})")
+    out += ["if _C is not None:", f"    {lanes.log.format(logged)}"]
 
 
 #: Binary ops whose numpy-scalar operator computes the masked ufunc's
@@ -1085,7 +1092,7 @@ class CompiledBlockExecutor(BlockExecutor):
             "_ZERO": np.int64(0),
             "_W8": _W8,
             "_ISFIN": math.isfinite,
-            "_adr1": np.zeros(1, np.int64),  # one lane's address for _mem, on_mem
+            "_adr1": np.zeros(1, np.int64),  # one lane's address for _mem's fault text
         }
         ns.update(zip(tables.iregs, self.iregs))
         ns.update(zip(tables.fregs, self.fregs))
@@ -1158,6 +1165,13 @@ class CompiledBlockExecutor(BlockExecutor):
         entries = 0
         scalar_dispatches = 0
         scalar_entries = 0
+        # issue cycles and instructions not yet handed to the collector:
+        # the open uniform stretch's, and a divergent chain's
+        ucyc = 0.0
+        uins = 0
+        dcyc = 0.0
+        dins = 0
+        warp_mask = None
 
         try:
             with np.errstate(all="ignore"):
@@ -1184,8 +1198,9 @@ class CompiledBlockExecutor(BlockExecutor):
                             # scheduling would run it to the terminator without
                             # interleaving another group.  One masked call
                             # replaces count handler dispatches; timed runs
-                            # note each block and folded branch once, with
-                            # the aggregates of per-instruction on_instr.
+                            # note the chain's blocks and folded branches
+                            # once, with the aggregates of per-instruction
+                            # on_instr.
                             if blocks_get(cur) is not None:
                                 # All other runnable lanes sit at or above
                                 # othermin, so min-PC scheduling keeps this
@@ -1214,10 +1229,8 @@ class CompiledBlockExecutor(BlockExecutor):
                                     steps += count
                                     if steps > max_steps:
                                         raise self._livelock(steps)
-                                    if collector is not None:
-                                        collector.note_divergent_block(
-                                            warp_mask, cycles, count
-                                        )
+                                    dcyc += cycles
+                                    dins += count
                                     fn = rows_get(cur_g)
                                     if fn is None:
                                         fn = self._bind("blk", cur_g)
@@ -1235,10 +1248,8 @@ class CompiledBlockExecutor(BlockExecutor):
                                         cur_g = end  # control op: slow path next
                                         break
                                     steps += 1  # folded BR/CBR
-                                    if collector is not None:
-                                        collector.note_divergent_block(
-                                            warp_mask, cpi_list[end], 1
-                                        )
+                                    dcyc += cpi_list[end]
+                                    dins += 1
                                     if bt >= 0:
                                         cur_g = bt
                                         continue
@@ -1251,6 +1262,12 @@ class CompiledBlockExecutor(BlockExecutor):
                                     pc[mask] = np.where(vals != 0, t_then, t_else)
                                     cur_g = -1  # pc written per-lane
                                     break
+                                if collector is not None and dins:
+                                    collector.note_divergent_block(
+                                        warp_mask, dcyc, dins
+                                    )
+                                dcyc = 0.0
+                                dins = 0
                                 if ran:
                                     if cur_g >= 0:
                                         pc[mask] = cur_g
@@ -1275,7 +1292,8 @@ class CompiledBlockExecutor(BlockExecutor):
                             if steps > max_steps:
                                 raise self._livelock(steps)
                             if collector is not None:
-                                collector.note_uniform_block(cycles, count)
+                                ucyc += cycles
+                                uins += count
                             if one:
                                 sfn = scalar_get(cur)
                                 if sfn is None:
@@ -1294,7 +1312,8 @@ class CompiledBlockExecutor(BlockExecutor):
                         if steps > max_steps:
                             raise self._livelock(steps)
                         if collector is not None:
-                            collector.note_uniform(cpi_list[cur])
+                            ucyc += cpi_list[cur]
+                            uins += 1
                         bt = br_target[cur]
                         if bt >= 0:  # unconditional branch
                             cur = bt
@@ -1313,7 +1332,9 @@ class CompiledBlockExecutor(BlockExecutor):
                             pc[mask] = np.where(vals != 0, t_then, t_else)
                             divergent = True
                             if collector is not None:
-                                collector.end_uniform()
+                                collector.end_uniform(ucyc, uins)
+                            ucyc = 0.0
+                            uins = 0
                             continue
                         if is_control[cur]:
                             if stay_uniform[cur]:
@@ -1326,7 +1347,10 @@ class CompiledBlockExecutor(BlockExecutor):
                                 continue
                             pc[mask] = cur  # flush logical PCs
                             if collector is not None:
-                                collector.end_uniform()
+                                # the handler may close a phase
+                                collector.end_uniform(ucyc, uins)
+                            ucyc = 0.0
+                            uins = 0
                             advanced = handlers[cur](mask)
                             if not advanced:
                                 pc[mask] = cur + 1
@@ -1353,6 +1377,11 @@ class CompiledBlockExecutor(BlockExecutor):
                         nrun = int(runnable.sum())
             self.steps = steps
         finally:
+            # a trap ends the team: its last stretch still counts whole
+            if collector is not None and uins:
+                collector.note_uniform_block(ucyc, uins)
+            if collector is not None and dins:
+                collector.note_divergent_block(warp_mask, dcyc, dins)
             self.block_dispatches = dispatches
             self.region_entries = entries
             self.scalar_dispatches = scalar_dispatches

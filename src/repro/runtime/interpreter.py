@@ -260,70 +260,85 @@ class BlockExecutor:
         mask = runnable
         cur = 0
         steps = 0
+        # the open uniform stretch's issue cycles and instructions, handed
+        # to the collector where the warp set or the phase may change
+        ucyc = 0.0
+        uins = 0
 
-        with np.errstate(all="ignore"):
-            while nrun > 0:
-                if divergent:
-                    cur = int(pc[runnable].min())
-                    mask = runnable & (pc == cur)
-                    if int(mask.sum()) == nrun:
-                        divergent = False
-                        mask = runnable
+        try:
+            with np.errstate(all="ignore"):
+                while nrun > 0:
+                    if divergent:
+                        cur = int(pc[runnable].min())
+                        mask = runnable & (pc == cur)
+                        if int(mask.sum()) == nrun:
+                            divergent = False
+                            mask = runnable
+                            if collector is not None:
+                                collector.begin_uniform(
+                                    mask.reshape(self.num_warps, ws).any(axis=1)
+                                )
+
+                    steps += 1
+                    if steps > max_steps:
+                        raise self._livelock(steps)
+
+                    if not divergent:
+                        # ---- uniform fast path ----------------------------
                         if collector is not None:
-                            collector.begin_uniform(
-                                mask.reshape(self.num_warps, ws).any(axis=1)
-                            )
-
-                steps += 1
-                if steps > max_steps:
-                    raise self._livelock(steps)
-
-                if not divergent:
-                    # ---- uniform fast path --------------------------------
-                    if collector is not None:
-                        collector.note_uniform(cpi_list[cur])
-                    bt = br_target[cur]
-                    if bt >= 0:  # unconditional branch
-                        cur = bt
-                        continue
-                    info = cbr_info[cur]
-                    if info is not None:  # conditional branch
-                        row, t_then, t_else = info
-                        vals = row[mask]
-                        first = vals[0]
-                        if (vals == first).all():
-                            cur = t_then if first else t_else
+                            ucyc += cpi_list[cur]
+                            uins += 1
+                        bt = br_target[cur]
+                        if bt >= 0:  # unconditional branch
+                            cur = bt
                             continue
-                        pc[mask] = np.where(vals != 0, t_then, t_else)
-                        divergent = True
-                        if collector is not None:
-                            collector.end_uniform()
+                        info = cbr_info[cur]
+                        if info is not None:  # conditional branch
+                            row, t_then, t_else = info
+                            vals = row[mask]
+                            first = vals[0]
+                            if (vals == first).all():
+                                cur = t_then if first else t_else
+                                continue
+                            pc[mask] = np.where(vals != 0, t_then, t_else)
+                            divergent = True
+                            if collector is not None:
+                                collector.end_uniform(ucyc, uins)
+                            ucyc = 0.0
+                            uins = 0
+                            continue
+                        if is_control[cur]:
+                            pc[mask] = cur  # flush logical PCs
+                            if collector is not None:
+                                # the handler may close a phase
+                                collector.end_uniform(ucyc, uins)
+                            ucyc = 0.0
+                            uins = 0
+                            advanced = handlers[cur](mask)
+                            if not advanced:
+                                pc[mask] = cur + 1
+                            runnable = status == RUNNABLE
+                            nrun = int(runnable.sum())
+                            divergent = True
+                            continue
+                        handlers[cur](mask)  # plain vector op
+                        cur += 1
                         continue
+
+                    # ---- divergent slow path ------------------------------
+                    if collector is not None:
+                        warp_mask = mask.reshape(self.num_warps, ws).any(axis=1)
+                        collector.on_instr(code[cur].op, warp_mask)
+                    advanced = handlers[cur](mask)
+                    if not advanced:
+                        pc[mask] = cur + 1
                     if is_control[cur]:
-                        pc[mask] = cur  # flush logical PCs
-                        if collector is not None:
-                            collector.end_uniform()
-                        advanced = handlers[cur](mask)
-                        if not advanced:
-                            pc[mask] = cur + 1
                         runnable = status == RUNNABLE
                         nrun = int(runnable.sum())
-                        divergent = True
-                        continue
-                    handlers[cur](mask)  # plain vector op
-                    cur += 1
-                    continue
-
-                # ---- divergent slow path ----------------------------------
-                if collector is not None:
-                    warp_mask = mask.reshape(self.num_warps, ws).any(axis=1)
-                    collector.on_instr(code[cur].op, warp_mask)
-                advanced = handlers[cur](mask)
-                if not advanced:
-                    pc[mask] = cur + 1
-                if is_control[cur]:
-                    runnable = status == RUNNABLE
-                    nrun = int(runnable.sum())
+        finally:
+            # a trap ends the team: its last stretch still counts whole
+            if collector is not None and uins:
+                collector.note_uniform_block(ucyc, uins)
         self.steps = steps
 
     # ------------------------------------------------------------------
@@ -505,7 +520,7 @@ class BlockExecutor:
                 except MemoryFault as exc:
                     self._trap(exc.message, mask)
                 if collector is not None:
-                    collector.on_mem(self.lane_ids[mask], addrs, mty.size)
+                    collector.log_masked(mask, addrs)
                 return False
 
             return h
@@ -525,7 +540,7 @@ class BlockExecutor:
                 except MemoryFault as exc:
                     self._trap(exc.message, mask)
                 if collector is not None:
-                    collector.on_mem(self.lane_ids[mask], addrs, mty.size)
+                    collector.log_masked(mask, addrs)
                 return False
 
             return h
@@ -549,7 +564,7 @@ class BlockExecutor:
                 except MemoryFault as exc:
                     self._trap(exc.message, mask)
                 if collector is not None:
-                    collector.on_mem(self.lane_ids[mask], addrs, mty.size)
+                    collector.log_masked(mask, addrs)
                 return False
 
             return h

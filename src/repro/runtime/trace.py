@@ -16,29 +16,48 @@ What is measured, per block:
   the DRAM model to compute each stream's intrinsic sequentiality);
 * the block's unique-sector working set (used by the L2 model).
 
-Memory accounting is deferred to the phase close.  :meth:`TraceCollector.
-on_mem` only logs each instruction's lanes and addresses; when a phase
-closes, the whole log is keyed in one batch
-(:func:`~repro.gpu.coalescing.batch_sector_keys`): shared-range filter,
-per-instruction ``(warp, sector)`` dedup, then row hits from one stable
-sort of the phase's transaction stream by warp.  The result is bitwise
-what accounting each instruction as it issues would give, for the price
-of a few numpy calls per phase instead of a dozen per instruction.
+Issue cycles reach the collector in batches: the executors' run loops sum
+a uniform stretch's cycles and instruction counts in locals and hand them
+over where the active warp set or the phase may change
+(:meth:`TraceCollector.end_uniform`).  Every CPI is an integer, so the
+float sums are exact in any grouping.
+
+Memory accounting is deferred to the phase close.  The open phase's log
+is an address matrix in the making: one row of ``T = num_warps *
+warp_size`` addresses per memory instruction, ``-1`` where a lane did not
+access.  A whole-row access appends its address row as is
+(:attr:`TraceCollector.log_row`), a masked one a padded row
+(:meth:`~TraceCollector.log_masked`), and a one-lane access only its
+``(lane, address)`` pair (:meth:`~TraceCollector.log_lane`), scattered
+into its row when the phase closes.  The close then builds the ``(n, T)``
+matrix in one step, masks the shared-memory range out as ``-1``, and
+keys it with one row-wise sort: each (instruction, warp) segment's
+sectors sorted, the first of each run of equal sectors kept and the
+``-1`` sentinels dropped.  Read warp-major, the kept sectors are each
+warp's transaction stream in issue order, from which row hits follow
+without a further sort.  The coalescing-off ablation reads the same
+matrix without the sort or dedup: every accessing lane pays a sector.
+The result is bitwise what accounting each instruction as it issues
+would give, for the price of a few numpy calls per phase instead of a
+dozen per instruction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.coalescing import batch_sector_keys, sorted_unique, split_keys
+from repro.gpu.coalescing import sector_ids, sorted_unique
 from repro.gpu.timing import BlockTrace, PhaseStats, cpi_of
 from repro.ir.instructions import Opcode
 
 _ROW_SHIFT = 5  # sectors per 1024-byte row = 32 -> row = sector >> 5
+#: Bits of the lane folded into a sector when coalescing is off.
+_LANE_BITS = 5
 
 
 class TraceCollector:
     """Accumulates one block's issue/memory events into a BlockTrace."""
+
     def __init__(
         self,
         block_id: int,
@@ -46,9 +65,11 @@ class TraceCollector:
         *,
         model_coalescing: bool = True,
         shared_range: tuple[int, int] | None = None,
+        warp_size: int = 32,
     ):
         self.block_id = block_id
         self.num_warps = num_warps
+        self.warp_size = warp_size
         self.model_coalescing = model_coalescing
         self.shared_range = shared_range
         self.trace = BlockTrace(block_id)
@@ -57,10 +78,18 @@ class TraceCollector:
         self._phase = PhaseStats(parallel=False)
         self._last_row = np.full(num_warps, -1, dtype=np.int64)
         self._sector_chunks: list[np.ndarray] = []
-        # the open phase's memory log: one entry per instruction
-        self._mem_lanes: list[np.ndarray] = []
-        self._mem_addrs: list[np.ndarray] = []
-        # uniform-stretch batching (fast interpreter path)
+        # the open phase's memory log: one T-wide address row per
+        # instruction (a one-lane access logs the blank row, and its
+        # (row, lane, address) triple in _lane_log)
+        self._blank = np.full(num_warps * warp_size, -1, dtype=np.int64)
+        self._rows: list[np.ndarray] = []
+        self._lane_log: list = []
+        #: Log a whole-row access: its T addresses, lane order, in an
+        #: array nobody writes again (the row is kept, not copied).
+        self.log_row = self._rows.append
+        #: Address rows accounted so far (one per memory instruction).
+        self.logged_rows = 0
+        # issue cycles of the open uniform stretch
         self._pending_cycles = 0.0
         self._pending_instrs = 0
         self._pending_warp_mask: np.ndarray | None = None
@@ -73,19 +102,18 @@ class TraceCollector:
         self._flush_uniform()
         self._pending_warp_mask = warp_mask.copy()
 
-    def note_uniform(self, cycles: float) -> None:
-        self._pending_cycles += cycles
-        self._pending_instrs += 1
-
     def note_uniform_block(self, cycles: float, instrs: int) -> None:
-        """Batch-account a straight-line run of ``instrs`` uniform
-        instructions costing ``cycles`` total issue cycles — one call per
-        basic block from the compiled backend, with aggregates identical
-        to ``instrs`` individual :meth:`note_uniform` calls."""
+        """Add ``instrs`` uniform instructions costing ``cycles`` total
+        issue cycles to the open stretch, with aggregates identical to
+        accounting each instruction alone."""
         self._pending_cycles += cycles
         self._pending_instrs += instrs
 
-    def end_uniform(self) -> None:
+    def end_uniform(self, cycles: float = 0.0, instrs: int = 0) -> None:
+        """Close the open stretch, adding its last ``instrs``
+        instructions (``cycles`` issue cycles) first."""
+        self._pending_cycles += cycles
+        self._pending_instrs += instrs
         self._flush_uniform()
 
     def _flush_uniform(self) -> None:
@@ -108,26 +136,16 @@ class TraceCollector:
 
     # ------------------------------------------------------------------
     def on_instr(self, op: Opcode, warp_mask: np.ndarray) -> None:
-        """Record issue of one instruction by the active warps (called on
-        the interpreter's divergent path; uniform stretches batch through
-        note_uniform)."""
-        cycles = cpi_of(op)
-        self._warp_cycles[warp_mask] += cycles
-        n = int(warp_mask.sum())
-        self._phase.issue_cycles_total += cycles * n
-        if n > self._phase.active_warps:
-            self._phase.active_warps = n
-        self.trace.dynamic_instructions += 1
-        self.trace.divergent_instructions += 1
+        """Record issue of one divergent-path instruction by the active
+        warps."""
+        self.note_divergent_block(warp_mask, cpi_of(op), 1)
 
     def note_divergent_block(
         self, warp_mask: np.ndarray, cycles: float, instrs: int
     ) -> None:
         """Batch-account ``instrs`` divergent-path instructions costing
-        ``cycles`` total, all issued by ``warp_mask`` — one call per
-        basic block from the compiled backend, with aggregates identical
-        to ``instrs`` individual :meth:`on_instr` calls (every CPI is an
-        integer, so the float sums are exact)."""
+        ``cycles`` total, all issued by ``warp_mask``, with aggregates
+        identical to ``instrs`` individual :meth:`on_instr` calls."""
         self._warp_cycles[warp_mask] += cycles
         n = int(warp_mask.sum())
         self._phase.issue_cycles_total += cycles * n
@@ -136,13 +154,17 @@ class TraceCollector:
         self.trace.dynamic_instructions += instrs
         self.trace.divergent_instructions += instrs
 
-    def on_mem(self, lane_ids: np.ndarray, addrs: np.ndarray, access_size: int) -> None:
-        """Log a memory access by the given lanes (ascending lane ids, as
-        every executor passes them); it is accounted when the phase
-        closes.  ``addrs`` is copied: the compiled backend may pass a
-        register row that later instructions overwrite."""
-        self._mem_lanes.append(lane_ids)
-        self._mem_addrs.append(addrs.copy())
+    def log_masked(self, mask: np.ndarray, addrs: np.ndarray) -> None:
+        """Log an access by the lanes of the boolean ``mask`` at ``addrs``
+        (one per set lane, in lane order), padded to a row."""
+        row = self._blank.copy()
+        row[mask] = addrs
+        self._rows.append(row)
+
+    def log_lane(self, lane: int, addr: int) -> None:
+        """Log an access by lane ``lane`` alone at ``addr``."""
+        self._lane_log += (len(self._rows), lane, addr)
+        self._rows.append(self._blank)
 
     def on_parallel_enter(self) -> None:
         self._par_count += 1
@@ -159,46 +181,62 @@ class TraceCollector:
         """Account the open phase's logged memory accesses.  Accesses into
         the team's shared-memory range are on-chip (SRAM): counted
         separately, never fed to the coalescer/L2/DRAM models."""
-        if not self._mem_addrs:
+        rows = self._rows
+        if not rows:
             return
-        sizes = list(map(len, self._mem_addrs))
-        access = np.repeat(np.arange(len(sizes)), sizes)
-        lanes = np.concatenate(self._mem_lanes)
-        addrs = np.concatenate(self._mem_addrs)
-        self._mem_lanes.clear()
-        self._mem_addrs.clear()
+        n = len(rows)
+        self.logged_rows += n
+        addrs = np.array(rows)  # (n, T); a new array, so safe to edit
+        rows.clear()
+        if self._lane_log:
+            at, lane, addr = np.array(self._lane_log, dtype=np.int64).reshape(-1, 3).T
+            addrs[at, lane] = addr
+            self._lane_log.clear()
         ph = self._phase
         if self.shared_range is not None:
             lo, hi = self.shared_range
-            keep = (addrs < lo) | (addrs >= hi)
-            ph.shared_accesses += int(addrs.size - np.count_nonzero(keep))
-            lanes, addrs, access = lanes[keep], addrs[keep], access[keep]
-        if addrs.size == 0:
+            shared = (addrs >= lo) & (addrs < hi)
+            count = int(np.count_nonzero(shared))
+            if count:
+                ph.shared_accesses += count
+                addrs[shared] = -1
+        valid = addrs >= 0
+        accesses = int(np.count_nonzero(valid))
+        if accesses == 0:
             return
-        keys = batch_sector_keys(
-            access, lanes, addrs, coalesce=self.model_coalescing
-        )
-        ph.sectors += int(keys.size)
-        ph.lane_accesses += int(addrs.size)
-        warps, sectors = split_keys(keys)
-        self._sector_chunks.append(sectors)
-        rows = sectors >> _ROW_SHIFT
+        ph.lane_accesses += accesses
+        # (instruction, warp, lane in warp); read warp-major below, each
+        # warp's stream is in issue order
+        shape = (n, self.num_warps, self.warp_size)
+        sectors = sector_ids(addrs, 1).reshape(shape)
+        if self.model_coalescing:
+            sectors.sort(axis=2)  # the -1 sentinels first
+            keep = sectors >= 0
+            keep[:, :, 1:] &= sectors[:, :, 1:] != sectors[:, :, :-1]
+        else:
+            # every accessing lane pays a private sector, made unique by
+            # folding its lane in (the row stays the sector's)
+            keep = valid.reshape(shape)
+            sectors = (sectors << _LANE_BITS) | np.arange(self.warp_size)
+        keep = keep.transpose(1, 0, 2)
+        stream = sectors.transpose(1, 0, 2)[keep]
+        counts = np.count_nonzero(keep, axis=(1, 2))
+        ph.sectors += int(stream.size)
+        self._sector_chunks.append(stream)
+        rows = stream >> _ROW_SHIFT
         # Row hits: consecutive transactions to the same row within one
         # warp's stream; each warp's first transaction of the phase
         # compares against its last row of the previous phase.
-        if self.num_warps > 1:
-            order = np.argsort(warps, kind="stable")
-            warps, rows = warps[order], rows[order]
-        new_warp = np.ones(keys.size, dtype=bool)
-        np.not_equal(warps[1:], warps[:-1], out=new_warp[1:])
-        hits = int(np.count_nonzero((rows[1:] == rows[:-1]) & ~new_warp[1:]))
-        first = np.flatnonzero(new_warp)
-        fw = warps[first]
-        hits += int(np.count_nonzero(rows[first] == self._last_row[fw]))
-        last = np.append(first[1:] - 1, keys.size - 1)
-        self._last_row[fw] = rows[last]
-        ph.mem_warps = int(fw.size)
-        self.trace.row_transitions += int(keys.size)
+        warps = np.flatnonzero(counts)
+        ends = np.cumsum(counts[warps])
+        first = ends - counts[warps]
+        same = rows[1:] == rows[:-1]
+        same[first[1:] - 1] = False
+        hits = int(np.count_nonzero(same))
+        hits += int(np.count_nonzero(rows[first] == self._last_row[warps]))
+        self._last_row[warps] = rows[ends - 1]
+        ph.mem_warps = int(warps.size)
+        self.trace.row_transitions += int(stream.size)
         self.trace.row_hits += hits
 
     def _close_phase(self, *, parallel: bool) -> None:

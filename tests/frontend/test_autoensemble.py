@@ -270,8 +270,10 @@ class TestDeviceDifferential:
         assert Observables.of(faulted) == Observables.of(sequential_oracle)
 
     def test_sequential_replay_reports_fault_exit(self):
-        """A reply timeout isolates each sequential run the way it isolates
-        an ensemble instance: FAULT_EXIT, never a zero read as success."""
+        """A reply timeout isolates the sequential run it hits the way it
+        isolates an ensemble instance: FAULT_EXIT, never a zero read as
+        success.  The plan is armed once for the replay, so ``times=1``
+        fires in the first run only."""
 
         def driver(run):
             codes = []
@@ -284,7 +286,26 @@ class TestDeviceDifferential:
             spec=dataclasses.replace(RUN, fault_plan="rpc_timeout:times=1"),
             heap_bytes=1 << 22,
         )
-        assert seq.value == [FAULT_EXIT, FAULT_EXIT]
+        assert seq.value == [FAULT_EXIT, 0]
+
+    def test_both_modes_arm_a_spec_fault_plan_once(self):
+        """Sequential replay and the auto mode's campaign count one
+        spec-carried plan's schedule over all of the driver's runs."""
+
+        def driver(run):
+            codes = []
+            for seed in range(1, 4):
+                codes.append(run(["-n", "256", "-i", "1", "-s", str(seed)]).exit_code)
+            return codes
+
+        spec = dataclasses.replace(RUN, fault_plan="rpc_timeout:times=1")
+        codes = {
+            mode: auto_launch(
+                driver, app="stencil", mode=mode, spec=spec, heap_bytes=1 << 22
+            ).value
+            for mode in ("sequential", "auto")
+        }
+        assert codes["sequential"] == codes["auto"] == [FAULT_EXIT, 0, 0]
 
     def test_multi_device_identical(self, sequential_oracle):
         auto = auto_launch(

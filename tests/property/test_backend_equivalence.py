@@ -86,10 +86,15 @@ def test_registry_apps_timed_traces_equivalent(app, opt_level):
     """Timed runs of every registry app: the compiled backend in every
     safety mode (one cached executable) reproduces the interpreter's
     cycles and per-team traces bitwise (two warps per team, so per-warp
-    streams interleave)."""
+    streams interleave).  At -O2 also at thread limit :data:`ODD_LIMIT`,
+    where every parallel access logs a padded row with the parked lanes
+    blank."""
     inp = app_input(app, TIMED_ARGS[app], timed=True, device=SMALL_DEVICE)
     configs = [compiled(opt_level, mode, cache=True) for mode in SAFETY_MODES]
-    check(inp, ([] if opt_level == 1 else [O2]) + configs)
+    if opt_level == 2:
+        configs = [O2, *configs, Config(opt_level=2, thread_limit=ODD_LIMIT)]
+        configs.append(compiled(2, cache=True, thread_limit=ODD_LIMIT))
+    check(inp, configs)
 
 
 #: Each iteration reads a neighbour's element that another iteration

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.coalescing import (
-    batch_sector_keys,
     sorted_unique,
     transactions_per_warp,
     uncoalesced_keys,
     warp_sector_keys,
 )
+from repro.runtime.trace import TraceCollector
 
 
 @st.composite
@@ -68,19 +68,21 @@ def test_per_warp_counts_sum_to_total(access):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(warp_access(), max_size=6), st.booleans())
 def test_batch_keys_concatenate_per_instruction_keys(accesses, coalesce):
+    """A phase's transactions, keyed in one batch by the trace collector,
+    are those of each instruction keyed alone."""
     per_instr = warp_sector_keys if coalesce else (
         lambda lanes, addrs, size: uncoalesced_keys(lanes, addrs)
     )
-    want = [per_instr(lanes, addrs, 8) for lanes, addrs in accesses]
-    access = np.repeat(
-        np.arange(len(accesses)), [lanes.size for lanes, _ in accesses]
-    )
-    lanes = np.concatenate([a for a, _ in accesses] or [np.empty(0, np.int64)])
-    addrs = np.concatenate([b for _, b in accesses] or [np.empty(0, np.int64)])
-    got = batch_sector_keys(access, lanes, addrs, coalesce=coalesce)
-    np.testing.assert_array_equal(
-        got, np.concatenate(want or [np.empty(0, np.int64)])
-    )
+    keys = [per_instr(lanes, addrs, 8) for lanes, addrs in accesses]
+    collector = TraceCollector(0, 4, model_coalescing=coalesce)
+    for lanes, addrs in accesses:
+        mask = np.zeros(128, dtype=bool)
+        mask[lanes] = True
+        collector.log_masked(mask, addrs[np.argsort(lanes)])
+    trace = collector.finalize()
+    assert sum(p.sectors for p in trace.phases) == sum(k.size for k in keys)
+    sectors = np.concatenate(keys or [np.empty(0, np.int64)]) & ((1 << 40) - 1)
+    np.testing.assert_array_equal(trace.unique_sectors, np.unique(sectors))
 
 
 @settings(max_examples=80, deadline=None)

@@ -451,6 +451,17 @@ class TestLoopRegions:
         assert entries.value == ex.region_entries == 1
         assert blocks.value == ex.block_dispatches > 0
 
+    def test_trace_counters_published_per_timed_launch(self):
+        metrics = MetricsRegistry()
+        src = LOOP.format(trips=50, term="j * t")
+        _, _, fields = _run_compiled(src, metrics=metrics)
+        (phases,) = metrics.series("trace.phases")
+        (rows,) = metrics.series("trace.logged_rows")
+        row_transitions, phase_fields = fields[1], fields[5]
+        assert phases.value == len(phase_fields) > 0
+        # one row per memory instruction, each at least one transaction
+        assert 0 < rows.value <= row_transitions
+
 
 #: int64 wrap on ADD/MUL/SHL (a loop runs as a one-lane region), then
 #: SDIV/SREM on negative operands and on the most negative int64.

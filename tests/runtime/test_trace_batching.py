@@ -3,7 +3,8 @@ each memory instruction as it issues.
 
 :class:`PerAccessCollector` keeps the per-instruction algorithm as a
 reference; Hypothesis drives it and the real collector with the same
-event streams and every trace field must come out bitwise equal.
+event streams (whole rows, masked rows and one-lane accesses mixed in
+one phase) and every trace field must come out bitwise equal.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.gpu.coalescing import uncoalesced_keys, warp_sector_keys
 from repro.gpu.timing import cpi_of
 from repro.ir.instructions import Opcode
 from repro.runtime.trace import TraceCollector
+from tests.oracle import Config, check, source_input
 from tests.util import trace_fields
 
 _ROW_SHIFT = 5
@@ -27,8 +29,16 @@ class PerAccessCollector(TraceCollector):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._mem_warps = np.zeros(self.num_warps, dtype=bool)
+        lanes = np.arange(self.num_warps * self.warp_size)
+        self.log_row = lambda addrs: self._account(lanes, addrs)
 
-    def on_mem(self, lane_ids, addrs, access_size):
+    def log_masked(self, mask, addrs):
+        self._account(np.flatnonzero(mask), addrs)
+
+    def log_lane(self, lane, addr):
+        self._account(np.array([lane]), np.array([addr]))
+
+    def _account(self, lane_ids, addrs):
         if lane_ids.size == 0:
             return
         if self.shared_range is not None:
@@ -40,7 +50,7 @@ class PerAccessCollector(TraceCollector):
                 return
             lane_ids, addrs = lane_ids[~is_shared], addrs[~is_shared]
         if self.model_coalescing:
-            keys = warp_sector_keys(lane_ids, addrs, access_size)
+            keys = warp_sector_keys(lane_ids, addrs, 8)
         else:
             keys = uncoalesced_keys(lane_ids, addrs)
         self._phase.sectors += int(keys.size)
@@ -68,38 +78,47 @@ SHARED = (1 << 16, 1 << 16 | 4096)
 
 
 @st.composite
-def mem_event(draw, num_warps: int):
-    lanes = draw(
-        st.lists(st.integers(0, 32 * num_warps - 1), unique=True, max_size=40)
-    )
+def addresses(draw, n: int):
+    """``n`` addresses of one access size: a few rows of global memory
+    and the shared window, so that sectors repeat, rows hit and accesses
+    straddle both ends of the shared range."""
     size = draw(st.sampled_from((1, 4, 8)))
-    # a few rows of global memory and the shared window, so that sectors
-    # repeat, rows hit and accesses straddle both ends of the shared range
     lo, hi = SHARED
     base = draw(st.sampled_from((0x2000, 0x2400, lo - 64, lo, hi - 512, hi)))
-    offsets = draw(
-        st.lists(
-            st.integers(0, 2047), min_size=len(lanes), max_size=len(lanes)
-        )
-    )
-    addrs = [base + o // size * size for o in offsets]
-    return ("mem", sorted(lanes), addrs, size)
+    offsets = draw(st.lists(st.integers(0, 2047), min_size=n, max_size=n))
+    return [base + o // size * size for o in offsets]
+
+
+@st.composite
+def mem_event(draw, num_warps: int):
+    T = 32 * num_warps
+    kind = draw(st.sampled_from(("row", "masked", "lane")))
+    if kind == "row":
+        return ("row", draw(addresses(T)))
+    if kind == "lane":
+        return ("lane", draw(st.integers(0, T - 1)), draw(addresses(1))[0])
+    lanes = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=40))
+    mask = np.zeros(T, dtype=bool)
+    mask[lanes] = True
+    return ("masked", mask, draw(addresses(len(lanes))))
 
 
 @st.composite
 def event_streams(draw):
-    num_warps = draw(st.integers(1, 3))
+    num_warps = draw(st.sampled_from((1, 2)))
+    warp_mask = st.lists(st.booleans(), min_size=num_warps, max_size=num_warps)
     events = draw(
         st.lists(
             st.one_of(
                 mem_event(num_warps),
                 st.just(("enter",)),
                 st.just(("exit",)),
+                st.tuples(st.just("instr"), warp_mask),
                 st.tuples(
-                    st.just("instr"),
-                    st.lists(
-                        st.booleans(), min_size=num_warps, max_size=num_warps
-                    ),
+                    st.just("uniform"),
+                    warp_mask,
+                    st.integers(1, 40),
+                    st.integers(0, 5),
                 ),
             ),
             max_size=30,
@@ -113,19 +132,25 @@ def event_streams(draw):
 def replay(cls, num_warps, coalescing, shared, events):
     c = cls(0, num_warps, model_coalescing=coalescing, shared_range=shared)
     for ev in events:
-        if ev[0] == "mem":
-            _, lanes, addrs, size = ev
-            c.on_mem(
-                np.array(lanes, dtype=np.int64),
-                np.array(addrs, dtype=np.int64),
-                size,
-            )
-        elif ev[0] == "enter":
+        kind = ev[0]
+        if kind == "row":
+            c.log_row(np.array(ev[1], dtype=np.int64))
+        elif kind == "masked":
+            c.log_masked(ev[1], np.array(ev[2], dtype=np.int64))
+        elif kind == "lane":
+            c.log_lane(ev[1], np.int64(ev[2]))
+        elif kind == "enter":
             c.on_parallel_enter()
-        elif ev[0] == "exit":
+        elif kind == "exit":
             c.on_parallel_exit()
-        else:
+        elif kind == "instr":
             c.on_instr(Opcode.FADD, np.array(ev[1], dtype=bool))
+        else:  # a uniform stretch: some instructions noted, the rest handed over
+            _, mask, instrs, noted = ev
+            c.begin_uniform(np.array(mask, dtype=bool))
+            noted = min(noted, instrs)
+            c.note_uniform_block(2.0 * noted, noted)
+            c.end_uniform(2.0 * (instrs - noted), instrs - noted)
     return c.finalize()
 
 
@@ -143,17 +168,45 @@ def test_batched_accounting_matches_per_access(stream):
 
 
 def test_logged_addresses_are_copied():
-    """The compiled backend may pass a register row it later overwrites;
-    accounting must see the addresses as they were at issue."""
+    """The compiled backend passes register rows and scalars it later
+    overwrites; accounting must see the addresses as they were at issue."""
     addrs = np.arange(32, dtype=np.int64) * 8 + 0x2000
-    lanes = np.arange(32, dtype=np.int64)
-    want = replay(
-        PerAccessCollector, 1, True, None, [("mem", lanes, addrs.copy(), 8)]
-    )
+    mask = np.ones(32, dtype=bool)
+    events = [("masked", mask, addrs.copy()), ("lane", 3, addrs[3])]
+    want = replay(PerAccessCollector, 1, True, None, events)
     c = TraceCollector(0, 1)
-    c.on_mem(lanes, addrs, 8)
+    c.log_masked(mask, addrs)
+    c.log_lane(3, addrs[3])
     addrs[:] = 0x9000  # the register row is reused
     assert trace_fields(c.finalize()) == trace_fields(want)
+
+
+#: Every iteration of the inner loop loads through an address row the
+#: next iteration rewrites in place, with a stride (and so a sector
+#: count) of its own: whole-row logs of a register that is its own
+#: address (load offset 0) must be copies.
+REWRITTEN_ADDRESS = """
+def main(argc: i64, argv: ptr_ptr) -> i64:
+    buf = malloc_i64(1024)
+    for i in dgpu.parallel_range(1024):
+        buf[i] = i * 3
+    for i in dgpu.parallel_range(64):
+        v = 0
+        for k in range(5):
+            v = v + buf[i * k * 3]
+        buf[i] = v
+    return buf[5] & 255
+"""
+
+
+def test_rewritten_address_rows_are_logged_as_issued():
+    """The compiled backend's traces equal the interpreter's, which
+    logs each access's own address array."""
+    inp = source_input(REWRITTEN_ADDRESS, timed=True, thread_limit=64)
+    configs = [Config("compiled", 1, "unchecked")]
+    configs += [Config(opt_level=2), Config("compiled", 2, "unchecked")]
+    runs = check(inp, configs)
+    assert all(t[1] > 500 for t in runs[configs[-1]].traces)  # row_transitions
 
 
 def test_divergent_block_note_matches_per_instruction_calls():
