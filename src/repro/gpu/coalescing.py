@@ -78,5 +78,5 @@ def uncoalesced_keys(
     warps = (lane_ids // warp_size).astype(np.int64)
     lanes = (lane_ids % warp_size).astype(np.int64)
     sectors = sector_ids(addrs.astype(np.int64), 1)
-    keys = (warps << _KEY_SHIFT) | (sectors << 5) | lanes
+    keys = (warps << _KEY_SHIFT) | (sectors << (warp_size.bit_length() - 1)) | lanes
     return keys  # deliberately not deduplicated across lanes

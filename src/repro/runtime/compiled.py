@@ -1333,8 +1333,8 @@ class CompiledBlockExecutor(BlockExecutor):
                             divergent = True
                             if collector is not None:
                                 collector.end_uniform(ucyc, uins)
-                            ucyc = 0.0
-                            uins = 0
+                                ucyc = 0.0
+                                uins = 0
                             continue
                         if is_control[cur]:
                             if stay_uniform[cur]:
@@ -1349,8 +1349,8 @@ class CompiledBlockExecutor(BlockExecutor):
                             if collector is not None:
                                 # the handler may close a phase
                                 collector.end_uniform(ucyc, uins)
-                            ucyc = 0.0
-                            uins = 0
+                                ucyc = 0.0
+                                uins = 0
                             advanced = handlers[cur](mask)
                             if not advanced:
                                 pc[mask] = cur + 1

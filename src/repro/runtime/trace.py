@@ -26,20 +26,22 @@ Memory accounting is deferred to the phase close.  The open phase's log
 is an address matrix in the making: one row of ``T = num_warps *
 warp_size`` addresses per memory instruction, ``-1`` where a lane did not
 access.  A whole-row access appends its address row as is
-(:attr:`TraceCollector.log_row`), a masked one a padded row
-(:meth:`~TraceCollector.log_masked`), and a one-lane access only its
-``(lane, address)`` pair (:meth:`~TraceCollector.log_lane`), scattered
-into its row when the phase closes.  The close then builds the ``(n, T)``
-matrix in one step, masks the shared-memory range out as ``-1``, and
-keys it with one row-wise sort: each (instruction, warp) segment's
-sectors sorted, the first of each run of equal sectors kept and the
-``-1`` sentinels dropped.  Read warp-major, the kept sectors are each
-warp's transaction stream in issue order, from which row hits follow
-without a further sort.  The coalescing-off ablation reads the same
-matrix without the sort or dedup: every accessing lane pays a sector.
-The result is bitwise what accounting each instruction as it issues
-would give, for the price of a few numpy calls per phase instead of a
-dozen per instruction.
+(:attr:`TraceCollector.log_row`) and a masked one a padded row
+(:meth:`~TraceCollector.log_masked`).  A one-lane access, the whole of
+a sequential phase's traffic, logs only its ``(lane, address)`` pair
+(:meth:`~TraceCollector.log_lane`), so its cost does not grow with
+``T``.  The close builds the ``(n, T)`` matrix in one step, masks the
+shared-memory range out as ``-1``, and keys it with one row-wise sort:
+each (instruction, warp) segment's sectors sorted, the first of each
+run of equal sectors kept and the ``-1`` sentinels dropped.  Read
+warp-major, the kept sectors are each warp's transaction stream in
+issue order, from which row hits follow without a further sort.  Each
+one-lane access is one transaction; a phase that has them merges them
+into their warps' streams by issue order with one stable sort.  The
+coalescing-off ablation reads the same log without the sort or dedup:
+every accessing lane pays a sector.  The result is bitwise what
+accounting each instruction as it issues would give, for the price of
+a few numpy calls per phase instead of a dozen per instruction.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from repro.gpu.timing import BlockTrace, PhaseStats, cpi_of
 from repro.ir.instructions import Opcode
 
 _ROW_SHIFT = 5  # sectors per 1024-byte row = 32 -> row = sector >> 5
-#: Bits of the lane folded into a sector when coalescing is off.
-_LANE_BITS = 5
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 class TraceCollector:
@@ -70,6 +71,8 @@ class TraceCollector:
         self.block_id = block_id
         self.num_warps = num_warps
         self.warp_size = warp_size
+        #: Bits of a lane id within its warp (warp sizes are powers of two).
+        self._lane_bits = warp_size.bit_length() - 1
         self.model_coalescing = model_coalescing
         self.shared_range = shared_range
         self.trace = BlockTrace(block_id)
@@ -79,8 +82,8 @@ class TraceCollector:
         self._last_row = np.full(num_warps, -1, dtype=np.int64)
         self._sector_chunks: list[np.ndarray] = []
         # the open phase's memory log: one T-wide address row per
-        # instruction (a one-lane access logs the blank row, and its
-        # (row, lane, address) triple in _lane_log)
+        # instruction, but a one-lane access logs only the (rows logged
+        # before it, lane, address) triple in _lane_log
         self._blank = np.full(num_warps * warp_size, -1, dtype=np.int64)
         self._rows: list[np.ndarray] = []
         self._lane_log: list = []
@@ -123,13 +126,7 @@ class TraceCollector:
             self._pending_cycles = 0.0
             self._pending_instrs = 0
             return
-        cycles = self._pending_cycles
-        self._warp_cycles[wm] += cycles
-        n = int(wm.sum())
-        self._phase.issue_cycles_total += cycles * n
-        if n > self._phase.active_warps:
-            self._phase.active_warps = n
-        self.trace.dynamic_instructions += self._pending_instrs
+        self._issue(wm, self._pending_cycles, self._pending_instrs)
         self._pending_warp_mask = None
         self._pending_cycles = 0.0
         self._pending_instrs = 0
@@ -146,17 +143,26 @@ class TraceCollector:
         """Batch-account ``instrs`` divergent-path instructions costing
         ``cycles`` total, all issued by ``warp_mask``, with aggregates
         identical to ``instrs`` individual :meth:`on_instr` calls."""
-        self._warp_cycles[warp_mask] += cycles
-        n = int(warp_mask.sum())
+        self._issue(warp_mask, cycles, instrs)
+        self.trace.divergent_instructions += instrs
+
+    def _issue(self, warp_mask: np.ndarray, cycles: float, instrs: int) -> None:
+        """Account ``instrs`` instructions costing ``cycles`` issue cycles
+        on every warp of ``warp_mask``."""
+        np.add(self._warp_cycles, cycles, out=self._warp_cycles, where=warp_mask)
+        n = np.count_nonzero(warp_mask)
         self._phase.issue_cycles_total += cycles * n
         if n > self._phase.active_warps:
             self._phase.active_warps = n
         self.trace.dynamic_instructions += instrs
-        self.trace.divergent_instructions += instrs
 
     def log_masked(self, mask: np.ndarray, addrs: np.ndarray) -> None:
         """Log an access by the lanes of the boolean ``mask`` at ``addrs``
-        (one per set lane, in lane order), padded to a row."""
+        (one per set lane, in lane order), padded to a row; an access by
+        one lane is logged as :meth:`log_lane` logs it."""
+        if addrs.size == 1:
+            self._lane_log += (len(self._rows), int(mask.argmax()), addrs[0])
+            return
         row = self._blank.copy()
         row[mask] = addrs
         self._rows.append(row)
@@ -164,7 +170,6 @@ class TraceCollector:
     def log_lane(self, lane: int, addr: int) -> None:
         """Log an access by lane ``lane`` alone at ``addr``."""
         self._lane_log += (len(self._rows), lane, addr)
-        self._rows.append(self._blank)
 
     def on_parallel_enter(self) -> None:
         self._par_count += 1
@@ -181,49 +186,43 @@ class TraceCollector:
         """Account the open phase's logged memory accesses.  Accesses into
         the team's shared-memory range are on-chip (SRAM): counted
         separately, never fed to the coalescer/L2/DRAM models."""
-        rows = self._rows
-        if not rows:
+        if not self._rows and not self._lane_log:
             return
-        n = len(rows)
-        self.logged_rows += n
-        addrs = np.array(rows)  # (n, T); a new array, so safe to edit
-        rows.clear()
+        ph = self._phase
+        bits = self._lane_bits
+        n = len(self._rows)
+        self.logged_rows += n + len(self._lane_log) // 3
+        stream, per_row = self._row_transactions()
+        counts = per_row.sum(axis=1)
         if self._lane_log:
             at, lane, addr = np.array(self._lane_log, dtype=np.int64).reshape(-1, 3).T
-            addrs[at, lane] = addr
             self._lane_log.clear()
-        ph = self._phase
-        if self.shared_range is not None:
-            lo, hi = self.shared_range
-            shared = (addrs >= lo) & (addrs < hi)
-            count = int(np.count_nonzero(shared))
-            if count:
-                ph.shared_accesses += count
-                addrs[shared] = -1
-        valid = addrs >= 0
-        accesses = int(np.count_nonzero(valid))
-        if accesses == 0:
+            if self.shared_range is not None:
+                lo, hi = self.shared_range
+                off = (addr < lo) | (addr >= hi)
+                ph.shared_accesses += int(addr.size - np.count_nonzero(off))
+                at, lane, addr = at[off], lane[off], addr[off]
+            ph.lane_accesses += int(addr.size)
+            # one lane, one transaction, merged into its warp's stream by
+            # issue order: a one-lane access goes just before row ``at``
+            warp = lane >> bits
+            keys = sector_ids(addr, 1)
+            if not self.model_coalescing:
+                keys = (keys << bits) | (lane & (self.warp_size - 1))
+            order = warp * (2 * n + 1) + 2 * at
+            if stream.size:
+                row_order = np.arange(self.num_warps)[:, None] * (2 * n + 1)
+                row_order = row_order + 2 * np.arange(n) + 1
+                order = np.concatenate((np.repeat(row_order, per_row.ravel()), order))
+                keys = np.concatenate((stream, keys))
+            stream = keys[np.argsort(order, kind="stable")]
+            counts += np.bincount(warp, minlength=self.num_warps)
+        if stream.size == 0:
             return
-        ph.lane_accesses += accesses
-        # (instruction, warp, lane in warp); read warp-major below, each
-        # warp's stream is in issue order
-        shape = (n, self.num_warps, self.warp_size)
-        sectors = sector_ids(addrs, 1).reshape(shape)
-        if self.model_coalescing:
-            sectors.sort(axis=2)  # the -1 sentinels first
-            keep = sectors >= 0
-            keep[:, :, 1:] &= sectors[:, :, 1:] != sectors[:, :, :-1]
-        else:
-            # every accessing lane pays a private sector, made unique by
-            # folding its lane in (the row stays the sector's)
-            keep = valid.reshape(shape)
-            sectors = (sectors << _LANE_BITS) | np.arange(self.warp_size)
-        keep = keep.transpose(1, 0, 2)
-        stream = sectors.transpose(1, 0, 2)[keep]
-        counts = np.count_nonzero(keep, axis=(1, 2))
         ph.sectors += int(stream.size)
         self._sector_chunks.append(stream)
-        rows = stream >> _ROW_SHIFT
+        # a lane-folded key's row is its sector, as accounting per access gives
+        rows = stream >> (_ROW_SHIFT if self.model_coalescing else bits)
         # Row hits: consecutive transactions to the same row within one
         # warp's stream; each warp's first transaction of the phase
         # compares against its last row of the previous phase.
@@ -238,6 +237,41 @@ class TraceCollector:
         ph.mem_warps = int(warps.size)
         self.trace.row_transitions += int(stream.size)
         self.trace.row_hits += hits
+
+    def _row_transactions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Key the logged address rows: their transactions warp-major (each
+        warp's in issue order) and the ``(warp, row)`` count of them."""
+        rows = self._rows
+        n = len(rows)
+        if n == 0:
+            return _NO_KEYS, np.zeros((self.num_warps, 0), dtype=np.int64)
+        # (n, T); a new array, so safe to edit
+        addrs = np.concatenate(rows).reshape(n, -1)
+        rows.clear()
+        ph = self._phase
+        if self.shared_range is not None:
+            lo, hi = self.shared_range
+            shared = (addrs >= lo) & (addrs < hi)
+            count = int(np.count_nonzero(shared))
+            if count:
+                ph.shared_accesses += count
+                addrs[shared] = -1
+        valid = addrs >= 0
+        ph.lane_accesses += int(np.count_nonzero(valid))
+        # (instruction, warp, lane in warp)
+        shape = (n, self.num_warps, self.warp_size)
+        sectors = sector_ids(addrs, 1).reshape(shape)
+        if self.model_coalescing:
+            sectors.sort(axis=2)  # the -1 sentinels first
+            keep = sectors >= 0
+            keep[:, :, 1:] &= sectors[:, :, 1:] != sectors[:, :, :-1]
+        else:
+            # every accessing lane pays a private sector, made unique by
+            # folding its lane in
+            keep = valid.reshape(shape)
+            sectors = (sectors << self._lane_bits) | np.arange(self.warp_size)
+        keep = keep.transpose(1, 0, 2)
+        return sectors.transpose(1, 0, 2)[keep], np.count_nonzero(keep, axis=2)
 
     def _close_phase(self, *, parallel: bool) -> None:
         self._flush_uniform()

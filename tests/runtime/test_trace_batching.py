@@ -4,7 +4,8 @@ each memory instruction as it issues.
 :class:`PerAccessCollector` keeps the per-instruction algorithm as a
 reference; Hypothesis drives it and the real collector with the same
 event streams (whole rows, masked rows and one-lane accesses mixed in
-one phase) and every trace field must come out bitwise equal.
+one phase, at warp sizes 32 and 64) and every trace field must come out
+bitwise equal.
 """
 
 from __future__ import annotations
@@ -50,15 +51,17 @@ class PerAccessCollector(TraceCollector):
                 return
             lane_ids, addrs = lane_ids[~is_shared], addrs[~is_shared]
         if self.model_coalescing:
-            keys = warp_sector_keys(lane_ids, addrs, 8)
+            keys = warp_sector_keys(lane_ids, addrs, 8, self.warp_size)
+            row_shift = _ROW_SHIFT
         else:
-            keys = uncoalesced_keys(lane_ids, addrs)
+            keys = uncoalesced_keys(lane_ids, addrs, self.warp_size)
+            row_shift = self.warp_size.bit_length() - 1  # the lane's bits
         self._phase.sectors += int(keys.size)
         self._phase.lane_accesses += int(lane_ids.size)
         warps = keys >> 40
         self._mem_warps[warps] = True
         sectors = keys & ((1 << 40) - 1)
-        rows = sectors >> _ROW_SHIFT
+        rows = sectors >> row_shift
         self._sector_chunks.append(sectors)
         same = (np.diff(warps) == 0) & (np.diff(rows) == 0)
         first = np.flatnonzero(np.concatenate(([True], np.diff(warps) != 0)))
@@ -90,8 +93,8 @@ def addresses(draw, n: int):
 
 
 @st.composite
-def mem_event(draw, num_warps: int):
-    T = 32 * num_warps
+def mem_event(draw, num_warps: int, warp_size: int):
+    T = warp_size * num_warps
     kind = draw(st.sampled_from(("row", "masked", "lane")))
     if kind == "row":
         return ("row", draw(addresses(T)))
@@ -105,12 +108,13 @@ def mem_event(draw, num_warps: int):
 
 @st.composite
 def event_streams(draw):
-    num_warps = draw(st.sampled_from((1, 2)))
+    num_warps = draw(st.integers(1, 3))
+    warp_size = draw(st.sampled_from((32, 64)))
     warp_mask = st.lists(st.booleans(), min_size=num_warps, max_size=num_warps)
     events = draw(
         st.lists(
             st.one_of(
-                mem_event(num_warps),
+                mem_event(num_warps, warp_size),
                 st.just(("enter",)),
                 st.just(("exit",)),
                 st.tuples(st.just("instr"), warp_mask),
@@ -126,11 +130,17 @@ def event_streams(draw):
     )
     coalescing = draw(st.booleans())
     shared = draw(st.sampled_from((None, SHARED)))
-    return num_warps, coalescing, shared, events
+    return num_warps, warp_size, coalescing, shared, events
 
 
-def replay(cls, num_warps, coalescing, shared, events):
-    c = cls(0, num_warps, model_coalescing=coalescing, shared_range=shared)
+def replay(cls, num_warps, warp_size, coalescing, shared, events):
+    c = cls(
+        0,
+        num_warps,
+        model_coalescing=coalescing,
+        shared_range=shared,
+        warp_size=warp_size,
+    )
     for ev in events:
         kind = ev[0]
         if kind == "row":
@@ -173,12 +183,37 @@ def test_logged_addresses_are_copied():
     addrs = np.arange(32, dtype=np.int64) * 8 + 0x2000
     mask = np.ones(32, dtype=bool)
     events = [("masked", mask, addrs.copy()), ("lane", 3, addrs[3])]
-    want = replay(PerAccessCollector, 1, True, None, events)
+    want = replay(PerAccessCollector, 1, 32, True, None, events)
     c = TraceCollector(0, 1)
     c.log_masked(mask, addrs)
     c.log_lane(3, addrs[3])
     addrs[:] = 0x9000  # the register row is reused
     assert trace_fields(c.finalize()) == trace_fields(want)
+
+
+def test_one_lane_access_keeps_its_place_between_rows():
+    """A one-lane access to another DRAM row between two whole rows
+    breaks their run of row hits: the merge keeps issue order (row hits
+    are often the same either way, so random streams rarely show it)."""
+    row = [0x2000 + 8 * i for i in range(32)]
+    for lane_event in (("lane", 5, 0x2400), ("masked", np.arange(32) == 5, [0x2400])):
+        events = [("row", row), lane_event, ("row", row)]
+        want = replay(PerAccessCollector, 1, 32, True, None, events)
+        got = replay(TraceCollector, 1, 32, True, None, events)
+        assert got.row_hits == want.row_hits == 14
+
+
+def test_uncoalesced_keys_keep_wide_warps_lanes_apart():
+    """At warp size 64, lane 32 of one sector and lane 0 of the next are
+    two transactions, not one key folded twice."""
+    addrs = np.full(64, 0x2020, dtype=np.int64)
+    addrs[32:] = 0x2000
+    c = TraceCollector(0, 1, model_coalescing=False, warp_size=64)
+    c.log_row(addrs)
+    trace = c.finalize()
+    assert trace.row_transitions == 64
+    assert trace.unique_sectors.size == 64
+    assert trace.row_hits == 62  # two runs of one sector each
 
 
 #: Every iteration of the inner loop loads through an address row the
