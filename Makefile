@@ -5,9 +5,9 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: install test test-fast lint typecheck check bench bench-check \
-	bench-serve bench-serve-check microbench figures validate objdump \
-	sched-demo trace-demo autoensemble-demo serve-demo serve-check \
-	cache-check safety-check chaos clean
+	microbench figures validate objdump sched-demo trace-demo \
+	autoensemble-demo serve-demo serve-check cache-check safety-check \
+	chaos clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -39,25 +39,17 @@ check: lint typecheck test
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x -q
 
-# Tracked backend benchmark (docs/backends.md): interp vs compiled on the
-# Figure-6 smoke campaign; refreshes the committed baseline.
+# Tracked benchmark (docs/backends.md, docs/serve.md): interp vs compiled
+# and timed vs untimed on the Figure-6 smoke campaign, checked vs
+# unchecked, direct vs served, cold vs warm compile; refreshes the
+# committed baseline.
 bench:
 	$(PYTHON) -m repro.harness.bench --repeats 4 --out BENCH_interpreter.json
 
-# CI regression gate: quick slice of the bench, compared against the
-# committed baseline on machine-independent speedup ratios only.
+# CI regression gate: quick slice of every leg of the bench, compared
+# against the committed baseline on machine-independent ratios only.
 bench-check:
 	$(PYTHON) -m repro.harness.bench --quick --repeats 5 --check BENCH_interpreter.json
-
-# Tracked server-path benchmark (docs/serve.md): repro.serve throughput
-# vs the direct scheduler; refreshes the committed baseline.
-bench-serve:
-	$(PYTHON) -m repro.harness.bench_serve --repeats 3 --out BENCH_serve.json
-
-# CI regression gate: served-path occupancy and the served/direct
-# overhead ratio vs the committed baseline (machine-independent only).
-bench-serve-check:
-	$(PYTHON) -m repro.harness.bench_serve --quick --check BENCH_serve.json
 
 # Executable-cache gate (docs/compilecache.md): cold build, warm restart
 # from the disk tier, hit rate and bitwise parity on stencil — then the

@@ -8,11 +8,18 @@
   (also a CLI: ``repro-figure6 --thread-limit 32``);
 * :mod:`~repro.harness.report` — table/CSV rendering and paper-vs-measured
   comparison;
-* :mod:`~repro.harness.bench` — tracked interp-vs-compiled backend
-  benchmark on the Figure-6 smoke campaign, with a ratio-based
-  regression gate against the committed ``BENCH_interpreter.json``
+* :mod:`~repro.harness.validate` — every registry app's checksum against
+  its CPU reference;
+* :mod:`~repro.harness.profile` — nvprof-style report over a launch's
+  traces;
 * :mod:`~repro.harness.ablation` — mechanism ablations (coalescing, DRAM
-  row locality, L2, instance packing).
+  row locality, L2);
+* :mod:`~repro.harness.gp` — GP-style many-variant campaign through the
+  compile cache;
+* :mod:`~repro.harness.bench` — the one gate harness: interp vs compiled,
+  timed vs untimed, checked vs unchecked and direct vs served, each as
+  interleaved pairs, plus cold vs warm compile walls, with a ratio-based
+  regression gate against the committed ``BENCH_interpreter.json``.
 """
 
 from repro.harness.experiment import ScalingResult, ScalingRow, run_scaling

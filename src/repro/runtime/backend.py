@@ -7,11 +7,12 @@ Two engines ship with the simulator, both implementing the
   (:class:`~repro.runtime.interpreter.BlockExecutor`): one pre-specialized
   handler closure per instruction, min-PC lockstep scheduling.
 * ``compiled`` — the threaded-code backend
-  (:class:`~repro.runtime.compiled.CompiledBlockExecutor`): every basic
-  block of the verified ``-O2`` register IR is lowered once per kernel to
-  a Python closure via ``compile()``/``exec`` and dispatched through a
-  block table, with full-row numpy vectorization on warp-uniform
-  stretches.  Bitwise-identical results, same memory model, same
+  (:class:`~repro.runtime.compiled.CompiledBlockExecutor`): each basic
+  block of the verified register IR (``-O1`` by default) becomes Python
+  source the first time a team reaches it, is ``compile()``d once per
+  kernel and bound per team with ``types.FunctionType`` (no ``exec``),
+  and is dispatched through a block table, with full-row numpy
+  vectorization on warp-uniform stretches.  Bitwise-identical results, same memory model, same
   trace/metrics hooks, same fault-injection points.
 
 ``compiled`` is the default (:data:`DEFAULT_BACKEND`) for every entry

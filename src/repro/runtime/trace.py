@@ -1,8 +1,9 @@
 """Per-block trace collection feeding the timing model.
 
 The collector is deliberately separated from the interpreter: functional
-execution works identically with tracing off (``collect=False`` launches run
-faster, e.g. in unit tests that only check results).
+execution works identically with tracing off (launches with
+``LaunchSpec.collect_timing=False`` run faster, e.g. in unit tests that
+only check results).
 
 What is measured, per block:
 
